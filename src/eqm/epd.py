@@ -17,6 +17,13 @@ condition: on the full diagonal xi = u_1 = ... = u_{2g+2},
 Both satisfy the same hyperbolic Euler-Poisson-Darboux-type system in
 (xi, u); ``epd_residual`` measures it by finite differences.
 
+The tensor rule takes m Gauss-Jacobi nodes per slot.  For a polynomial
+field of degree M the integrand is a polynomial of degree
+D = M - order in every slot, so m = ceil((D+1)/2) nodes are exact and
+are the default; fields with absolute-power terms default to m = 32
+(g = 0) or m = 24 (g = 1).  ``phi_eval`` takes a single point or a 1-D
+array of points and evaluates an array in one tensor contraction.
+
 The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi), and closed
 one-dimensional reductions of Phi are provided for g = 0 and for the
@@ -52,17 +59,14 @@ __all__ = [
     "phi0_closed",
     "phi1_symmetric_closed",
     "psi1_symmetric_sum",
-    "default_nodes",
 ]
 
 LONG = np.longdouble
 
 _DEFAULT_NODES = {0: 32, 1: 24}
-
-
-def default_nodes(g):
-    """Default per-dimension node count of the tensor rule."""
-    return _DEFAULT_NODES[g]
+# Largest argument tensor one contraction holds: one g = 1 point at the
+# non-polynomial default, 24^4 nodes.
+_TENSOR_CAP = 24**4
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,21 @@ class EpdSpec:
     @property
     def order(self):
         return self.g + (2 if self.which == "phi" else 1)
+
+    def nodes(self, m=None):
+        """Nodes per slot of the tensor rule; an explicit m wins.
+
+        Exact for polynomial fields: V^(order) has degree D = M - order
+        in every slot, which ceil((D+1)/2) Gauss nodes integrate
+        exactly.  The gradient needs no more, as V^(order+1) has lower
+        degree.
+        """
+        if m is not None:
+            return m
+        if self.field.is_polynomial:
+            deg = max(0, int(self.field.max_degree) - self.order)
+            return max(1, (deg + 2) // 2)
+        return _DEFAULT_NODES[self.g]
 
 
 def _jacobi_poly(n, alpha, beta, x):
@@ -116,7 +135,7 @@ def _jacobi_poly(n, alpha, beta, x):
     return p, d
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=128)
 def _jacobi_rule(m, k):
     """Nodes/weights for variable slot k (1-based): Jacobi(-1/2, (k-1)/2).
 
@@ -145,7 +164,7 @@ def _jacobi_rule(m, k):
     return x, w
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=64)
 def _normalization(g, m):
     """Normalization constant fixed by the diagonal boundary condition.
 
@@ -175,24 +194,30 @@ def _validate_u(g, u):
 def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64):
     """Nested-affine tensor quadrature at absolute coordinates.
 
-    Builds a local expansion over the hull of the points and hands the
-    exact local offsets to the core.  Longdouble inputs keep their
-    precision through the offset computation.
+    Builds one local expansion over the hull of the points and the
+    endpoints and hands the exact local offsets to the core.  Longdouble
+    inputs keep their precision through the offset computation.
     """
-    pts = np.concatenate(
-        [np.atleast_1d(np.asarray(xi, dtype=LONG)), np.asarray(u, dtype=LONG)]
-    )
-    lo = float(min(pts))
-    hi = float(max(pts))
-    lf = LocalField(field, lo, hi, max_order=order + (1 if want_grad else 0))
-    d = pts - lf.center_long
-    return _tensor_core(lf, g, order, d, m, want_grad=want_grad, dtype=dtype)
+    xs = np.atleast_1d(np.asarray(xi, dtype=LONG))
+    ul = np.asarray(u, dtype=LONG)
+    pts = np.concatenate([xs, ul])
+    lf = LocalField(field, float(pts.min()), float(pts.max()),
+                    max_order=order + (1 if want_grad else 0))
+    return _tensor_core(lf, g, order, xs - lf.center_long, ul - lf.center_long,
+                        m, want_grad=want_grad, dtype=dtype)
 
 
-def _tensor_core(lf, g, order, d, m, want_grad=False, dtype=np.float64):
-    """Core nested-affine tensor quadrature in local offsets d[0]=xi, d[1:]=u."""
+def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64):
+    """Core nested-affine tensor quadrature in local offsets.
+
+    dxi holds the offsets of P evaluation points, du those of the
+    endpoints.  Returns the P values and, with want_grad, their (P, 2g+3)
+    gradients w.r.t. (xi, u_1, ..., u_{2g+2}).  The points are contracted
+    in chunks whose argument tensor holds at most _TENSOR_CAP entries.
+    """
     nvar = 2 * g + 2
-    d = np.asarray(d).astype(dtype)
+    dxi = np.atleast_1d(np.asarray(dxi).astype(dtype))
+    du = np.asarray(du).astype(dtype)
 
     avecs, bvecs, wvecs = [], [], []
     for k in range(1, nvar + 1):
@@ -200,39 +225,44 @@ def _tensor_core(lf, g, order, d, m, want_grad=False, dtype=np.float64):
         avecs.append((0.5 * (1.0 + x)).astype(dtype))
         bvecs.append((0.5 * (1.0 - x)).astype(dtype))
         wvecs.append(w.astype(dtype))
-
-    arg = d[0]
-    for k in range(nvar):
-        arg = np.multiply.outer(arg, avecs[k]) + d[k + 1] * bvecs[k]
-
     m0 = dtype(_normalization(g, m))
-    fvals = lf.deriv(arg, order, dtype=dtype)
+
+    # d(arg)/d(xi) factorizes as prod_k a_k over the tensor axes, and
+    # d(arg)/d(u_j) as b_j times the a_k of the later axes.
+    grad_vecs = []
+    if want_grad:
+        grad_vecs.append([w * a for w, a in zip(wvecs, avecs)])
+        for j in range(1, nvar + 1):
+            vecs = []
+            for k in range(nvar):
+                if k + 1 < j:
+                    vecs.append(wvecs[k])
+                elif k + 1 == j:
+                    vecs.append(wvecs[k] * bvecs[k])
+                else:
+                    vecs.append(wvecs[k] * avecs[k])
+            grad_vecs.append(vecs)
 
     def contract(tensor, axis_vecs):
-        out = tensor
         for vec in reversed(axis_vecs):
-            out = np.tensordot(out, vec, axes=([-1], [0]))
-        return float(out)
+            tensor = np.tensordot(tensor, vec, axes=([-1], [0]))
+        return m0 * tensor
 
-    value = m0 * contract(fvals, wvecs)
-    if not want_grad:
-        return value
-
-    fprime = lf.deriv(arg, order + 1, dtype=dtype)
-    grads = np.empty(nvar + 1)
-    # d(arg)/d(xi) factorizes as prod_k a_k over the tensor axes
-    grads[0] = m0 * contract(fprime, [w * a for w, a in zip(wvecs, avecs)])
-    for j in range(1, nvar + 1):
-        vecs = []
+    values, grads = [], []
+    step = max(1, _TENSOR_CAP // m**nvar)
+    for start in range(0, len(dxi), step):
+        arg = dxi[start:start + step]
         for k in range(nvar):
-            if k + 1 < j:
-                vecs.append(wvecs[k])
-            elif k + 1 == j:
-                vecs.append(wvecs[k] * bvecs[k])
-            else:
-                vecs.append(wvecs[k] * avecs[k])
-        grads[j] = m0 * contract(fprime, vecs)
-    return value, grads
+            arg = np.multiply.outer(arg, avecs[k]) + du[k] * bvecs[k]
+        values.append(contract(lf.deriv(arg, order, dtype=dtype), wvecs))
+        if want_grad:
+            fprime = lf.deriv(arg, order + 1, dtype=dtype)
+            grads.append(
+                np.stack([contract(fprime, v) for v in grad_vecs], axis=-1)
+            )
+    if not want_grad:
+        return np.concatenate(values)
+    return np.concatenate(values), np.concatenate(grads)
 
 
 def phi_eval(spec, xi, u, m=None, dtype=np.float64):
@@ -241,18 +271,23 @@ def phi_eval(spec, xi, u, m=None, dtype=np.float64):
     Parameters
     ----------
     spec : EpdSpec
-    xi : float
+    xi : float or 1-D array of float
+        Evaluation point(s); an array is evaluated in one contraction
+        over a single local expansion and returns an array.
     u : sequence of float
         Endpoint vector, descending, length 2g+2 (ties allowed).
     m : int, optional
-        Nodes per dimension (default 32 for g=0, 24 for g=1).
+        Nodes per dimension.  The default is exact for polynomial
+        fields (see ``EpdSpec.nodes``) and 32 for g=0, 24 for g=1
+        otherwise.
     dtype : numpy dtype
         float64, or longdouble for extended-precision accumulation.
     """
     u = _validate_u(spec.g, u)
-    if m is None:
-        m = _DEFAULT_NODES[spec.g]
-    return _tensor_eval(spec.field, spec.g, spec.order, xi, u, m, dtype=dtype)
+    vals = _tensor_eval(
+        spec.field, spec.g, spec.order, xi, u, spec.nodes(m), dtype=dtype
+    )
+    return vals if np.ndim(xi) else vals[0]
 
 
 def phi_eval_grad(spec, xi, u, m=None, dtype=np.float64):
@@ -263,11 +298,11 @@ def phi_eval_grad(spec, xi, u, m=None, dtype=np.float64):
     every variable).
     """
     u = _validate_u(spec.g, u)
-    if m is None:
-        m = _DEFAULT_NODES[spec.g]
-    return _tensor_eval(
-        spec.field, spec.g, spec.order, xi, u, m, want_grad=True, dtype=dtype
+    vals, grads = _tensor_eval(
+        spec.field, spec.g, spec.order, xi, u, spec.nodes(m), want_grad=True,
+        dtype=dtype,
     )
+    return vals[0], grads[0]
 
 
 def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
@@ -280,8 +315,9 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
     lf : LocalField
         Prebuilt expansion whose center is the caller's anchor; its
         max_order must cover spec.order (+1 with gradients).
-    dxi : float
-        Offset of the evaluation point from the anchor.
+    dxi : float or 1-D array of float
+        Offset(s) of the evaluation point(s) from the anchor; an array
+        returns an array of values (and of gradients).
     du : sequence of float
         Endpoint offsets, descending, length 2g+2 (ties allowed).
 
@@ -297,11 +333,13 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
     need = spec.order + (1 if want_grad else 0)
     if lf.mode == "series" and lf.max_order < need:
         raise ValueError(f"LocalField max_order {lf.max_order} < {need}")
-    if m is None:
-        m = _DEFAULT_NODES[spec.g]
-    d = np.concatenate([[float(dxi)], du])
-    return _tensor_core(lf, spec.g, spec.order, d, m, want_grad=want_grad,
-                        dtype=dtype)
+    out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),
+                       du, spec.nodes(m), want_grad=want_grad, dtype=dtype)
+    if np.ndim(dxi):
+        return out
+    if want_grad:
+        return out[0][0], out[1][0]
+    return out[0]
 
 
 def epd_residual(spec, xi, u, i, j, h):
@@ -317,18 +355,21 @@ def epd_residual(spec, xi, u, i, j, h):
         2 (xi - u_i0) d2F/dxi du_i0 - dF/dxi + 2 dF/du_i0.
 
     Central differences with step h; the residual of the analytic
-    kernels decays as O(h^2).
+    kernels decays as O(h^2).  The stencil values are accumulated in
+    extended precision, because the second difference amplifies their
+    rounding by 1/h^2.
     """
     if i == j:
         raise ValueError("need two distinct slots")
     u = np.asarray(u, dtype=float)
-    mm = _DEFAULT_NODES[spec.g]
+    mm = spec.nodes()
 
     def f(dxi, du):
         # bypasses ordering validation: difference stencils may cross ties
         return _tensor_eval(
-            spec.field, spec.g, spec.order, float(xi + dxi), u + du, mm
-        )
+            spec.field, spec.g, spec.order, float(xi + dxi), u + du, mm,
+            dtype=LONG,
+        )[0]
 
     def unit(idx):
         e = np.zeros(len(u))
@@ -343,7 +384,7 @@ def epd_residual(spec, xi, u, i, j, h):
         ) / (4.0 * h * h)
         dxi = (f(h, 0.0 * e) - f(-h, 0.0 * e)) / (2.0 * h)
         dui = (f(0.0, h * e) - f(0.0, -h * e)) / (2.0 * h)
-        return 2.0 * (xi - u[i0 - 1]) * mixed - dxi + 2.0 * dui
+        return float(2.0 * (xi - u[i0 - 1]) * mixed - dxi + 2.0 * dui)
     ei, ej = unit(i), unit(j)
     mixed = (
         f(0.0, h * ei + h * ej)
@@ -353,7 +394,7 @@ def epd_residual(spec, xi, u, i, j, h):
     ) / (4.0 * h * h)
     di = (f(0.0, h * ei) - f(0.0, -h * ei)) / (2.0 * h)
     dj = (f(0.0, h * ej) - f(0.0, -h * ej)) / (2.0 * h)
-    return 2.0 * (u[i - 1] - u[j - 1]) * mixed - di + dj
+    return float(2.0 * (u[i - 1] - u[j - 1]) * mixed - di + dj)
 
 
 def epd2_eval(boundary, rho, x1, x2, m=64):

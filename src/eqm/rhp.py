@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidInterval, SingularSystem
 from .field import LONG, FieldSpec, LocalField, PowerTerm
 from .quadrature import band_integral
-from .epd import EpdSpec, phi_eval, phi_eval_anchored, default_nodes
+from .epd import EpdSpec, phi_eval, phi_eval_anchored
 
 __all__ = [
     "EndpointVector",
@@ -313,7 +313,7 @@ def _poly_from_roots(roots):
     return coeffs
 
 
-def _psi_values(u: EndpointVector, field: FieldSpec, mm):
+def _psi_values(u: EndpointVector, field: FieldSpec, m):
     """Psi_g at each endpoint, evaluated at the vector's full precision.
 
     With a shared anchor the tensor arguments are formed from the small
@@ -327,20 +327,17 @@ def _psi_values(u: EndpointVector, field: FieldSpec, mm):
         lo = float(anchor + LONG(min(off)))
         hi = float(anchor + LONG(max(off)))
         lf = LocalField(field, lo, hi, max_order=spec.order, center=anchor)
-        return [
-            phi_eval_anchored(spec, lf, o, off, m=mm, dtype=LONG) for o in off
-        ]
+        return phi_eval_anchored(spec, lf, off, off, m=m, dtype=LONG)
     pts = u.precise
-    return [phi_eval(spec, p, pts, m=mm, dtype=LONG) for p in pts]
+    return phi_eval(spec, pts, pts, m=m, dtype=LONG)
 
 
 def q_polynomial(u: EndpointVector, field: FieldSpec, m=None):
     """Assemble Q(xi, u); all 2g+2 coefficients vanish at equilibrium."""
     g = u.g
     deg = 2 * g + 1
-    mm = m if m is not None else default_nodes(g)
     pts = u.precise
-    psis = _psi_values(u, field, mm)
+    psis = _psi_values(u, field, m)
     acc = np.zeros(deg + 1, dtype=LONG)
     for i in range(len(pts)):
         basis = _poly_from_roots([pts[l] for l in range(len(pts)) if l != i])
@@ -366,9 +363,8 @@ def hodograph_residual(u: EndpointVector, field: FieldSpec, m=None):
     """
     g = u.g
     deg = 2 * g + 1
-    mm = m if m is not None else default_nodes(g)
     pts = u.precise
-    psis = _psi_values(u, field, mm)
+    psis = _psi_values(u, field, m)
     p0 = np.zeros(deg + 1, dtype=LONG)
     tail = pgn_poly(u, 0)
     p0[deg + 1 - len(tail):] = tail

@@ -43,7 +43,7 @@ _TOL_MASS = 1e-8
 _SIGN_POINTS = 50
 _REGION_POINTS = 20
 _TAIL_DOUBLINGS = 9
-_SEGMENT_NODES = 12
+_SEGMENT_X, _SEGMENT_W = np.polynomial.legendre.leggauss(12)
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def _phi_factory(u: EndpointVector, field):
     uprec = u.precise
 
     def phi(x):
-        return phi_eval(spec, float(x), uprec)
+        return phi_eval(spec, np.asarray(x, dtype=float), uprec)
 
     return phi
 
@@ -203,20 +203,20 @@ def _band_signs_ok(u: EndpointVector, phi):
     real part of sign ``(-1)^k``, so a positive density needs
     ``(-1)^k Phi > 0`` there (k counted from 0).
     """
-    theta = chebyshev_angles(_SIGN_POINTS)
+    cos = np.cos(chebyshev_angles(_SIGN_POINTS))
+    xs, want = [], []
     for k, (lo, hi) in enumerate(u.bands):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        want = 1.0 if k % 2 == 0 else -1.0
-        for x in mid + half * np.cos(theta):
-            if not want * phi(x) > 0.0:
-                return False
-    return True
+        xs.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * cos)
+        want.append(np.full(_SIGN_POINTS, 1.0 if k % 2 == 0 else -1.0))
+    return bool(np.all(np.concatenate(want) * phi(np.concatenate(xs)) > 0.0))
 
 
-def _segment_integral(f, a, b):
-    nodes, weights = np.polynomial.legendre.leggauss(_SEGMENT_NODES)
+def _segment_integrals(f, a, b):
+    """Gauss-Legendre integrals of a vectorized f over the segments
+    [a_i, b_i], with every node in one call of f."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+    x = mid[:, None] + half[:, None] * _SEGMENT_X
+    return half * (f(x.ravel()).reshape(x.shape) @ _SEGMENT_W)
 
 
 def _phi_real_roots(u: EndpointVector, field, phi):
@@ -237,7 +237,7 @@ def _phi_real_roots(u: EndpointVector, field, phi):
         return np.empty(0)
     scale = 2.0 * max(1.0, abs(u.u[0]), abs(u.u[-1]), u.u[0] - u.u[-1])
     ys = np.cos(chebyshev_angles(deg + 1))
-    vals = np.array([phi(scale * y) for y in ys])
+    vals = phi(scale * ys)
     coef = np.polynomial.chebyshev.cheb2poly(
         np.polynomial.chebyshev.chebfit(ys, vals, deg)
     )
@@ -263,22 +263,17 @@ def _gap_running_ok(u: EndpointVector, phi, lo, hi, roots):
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def f(theta):
-        x = mid + half * math.cos(theta)
-        return r_branch(x, uvals) * phi(x) * half * math.sin(theta)
+        x = mid + half * np.cos(theta)
+        return r_branch(x, uvals) * phi(x) * half * np.sin(theta)
 
     angles = list(chebyshev_angles(_REGION_POINTS))
     if roots is not None:
         for r in roots:
             if lo < r < hi:
                 angles.append(math.acos(min(1.0, max(-1.0, (r - mid) / half))))
-    total = 0.0
-    upper = math.pi
-    for th in sorted(angles, reverse=True):
-        total += _segment_integral(f, th, upper)
-        if not total > 0.0:
-            return False
-        upper = th
-    return True
+    lower = np.array(sorted(angles, reverse=True))
+    upper = np.concatenate([[math.pi], lower[:-1]])
+    return bool(np.all(np.cumsum(_segment_integrals(f, lower, upper)) > 0.0))
 
 
 def _doubling_lock(integrand, edge, base, direction, want):
@@ -286,7 +281,7 @@ def _doubling_lock(integrand, edge, base, direction, want):
     doubling sequence past which the integrand keeps the demanded sign
     with strictly growing magnitude."""
     xs = [edge + direction * base * 2.0**m for m in range(_TAIL_DOUBLINGS)]
-    vals = [integrand(x) for x in xs]
+    vals = integrand(np.array(xs)).tolist()
     for m in range(len(vals)):
         tail = vals[m:]
         if all(want * v > 0.0 for v in tail) and all(
@@ -336,15 +331,10 @@ def _ray_running_ok(u: EndpointVector, phi, edge, diam, direction, roots):
     span = abs(lock - edge)
     offsets = {span * (j / _REGION_POINTS) ** 2 for j in range(1, _REGION_POINTS + 1)}
     offsets.update(abs(r - edge) for r in turning)
-    total = 0.0
-    s_prev = 0.0
-    for off in sorted(offsets):
-        s_stop = math.sqrt(off)
-        total += _segment_integral(f, s_prev, s_stop)
-        if not want * total > 0.0:
-            return False
-        s_prev = s_stop
-    return True
+    upper = np.sqrt(sorted(offsets))
+    lower = np.concatenate([[0.0], upper[:-1]])
+    totals = np.cumsum(_segment_integrals(f, lower, upper))
+    return bool(np.all(want * totals > 0.0))
 
 
 def check_sign_and_gaps(u: EndpointVector, field):

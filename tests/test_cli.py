@@ -7,7 +7,11 @@ import sys
 
 import pytest
 
+import eqm
 from eqm.cli import emit_problem, main, parse_problem
+
+# the directory holding the eqm package under test, for child processes
+EQM_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(eqm.__file__)))
 
 SEMI = {
     "field": {"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": 1.0},
@@ -42,8 +46,13 @@ def write_problem(tmp_path, obj, name="problem.json"):
     return str(path)
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args, cwd, env_extra=None):
+    """Run the CLI in a child process whose working directory is cwd, so
+    default output files (e.g. oracle-density.csv) stay out of the tree."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (EQM_ROOT, env.get("PYTHONPATH")) if p
+    )
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -51,6 +60,7 @@ def run_cli(args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
 
 
@@ -71,7 +81,7 @@ def test_problem_rejects_unknown_keys():
 
 def test_solve_semicircle(tmp_path):
     problem = write_problem(tmp_path, SEMI)
-    proc = run_cli(["solve", "--problem", problem])
+    proc = run_cli(["solve", "--problem", problem], tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["ansatz"] == "onecut"
@@ -79,7 +89,7 @@ def test_solve_semicircle(tmp_path):
     assert report["endpoints"][0] == pytest.approx(0.5641895835, abs=1e-7)
 
     out = tmp_path / "out"
-    proc2 = run_cli(["solve", "--problem", problem, "--out", str(out)])
+    proc2 = run_cli(["solve", "--problem", problem, "--out", str(out)], tmp_path)
     assert proc2.returncode == 0, proc2.stderr
     saved = json.loads((out / "report.json").read_text())
     assert saved["ansatz"] == report["ansatz"]
@@ -90,7 +100,7 @@ def test_solve_semicircle(tmp_path):
 
 def test_solve_auto_falls_back_to_twocut(tmp_path):
     problem = write_problem(tmp_path, QUARTIC)
-    proc = run_cli(["solve", "--problem", problem])
+    proc = run_cli(["solve", "--problem", problem], tmp_path)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["ansatz"] == "twocut-sym"
@@ -102,7 +112,7 @@ def test_solve_forced_wrong_ansatz_exits_3(tmp_path):
     bad = dict(QUARTIC)
     bad["ansatz"] = "onecut"
     problem = write_problem(tmp_path, bad, "forced.json")
-    proc = run_cli(["solve", "--problem", problem])
+    proc = run_cli(["solve", "--problem", problem], tmp_path)
     assert proc.returncode == 3
     report = json.loads(proc.stdout)
     assert report["verification"]["passed"] is False
@@ -111,20 +121,20 @@ def test_solve_forced_wrong_ansatz_exits_3(tmp_path):
 def test_malformed_json_exits_4(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    proc = run_cli(["solve", "--problem", str(path)])
+    proc = run_cli(["solve", "--problem", str(path)], tmp_path)
     assert proc.returncode == 4
     err = json.loads(proc.stderr)
     assert err["error"]
 
 
-def test_missing_flag_exits_4():
-    proc = run_cli(["solve"])
+def test_missing_flag_exits_4(tmp_path):
+    proc = run_cli(["solve"], tmp_path)
     assert proc.returncode == 4
 
 
 def test_predict_json(tmp_path):
     problem = write_problem(tmp_path, QUARTIC)
-    proc = run_cli(["predict", "--problem", problem, "--sign", "-"])
+    proc = run_cli(["predict", "--problem", problem, "--sign", "-"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     pred = json.loads(proc.stdout)
     assert pred["limit_constant"] == pytest.approx(0.7071067812, abs=1e-9)
@@ -133,7 +143,7 @@ def test_predict_json(tmp_path):
 
 def test_predict_unsupported_exits_5(tmp_path):
     problem = write_problem(tmp_path, NONCONVEX)
-    proc = run_cli(["predict", "--problem", problem, "--sign", "+"])
+    proc = run_cli(["predict", "--problem", problem, "--sign", "+"], tmp_path)
     assert proc.returncode == 5
     err = json.loads(proc.stderr)
     assert err["error"]
@@ -142,9 +152,10 @@ def test_predict_unsupported_exits_5(tmp_path):
 def test_verify_roundtrip(tmp_path):
     problem = write_problem(tmp_path, SEMI)
     out = tmp_path / "out"
-    run_cli(["solve", "--problem", problem, "--out", str(out)])
+    run_cli(["solve", "--problem", problem, "--out", str(out)], tmp_path)
     proc = run_cli(
-        ["verify", "--problem", problem, "--density", str(out / "density.csv")]
+        ["verify", "--problem", problem, "--density", str(out / "density.csv")],
+        tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -154,7 +165,7 @@ def test_verify_roundtrip(tmp_path):
 def test_verify_rejects_scaled_density(tmp_path):
     problem = write_problem(tmp_path, SEMI)
     out = tmp_path / "out"
-    run_cli(["solve", "--problem", problem, "--out", str(out)])
+    run_cli(["solve", "--problem", problem, "--out", str(out)], tmp_path)
     csv_path = out / "density.csv"
     lines = csv_path.read_text().splitlines()
     scaled = []
@@ -166,7 +177,8 @@ def test_verify_rejects_scaled_density(tmp_path):
             scaled.append(f"{xi},{1.01 * float(psi):.12g}")
     csv_path.write_text("\n".join(scaled) + "\n")
     proc = run_cli(
-        ["verify", "--problem", problem, "--density", str(csv_path)]
+        ["verify", "--problem", problem, "--density", str(csv_path)],
+        tmp_path,
     )
     assert proc.returncode == 3
     report = json.loads(proc.stdout)
@@ -176,13 +188,15 @@ def test_verify_rejects_scaled_density(tmp_path):
 def test_oracle_command(tmp_path):
     problem = write_problem(tmp_path, SEMI)
     proc = run_cli(
-        ["oracle", "--problem", problem, "--grid-n", "401", "--iters", "20000"]
+        ["oracle", "--problem", problem, "--grid-n", "401", "--iters", "20000"],
+        tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     metrics = payload["comparison"]
     assert metrics["band_count"] == 1
     assert metrics["l1_distance"] < 2e-2
+    assert (tmp_path / "oracle-density.csv").exists()
 
 
 def test_sweep_positive_quartic_all_onecut(tmp_path):
@@ -191,7 +205,8 @@ def test_sweep_positive_quartic_all_onecut(tmp_path):
     problem = write_problem(tmp_path, pos, "pos.json")
     proc = run_cli(
         ["sweep", "--problem", problem, "--t-from", "10", "--t-to", "10000",
-         "--steps", "4", "--log"]
+         "--steps", "4", "--log"],
+        tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
@@ -211,9 +226,19 @@ def test_sweep_log_needs_sign_definite_range(tmp_path):
     problem = write_problem(tmp_path, SEMI)
     proc = run_cli(
         ["sweep", "--problem", problem, "--t-from", "-1", "--t-to", "1",
-         "--steps", "3", "--log"]
+         "--steps", "3", "--log"],
+        tmp_path,
     )
     assert proc.returncode == 4
+
+
+def test_sweep_accepts_exponent_negative_values(tmp_path, capsys):
+    problem = write_problem(tmp_path, QUARTIC)
+    code = main(["sweep", "--problem", problem, "--t-from", "-1e6",
+                 "--t-to", "-2.5e-3", "--steps", "2"])
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert code == 0
+    assert [row.split(",")[0] for row in rows] == ["-1000000", "-0.0025"]
 
 
 def test_main_in_process(tmp_path, capsys):

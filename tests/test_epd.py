@@ -192,3 +192,61 @@ def test_gradient_matches_finite_differences():
     fd1 = (phi_eval(spec, xi, (u[0] + h, u[1])) - phi_eval(spec, xi, (u[0] - h, u[1]))) / (2 * h)
     fd2 = (phi_eval(spec, xi, (u[0], u[1] + h)) - phi_eval(spec, xi, (u[0], u[1] - h))) / (2 * h)
     np.testing.assert_allclose(grad, [fd0, fd1, fd2], rtol=1e-6, atol=1e-8)
+
+
+def even_sextic_field(t):
+    """V = xi^6 + t*xi^2."""
+    return FieldSpec(vstar=(PowerTerm("monomial", 6.0, 1.0),),
+                     p_coeffs=(0.0, 0.0, 1.0), t=float(t))
+
+
+def abs_field(t):
+    """V = |xi|^4.5 + t*xi (non-polynomial)."""
+    return FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),),
+                     p_coeffs=(0.0, 1.0), t=float(t))
+
+
+ENDPOINTS = {0: (1.3, -0.4), 1: (2.1, 1.2, -0.5, -1.7)}
+# inside a band, in the gap or beside the band, outside, and far outside
+POINTS = {0: (0.2, 0.9, 2.6, -40.0), 1: (1.5, 0.3, 2.9, 40.0)}
+
+
+@pytest.mark.parametrize(
+    "field", [quartic_field(-3.0), even_sextic_field(-2.0), sextic_field(-2.0)]
+)
+@pytest.mark.parametrize("g", [0, 1])
+@pytest.mark.parametrize("which", ["phi", "psi"])
+def test_degree_aware_rule_matches_dense_rule(field, g, which):
+    spec = EpdSpec(g, which, field)
+    dense = 32 if g == 0 else 24
+    assert spec.nodes() < dense
+    u = ENDPOINTS[g]
+    for xi in POINTS[g]:
+        val, grad = phi_eval_grad(spec, xi, u)
+        ref_val, ref_grad = phi_eval_grad(spec, xi, u, m=dense)
+        assert abs(val - ref_val) <= 1e-13 * abs(ref_val)
+        assert phi_eval(spec, xi, u) == pytest.approx(ref_val, rel=1e-13)
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-13 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("field", [sextic_field(-2.0), abs_field(-3.0)])
+@pytest.mark.parametrize("g", [0, 1])
+def test_batched_phi_eval_matches_scalar_loop(field, g):
+    spec = EpdSpec(g, "phi", field)
+    u = ENDPOINTS[g]
+    xs = np.linspace(-3.0, 3.0, 7) + 0.05
+    batch = phi_eval(spec, xs, u)
+    loop = np.array([phi_eval(spec, x, u) for x in xs])
+    assert batch.shape == xs.shape
+    np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+
+
+def test_abs_power_kernel_keeps_default_nodes():
+    field = abs_field(-3.0)
+    for g, dense in ((0, 32), (1, 24)):
+        for which in ("phi", "psi"):
+            spec = EpdSpec(g, which, field)
+            assert spec.nodes() == dense
+            u = ENDPOINTS[g]
+            xi = POINTS[g][2]
+            assert phi_eval(spec, xi, u) == phi_eval(spec, xi, u, m=dense)
