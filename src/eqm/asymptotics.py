@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRegime
+from .errors import EqmError, UnsupportedRegime
 from .onecut import density, solve_endpoints
 from .twocut import density_symmetric, solve_endpoints_symmetric
 from .verify import check_variational
@@ -287,7 +287,7 @@ def _study_row(field, prediction, sign, decade, grid_n):
         )
         if not report.passed():
             row["error"] = "verification failed"
-    except Exception as exc:
+    except (EqmError, np.linalg.LinAlgError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 

@@ -28,7 +28,7 @@ import numpy as np
 from .asymptotics import predict, worker_count
 from .density import DensityTable
 from .errors import EqmError, NotEven, ParseError, UnsupportedRegime
-from .field import FieldSpec, field_from_json, field_to_json
+from .field import FieldSpec, field_from_json, field_to_json, validate_growth
 from .onecut import density, solve_endpoints
 from .oracle import compare, direct_minimize, discretize
 from .twocut import density_symmetric, solve_endpoints_symmetric
@@ -76,6 +76,7 @@ def parse_problem(text):
     if "field" not in obj:
         raise ParseError("problem file needs a 'field' entry")
     field = field_from_json(obj["field"])
+    _check_field(field)
     ansatz = obj.get("ansatz", "auto")
     if ansatz not in _ANSATZE:
         raise ParseError(f"ansatz must be one of {_ANSATZE}, got {ansatz!r}")
@@ -98,6 +99,19 @@ def parse_problem(text):
         report_path=output.get("report"),
         density_path=output.get("density"),
     )
+
+
+def _check_field(field):
+    """Reject non-finite numbers and fields that do not confine, which
+    would otherwise fail deep in the solver under a misleading error."""
+    numbers = [field.t, *field.p_coeffs]
+    for term in field.vstar:
+        numbers += [term.exponent, term.coefficient]
+    if not all(math.isfinite(x) for x in numbers):
+        raise ParseError("t, coefficients and exponents must be finite")
+    ok, diagnostic = validate_growth(field)
+    if not ok:
+        raise ParseError(f"field does not confine: {diagnostic}")
 
 
 def emit_problem(problem):

@@ -21,6 +21,23 @@ from .errors import ParseError
 
 __all__ = ["Band", "DensityTable", "chebyshev_angles"]
 
+# Entries of the largest point-by-term matrix one log-potential block
+# holds (128 KiB of float64), so memory stays flat in the number of points.
+_BLOCK = 2**14
+
+
+def _inverse_powers(v, ks):
+    """v ** -ks for a column v with |v| > 1, as numpy's power gives it.
+
+    Once k log2|v| passes 1100 the power lies far below the smallest
+    subnormal and rounds to a zero signed like v ** k; those entries
+    are filled in directly, because pow takes a slow path on underflow.
+    """
+    out = np.zeros((len(v), len(ks)))
+    out[:, ks % 2 == 1] = np.copysign(0.0, v)
+    np.power(v, -ks, out=out, where=~(np.log2(np.abs(v)) * ks > 1100.0))
+    return out
+
 
 def chebyshev_angles(n):
     """First-kind Chebyshev angles (2j-1)pi/(2n), j = 1..n, ascending."""
@@ -88,28 +105,38 @@ class Band:
         )
 
     def log_potential(self, xi):
-        """(1/pi) * integral of log|xi - mu| psi(mu) dmu over this band."""
+        """(1/pi) * integral of log|xi - mu| psi(mu) dmu over this band.
+
+        Points go in blocks of at most _BLOCK matrix entries.  A block
+        builds one matrix of cos(k phi) rows (points on the band) and
+        v^-k rows (points off it) and contracts it with the sine
+        coefficients in one matmul.  The angle phi and radius v of each
+        point are computed with ``math``, whose acos can differ from
+        numpy's in the last bit.
+        """
         b = self.sine_coeffs()
         n = len(b)
         y = np.atleast_1d((np.asarray(xi, dtype=float) - self.mid) / self.half)
-        out = np.empty(y.shape)
         ks = np.arange(1, n + 3)
-        for i, yi in enumerate(y):
-            if abs(yi) <= 1.0:
-                phi = math.acos(min(1.0, max(-1.0, yi)))
-                rho = np.cos(ks * phi)
-                c0 = -math.log(2.0)
-            else:
-                v = math.copysign(abs(yi) + math.sqrt(yi * yi - 1.0), yi)
-                rho = np.power(v, -ks)
-                c0 = math.log(abs(v) / 2.0)
-            total = 0.5 * b[0] * (math.log(self.half) + c0) + 0.25 * b[0] * rho[1]
-            if n > 1:
-                m = np.arange(1, n)
-                total -= 0.5 * float(
-                    np.dot(b[1:], rho[m - 1] / m - rho[m + 1] / (m + 2.0))
-                )
-            out[i] = self.half**2 * total
+        m = np.arange(1, n)
+        out = np.empty(y.shape)
+        step = max(1, _BLOCK // len(ks))
+        for start in range(0, y.size, step):
+            yb = y[start:start + step]
+            on = np.abs(yb) <= 1.0
+            phi = [math.acos(min(1.0, max(-1.0, yi))) for yi in yb[on].tolist()]
+            v = [
+                math.copysign(abs(yi) + math.sqrt(yi * yi - 1.0), yi)
+                for yi in yb[~on].tolist()
+            ]
+            rho = np.empty((yb.size, len(ks)))
+            rho[on] = np.cos(np.multiply.outer(phi, ks))
+            rho[~on] = _inverse_powers(np.array(v)[:, None], ks)
+            c0 = np.full(yb.size, -math.log(2.0))
+            c0[~on] = [math.log(abs(vi) / 2.0) for vi in v]
+            total = 0.5 * b[0] * (math.log(self.half) + c0) + 0.25 * b[0] * rho[:, 1]
+            total -= 0.5 * ((rho[:, :n - 1] / m - rho[:, 2:n + 1] / (m + 2.0)) @ b[1:])
+            out[start:start + step] = self.half**2 * total
         return out if np.ndim(xi) else float(out[0])
 
     def interp(self, x):

@@ -468,7 +468,7 @@ def field_from_json(obj):
         return FieldSpec(vstar=tuple(terms), p_coeffs=tuple(p), t=t)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid field specification: {exc}") from exc
 
 

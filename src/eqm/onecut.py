@@ -181,22 +181,23 @@ def solve_endpoints(field, guess=None, tol=1e-10, max_iter=_MAX_ITER):
 
 
 def _psi_values(field, lf, dm, half, n):
-    """Density samples at first-kind Chebyshev nodes, by ascending angle."""
+    """Density samples at first-kind Chebyshev nodes, by ascending angle.
+
+    One principal-value call covers the interior nodes and one tensor
+    call the nodes within the edge window.
+    """
     spec = EpdSpec(0, "phi", field)
     d1 = dm + half
     d2 = dm - half
-    window = _EDGE_WINDOW * 2.0 * half
-    psis = np.empty(n)
-    for j, c in enumerate(np.cos(chebyshev_angles(n))):
-        dxi = dm + half * c
-        if min(d1 - dxi, dxi - d2) < window:
-            phi = phi_eval_anchored(spec, lf, dxi, (d1, d2))
-        else:
-            pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1)
-            phi = -pv / (2.0 * math.pi)
-        rad = (d1 - dxi) * (dxi - d2)
-        psis[j] = 2.0 * math.sqrt(max(rad, 0.0)) * phi
-    return psis
+    dxi = dm + half * np.cos(chebyshev_angles(n))
+    edge = np.minimum(d1 - dxi, dxi - d2) < _EDGE_WINDOW * 2.0 * half
+    phi = np.empty(n)
+    if np.any(edge):
+        phi[edge] = phi_eval_anchored(spec, lf, dxi[edge], (d1, d2))
+    pv = field_pv_band_integral_delta(lf, d1, d2, dxi[~edge], order=1)
+    phi[~edge] = -pv / (2.0 * math.pi)
+    rad = (d1 - dxi) * (dxi - d2)
+    return 2.0 * np.sqrt(np.maximum(rad, 0.0)) * phi
 
 
 def _sample_band(field, lf, dm, half, n, clamp=False):

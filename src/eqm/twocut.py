@@ -201,33 +201,34 @@ def solve_endpoints_symmetric(field, guess=None, tol=1e-10, max_iter=_MAX_ITER):
 
 
 def _psi_values_right(field, lf, dm, half, n):
-    """Right-band density samples at Chebyshev nodes, by ascending angle."""
+    """Right-band density samples at Chebyshev nodes, by ascending angle.
+
+    One principal-value call covers the interior nodes and one tensor
+    call the nodes within the edge window.
+    """
     spec = EpdSpec(1, "phi", field)
     anchor = lf.center_long
     d1 = dm + half
     d2 = dm - half
     twoc = float(2.0 * anchor)
-    window = _EDGE_WINDOW * 2.0 * half
-    u1l, u2l = _endpoints_long(anchor, dm, half)
-    uvec = np.array([u1l, u2l, -u2l, -u1l], dtype=LONG)
-    psis = np.empty(n)
-    for j, c in enumerate(np.cos(chebyshev_angles(n))):
-        dxi = dm + half * c
-        xi = float(anchor + LONG(dxi))
-        if min(d1 - dxi, dxi - d2) < window:
-            phi = phi_eval(spec, anchor + LONG(dxi), uvec)
-        else:
+    dxi = dm + half * np.cos(chebyshev_angles(n))
+    edge = np.minimum(d1 - dxi, dxi - d2) < _EDGE_WINDOW * 2.0 * half
+    phi = np.empty(n)
+    if np.any(edge):
+        u1l, u2l = _endpoints_long(anchor, dm, half)
+        uvec = np.array([u1l, u2l, -u2l, -u1l], dtype=LONG)
+        phi[edge] = phi_eval(spec, anchor + dxi[edge].astype(LONG), uvec)
 
-            def gdelta(d):
-                plus = (twoc + d + d1) * (twoc + d + d2)
-                return lf.deriv(d, 1) / ((twoc + d + dxi) * np.sqrt(plus))
+    def gdelta(d, x):
+        plus = (twoc + d + d1) * (twoc + d + d2)
+        return lf.deriv(d, 1) / ((twoc + d + x) * np.sqrt(plus))
 
-            pv = pv_band_integral_delta(gdelta, d1, d2, dxi)
-            phi = -(xi / math.pi) * pv
-        rad = (d1 - dxi) * (dxi - d2)
-        plus_xi = (twoc + dxi + d1) * (twoc + dxi + d2)
-        psis[j] = 2.0 * math.sqrt(max(rad, 0.0) * plus_xi) * phi
-    return psis
+    inner = dxi[~edge]
+    xi = (anchor + inner.astype(LONG)).astype(float)
+    phi[~edge] = -(xi / math.pi) * pv_band_integral_delta(gdelta, d1, d2, inner)
+    rad = (d1 - dxi) * (dxi - d2)
+    plus_xi = (twoc + dxi + d1) * (twoc + dxi + d2)
+    return 2.0 * np.sqrt(np.maximum(rad, 0.0) * plus_xi) * phi
 
 
 def _table_from_psis(lf, dm, half, psis):

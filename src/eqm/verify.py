@@ -24,6 +24,7 @@ import numpy as np
 
 from .density import chebyshev_angles
 from .epd import EpdSpec, phi_eval
+from .errors import EqmError
 from .field import eval_derivative, potential_difference
 from .quadrature import r_branch
 from .rhp import EndpointVector
@@ -106,7 +107,7 @@ def _probe_grid(density, field, probe_n):
     try:
         well = float(global_minimizer(field)[0])
         wells = [well, -well] if field.is_even else [well]
-    except Exception:
+    except EqmError:
         wells = []
     pts = np.concatenate([window, far, np.array(wells)])
     buf = 1e-9 * max(1.0, diam)
@@ -146,11 +147,14 @@ def check_variational(
     )
     inequality_margin = float(np.min(margins))
 
-    try:
-        u = EndpointVector(len(density.bands) - 1, tuple(density.endpoints_desc))
-        sign_ok, gaps_ok = check_sign_and_gaps(u, field)
-    except Exception:
-        sign_ok, gaps_ok = False, False
+    # the band-factor kernels cover one and two bands only
+    sign_ok, gaps_ok = False, False
+    if len(density.bands) <= 2:
+        try:
+            u = EndpointVector(len(density.bands) - 1, tuple(density.endpoints_desc))
+            sign_ok, gaps_ok = check_sign_and_gaps(u, field)
+        except (EqmError, np.linalg.LinAlgError):
+            pass
 
     return VariationalReport(
         equality_deviation=equality_deviation,

@@ -247,3 +247,22 @@ def test_main_in_process(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert json.loads(captured.out)["converged"] is True
+
+
+@pytest.mark.parametrize(
+    "field_text, reason",
+    [
+        ('{"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": -1.0}', "confine"),
+        ('{"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": NaN}', "finite"),
+        ('{"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": Infinity}', "finite"),
+    ],
+    ids=["nonconfining", "t-nan", "t-infinity"],
+)
+def test_invalid_field_exits_4(tmp_path, capsys, field_text, reason):
+    path = tmp_path / "problem.json"
+    path.write_text('{"field": ' + field_text + "}")
+    code = main(["solve", "--problem", str(path)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 4
+    assert err["error"] == "ParseError"
+    assert reason in err["message"]

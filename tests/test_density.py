@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from eqm import onecut, twocut
-from eqm.density import Band, DensityTable, chebyshev_angles
+from eqm.density import Band, DensityTable, _inverse_powers, chebyshev_angles
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
 
@@ -92,3 +92,60 @@ def test_csv_roundtrip_two_bands():
     back = DensityTable.from_csv(tab.to_csv(fmt))
     assert len(back.bands) == 2
     assert back.mass() == pytest.approx(1.0, abs=1e-9)
+
+
+def _log_potential_reference(band, xi):
+    """The per-point loop that the blocked log potential replaces."""
+    b = band.sine_coeffs()
+    n = len(b)
+    y = (xi - band.mid) / band.half
+    ks = np.arange(1, n + 3)
+    if abs(y) <= 1.0:
+        rho = np.cos(ks * math.acos(min(1.0, max(-1.0, y))))
+        c0 = -math.log(2.0)
+    else:
+        v = math.copysign(abs(y) + math.sqrt(y * y - 1.0), y)
+        rho = np.power(v, -ks)
+        c0 = math.log(abs(v) / 2.0)
+    total = 0.5 * b[0] * (math.log(band.half) + c0) + 0.25 * b[0] * rho[1]
+    m = np.arange(1, n)
+    total -= 0.5 * float(np.dot(b[1:], rho[m - 1] / m - rho[m + 1] / (m + 2.0)))
+    return band.half**2 * total
+
+
+def test_log_potential_array_matches_points_two_bands():
+    field = quartic_field(-10.0)
+    sol = twocut.solve_endpoints_symmetric(field)
+    tab = twocut.density_symmetric(sol, field, 401)
+    on = np.concatenate([b.xs for b in tab.bands])
+    u1, u2 = sol.u1, sol.u2
+    off = np.concatenate([
+        np.linspace(-u2, u2, 41)[1:-1],  # the gap
+        np.linspace(u1, 3.0 * u1, 40)[1:],  # outside, out to where v^-k underflows
+        -np.linspace(u1, 3.0 * u1, 40)[1:],
+        [-1e4 * u1, 1e4 * u1, np.inf],
+    ])
+    for band in tab.bands:
+        for pts in (on, off):
+            batched = band.log_potential(pts)
+            single = np.array([band.log_potential(x) for x in pts])
+            ref = np.array([_log_potential_reference(band, x) for x in pts])
+            np.testing.assert_allclose(batched, single, rtol=1e-15, atol=1e-15)
+            np.testing.assert_allclose(single, ref, rtol=1e-15, atol=1e-15)
+    # the table sums its bands point by point
+    pts = np.concatenate([on, off[:-1]])
+    total = sum(band.log_potential(pts) for band in tab.bands)
+    assert tab.log_potential(pts).tolist() == total.tolist()
+
+
+def test_inverse_powers_match_numpy_power_bitwise():
+    rng = np.random.default_rng(7)
+    v = np.concatenate([
+        rng.uniform(1.0, 1.01, 20), rng.uniform(1.0, 200.0, 200),
+        -rng.uniform(1.0, 200.0, 200), [np.inf, -np.inf, 1e300, -1e300],
+    ])[:, None]
+    ks = np.arange(1, 804)
+    with np.errstate(all="ignore"):
+        want = np.power(v, -ks)
+    got = _inverse_powers(v, ks)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -7,11 +7,15 @@ import pytest
 from scipy import integrate
 
 from eqm.errors import InvalidInterval, SingularPoint
+from eqm.field import LocalField
 from eqm.quadrature import (
     band_integral,
+    chebyshev_rule,
     field_band_integral,
     field_pv_band_integral,
+    field_pv_band_integral_delta,
     pv_band_integral,
+    pv_band_integral_delta,
     r_branch,
     symmetric_band_integral,
 )
@@ -108,3 +112,89 @@ def test_r_branch_signs():
 def test_r_branch_magnitude():
     u = (1.0, -1.0)
     assert abs(r_branch(2.0, u)) == pytest.approx(math.sqrt(3.0), rel=1e-14)
+
+
+def _pv_reference(f, d1, d2, x):
+    """One-pole PV with its own node doubling: the scalar algorithm that
+    the batched quadrature replaces, kept as the bit-level reference."""
+    dmid, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
+    fx = float(np.asarray(f(np.full(1, x), x))[0]) if d2 < x < d1 else 0.0
+
+    def evaluate(m):
+        nodes, w = chebyshev_rule(m)
+        d = dmid + half * nodes
+        return w * float(np.sum((f(d, x) - fx) / (x - d)))
+
+    m = 64
+    prev = evaluate(m)
+    while m < 4096:
+        m *= 2
+        cur = evaluate(m)
+        if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    return prev
+
+
+def _pole_dependent(d, x):
+    # the two-band sampler's shape: a node factor over a pole-dependent one
+    return np.exp(0.3 * d) / ((4.0 + d + x) * np.sqrt(2.0 + d))
+
+
+@pytest.mark.parametrize(
+    "poles",
+    [
+        np.linspace(-0.999, 0.999, 37),  # inside
+        np.array([-3.0, -1.0001, 1.0 + 1e-9, 2.5, 40.0]),  # outside
+        np.array([-1.5, -0.2, 0.0, 0.7, 1.2, 1.0 - 1e-7]),  # mixed
+        np.linspace(-1.2, 1.2, 601),  # more poles than one block
+    ],
+    ids=["inside", "outside", "mixed", "many"],
+)
+@pytest.mark.parametrize("f", [lambda d, x: np.exp(0.3 * d), _pole_dependent])
+def test_array_pv_equals_per_pole_calls(poles, f):
+    poles = poles[np.abs(np.abs(poles) - 1.0) > 1e-11]
+    batched = pv_band_integral_delta(f, 1.0, -1.0, poles)
+    single = [pv_band_integral_delta(f, 1.0, -1.0, float(x)) for x in poles]
+    reference = [_pv_reference(f, 1.0, -1.0, float(x)) for x in poles]
+    assert batched.shape == poles.shape
+    assert batched.tolist() == single == reference
+
+
+def test_array_pv_poles_stop_at_their_own_node_count():
+    seen = []
+
+    def f(d, x):
+        if np.shape(d)[-1] > 1:
+            seen.append((np.shape(d)[-1], np.size(x)))
+        return np.exp(0.3 * d)
+
+    # poles just outside the band need far more nodes than inside ones,
+    # whose subtracted integrand is smooth
+    poles = np.array([0.0, 0.3, -0.5, 1.0 + 1e-3, -1.0 - 1e-2])
+    batched = pv_band_integral_delta(f, 1.0, -1.0, poles)
+    poles_at = {}
+    for m, k in seen:
+        poles_at[m] = poles_at.get(m, 0) + k
+    assert poles_at[64] == poles.size
+    assert 0 < poles_at[max(poles_at)] < poles.size
+    assert batched.tolist() == [_pv_reference(f, 1.0, -1.0, x) for x in poles]
+
+
+def test_field_pv_array_matches_scalar():
+    f = quartic_field(-10.0)
+    lf = LocalField(f, 2.0, 2.4, max_order=1)
+    d1, d2 = float(lf.to_delta(2.3)), float(lf.to_delta(2.1))
+    poles = np.linspace(d2 - 0.05, d1 + 0.05, 23)
+    batched = field_pv_band_integral_delta(lf, d1, d2, poles)
+    single = [field_pv_band_integral_delta(lf, d1, d2, float(x)) for x in poles]
+    assert batched.tolist() == single
+
+
+def test_array_pv_singular_point_on_any_pole():
+    with pytest.raises(SingularPoint):
+        pv_band_integral(lambda mu: mu, 1.0, -1.0, np.array([0.2, -1.0, 0.4]))
+    with pytest.raises(SingularPoint):
+        pv_band_integral_delta(
+            lambda d, x: np.exp(d), 1.0, -1.0, np.array([3.0, 1.0])
+        )

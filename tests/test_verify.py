@@ -115,3 +115,19 @@ def test_report_passes_tolerance_overrides():
     rep = verify.check_variational(tab, field)
     assert rep.passed()
     assert not rep.passed(tol_eq=1e-16)
+
+
+def test_three_bands_report_unchecked_signs():
+    # a stored density may hold more bands than the band-factor kernels
+    # cover; the report says the sign checks failed instead of raising
+    field = semicircle_field(1.0)
+    sol = onecut.solve_endpoints(field)
+    tab = onecut.density(sol, field, 100)
+    bands = [
+        Band(b.lo + shift, b.hi + shift, b.xs + shift, b.psis / 3.0)
+        for b in tab.bands
+        for shift in (-3.0, 0.0, 3.0)
+    ]
+    rep = verify.check_variational(DensityTable(bands), field)
+    assert rep.mass_residual < 1e-8
+    assert not rep.constraint_sign_ok and not rep.gap_integral_ok
