@@ -1,8 +1,9 @@
 """Byte-identity of CLI outputs against stored golden files.
 
 The files under ``tests/data/golden`` hold the ``eqm sweep --log`` CSV
-of two short two-band sweeps and, for three one-band problems, the
-``density.csv`` plus the report's ``endpoints`` and ``lagrange_l``.
+of two short two-band sweeps and, for three one-band problems and one
+two-band problem, the ``density.csv`` plus the report's ``endpoints``
+and ``lagrange_l``.
 They pin the numbers a kernel or quadrature change must not move.
 Regenerate them only for a deliberate change of results, with
 
@@ -31,6 +32,7 @@ SOLVES = {
     "semicircle": ([], [0.0, 0.0, 1.0], 1.0),
     "quartic-onecut": ([MONO4], [0.0, 0.0, 1.0], 1e4),
     "abs4.5-linear": ([ABS45], [0.0, 1.0], -30.0),
+    "quartic-twocut": ([MONO4], [0.0, 0.0, 1.0], -10.0),
 }
 # name: (vstar, t_from, t_to); three log rows of V = vstar + t xi^2
 SWEEPS = {
