@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,17 +227,6 @@ class ScalingStudy:
         return "\n".join(lines) + "\n"
 
 
-def worker_count(n_jobs, default=4):
-    env = os.environ.get("EQM_THREADS", "")
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = default
-    return max(1, min(cap, n_jobs))
-
-
 def _study_row(field, prediction, sign, decade, grid_n):
     t = sign * 10.0**decade
     row = {
@@ -256,19 +243,16 @@ def _study_row(field, prediction, sign, decade, grid_n):
     }
     tilted = dataclasses.replace(field, t=t)
     twocut = prediction.regime == "even-n-neg-t"
+    if twocut:
+        solve, build = solve_endpoints_symmetric, density_symmetric
+    else:
+        solve, build = solve_endpoints, density
     try:
-        if twocut:
-            sol = solve_endpoints_symmetric(tilted)
-        else:
-            sol = solve_endpoints(tilted)
+        sol = solve(tilted)
         if not sol.converged:
             row["error"] = "no convergence"
             return row
-        tab = (
-            density_symmetric(sol, tilted, grid_n)
-            if twocut
-            else density(sol, tilted, grid_n)
-        )
+        tab = build(sol, tilted, grid_n)
         report = check_variational(tab, tilted, probe_n=80)
         scale = abs(t) ** prediction.scaling_exponent
         su1, su2 = sol.u1 / scale, sol.u2 / scale
@@ -295,19 +279,14 @@ def _study_row(field, prediction, sign, decade, grid_n):
 def scaling_study(field, sign_of_t, decades, grid_n=401):
     """Solve at |t| = 10^1 .. 10^decades and compare with the prediction.
 
-    Rows of the study are independent and run on a small thread pool
-    (capped by the EQM_THREADS environment variable); failures are
-    recorded per row, never raised.
+    Failures are recorded per row, never raised.
     """
     if decades < 3:
         raise ValueError("a scaling study needs at least 3 decades")
     sign = 1 if sign_of_t > 0 else -1
     prediction = predict(field, sign)
-    ks = list(range(1, decades + 1))
-    with ThreadPoolExecutor(max_workers=worker_count(len(ks))) as pool:
-        rows = list(
-            pool.map(
-                lambda k: _study_row(field, prediction, sign, k, grid_n), ks
-            )
-        )
+    rows = [
+        _study_row(field, prediction, sign, k, grid_n)
+        for k in range(1, decades + 1)
+    ]
     return ScalingStudy(prediction=prediction, rows=rows)

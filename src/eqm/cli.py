@@ -3,8 +3,8 @@
 Problem files are JSON with a canonical rendering (sorted keys, two
 space indent) so parse-then-emit is byte identical.  All numeric CSV
 cells use shortest round-trip decimals capped at 12 significant digits,
-and sweep rows are collected in input order, so repeated runs produce
-byte-identical output regardless of the worker pool size.
+and sweep rows run in input order, so repeated runs produce
+byte-identical output.
 
 Exit codes: 0 success, 2 no convergence, 3 verification failure,
 4 unparseable input, 5 unsupported asymptotic regime.  Failures emit a
@@ -20,12 +20,11 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import predict, worker_count
+from .asymptotics import predict
 from .density import DensityTable
 from .errors import EqmError, NotEven, ParseError, UnsupportedRegime
 from .field import FieldSpec, field_from_json, field_to_json, validate_growth
@@ -132,21 +131,7 @@ def emit_problem(problem):
 
 
 class _NoConvergence(Exception):
-    def __init__(self, solution):
-        super().__init__(f"residual {solution.residual_norm:.3e}")
-        self.solution = solution
-
-
-def _solve_one(field, name, tol, max_iter, grid_n):
-    if name == "onecut":
-        sol = solve_endpoints(field, tol=tol, max_iter=max_iter)
-        if not sol.converged:
-            raise _NoConvergence(sol)
-        return sol, density(sol, field, grid_n)
-    sol = solve_endpoints_symmetric(field, tol=tol, max_iter=max_iter)
-    if not sol.converged:
-        raise _NoConvergence(sol)
-    return sol, density_symmetric(sol, field, grid_n)
+    """Newton stopped before the residual norm reached tol."""
 
 
 def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
@@ -155,29 +140,39 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
     Returns (name, solution, table, report, accepted).  ``auto`` tries
     the single band first and falls back to the symmetric two-band
     ansatz for even fields when the construction or its verification
-    fails.  When every attempt at least solved, the last solved attempt
-    is returned with accepted=False (verification failure); otherwise
-    the last construction error propagates.
+    fails.  When an attempt got as far as verification, the last such
+    attempt is returned with accepted=False (verification failure);
+    otherwise the error of the attempt that got furthest propagates,
+    the later one on a tie.
     """
-    names = []
+    attempts = []
     if ansatz in ("auto", "onecut"):
-        names.append("onecut")
+        attempts.append(("onecut", solve_endpoints, density))
     if ansatz == "twocut-sym" or (ansatz == "auto" and field.is_even):
-        names.append("twocut-sym")
+        attempts.append(
+            ("twocut-sym", solve_endpoints_symmetric, density_symmetric)
+        )
     last_solved = None
-    last_error = None
-    for name in names:
+    furthest = (-1, None)  # (stage reached, its error)
+    for name, solve, build in attempts:
+        stage = 0  # 0 solving, 1 solved, 2 converged
         try:
-            sol, tab = _solve_one(field, name, tol, max_iter, grid_n)
+            sol = solve(field, tol=tol, max_iter=max_iter)
+            stage = 1
+            if not sol.converged:
+                raise _NoConvergence(f"residual {sol.residual_norm:.3e}")
+            stage = 2
+            tab = build(sol, field, grid_n)
             report = check_variational(tab, field, probe_n=probe_n)
             if report.passed():
                 return name, sol, tab, report, True
             last_solved = (name, sol, tab, report)
         except (EqmError, _NoConvergence) as exc:
-            last_error = exc
+            if stage >= furthest[0]:
+                furthest = (stage, exc)
     if last_solved is not None:
         return (*last_solved, False)
-    raise last_error
+    raise furthest[1]
 
 
 def _report_obj(name, sol, report):
@@ -301,15 +296,9 @@ def _sweep_row(field, t, tol, max_iter):
 def cmd_sweep(args):
     problem = _load_problem(args.problem)
     ts = _sweep_values(args.t_from, args.t_to, args.steps, args.log)
-    with ThreadPoolExecutor(max_workers=worker_count(len(ts))) as pool:
-        rows = list(
-            pool.map(
-                lambda t: _sweep_row(
-                    problem.field, t, problem.tol, problem.max_iter
-                ),
-                ts,
-            )
-        )
+    rows = [
+        _sweep_row(problem.field, t, problem.tol, problem.max_iter) for t in ts
+    ]
     header = (
         "t,ansatz,gaps,u1,u2,u3,u4,"
         "scaled_u1,scaled_u2,scaled_u3,scaled_u4,verify"

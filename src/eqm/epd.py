@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import InvalidInterval, NotEven, SingularPoint
+from .errors import InvalidInterval, NotEven
 from .field import FieldSpec, LocalField
 from .quadrature import (
     band_integral,

@@ -16,7 +16,6 @@ ordinary Horner sums in the small local coordinate delta.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,9 +430,6 @@ class LocalField:
         for a in co[-2:0:-1]:
             acc = acc * delta + a
         return acc * delta
-
-
-_JSON_KIND = {"monomial": ("monomial", "k"), "abs_power": ("abs_power", "a")}
 
 
 def field_to_json(field):

@@ -18,6 +18,7 @@ from .errors import DomainError, InvalidInterval, NegativeRadicand
 __all__ = ["NewtonResult", "damped_newton"]
 
 _FEASIBILITY_ERRORS = (NegativeRadicand, InvalidInterval, DomainError)
+_MAX_HALVINGS = 30  # line-search step halvings per Newton iteration
 
 
 @dataclass
@@ -62,7 +63,7 @@ def _jacobian(fun, x, f0, h):
 
 
 def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
-                  validate=None, max_halvings=30):
+                  validate=None):
     """Minimize ||fun(x)||_inf to below tol by damped Newton steps.
 
     Parameters
@@ -108,7 +109,7 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
             break
         lam = 1.0
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
             if validate is not None and not validate(trial):
                 lam *= 0.5

@@ -21,7 +21,6 @@ so the offsets never round through a single absolute float.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np

@@ -332,18 +332,15 @@ def _psi_values(u: EndpointVector, field: FieldSpec, m):
     return phi_eval(spec, pts, pts, m=m, dtype=LONG)
 
 
-def q_polynomial(u: EndpointVector, field: FieldSpec, m=None):
-    """Assemble Q(xi, u); all 2g+2 coefficients vanish at equilibrium."""
+def _add_pgn_terms(acc, u: EndpointVector, field: FieldSpec):
+    """Add P_{g,0}/pi + sum_k c_k P_{g,k} into acc (descending, longdouble).
+
+    Each polynomial is added into the tail of acc in turn, so the caller
+    fixes the summation order by what acc already holds.
+    """
     g = u.g
-    deg = 2 * g + 1
-    pts = u.precise
-    psis = _psi_values(u, field, m)
-    acc = np.zeros(deg + 1, dtype=LONG)
-    for i in range(len(pts)):
-        basis = _poly_from_roots([pts[l] for l in range(len(pts)) if l != i])
-        acc -= LONG(psis[i]) * basis
     p0 = pgn_poly(u, 0)
-    acc[deg + 1 - len(p0):] += np.asarray(p0, dtype=LONG) / LONG(math.pi)
+    acc[len(acc) - len(p0):] += np.asarray(p0, dtype=LONG) / LONG(math.pi)
     if g:
         gammas = gamma_coeffs(u, g + 1)
         for k in range(1, g + 1):
@@ -351,7 +348,19 @@ def q_polynomial(u: EndpointVector, field: FieldSpec, m=None):
                 gammas[l] * qgk(u, k + l, field) for l in range(0, g - k + 1)
             )
             pk = pgn_poly(u, k)
-            acc[deg + 1 - len(pk):] += LONG(ck) * np.asarray(pk, dtype=LONG)
+            acc[len(acc) - len(pk):] += LONG(ck) * np.asarray(pk, dtype=LONG)
+    return acc
+
+
+def q_polynomial(u: EndpointVector, field: FieldSpec, m=None):
+    """Assemble Q(xi, u); all 2g+2 coefficients vanish at equilibrium."""
+    pts = u.precise
+    psis = _psi_values(u, field, m)
+    acc = np.zeros(2 * u.g + 2, dtype=LONG)
+    for i in range(len(pts)):
+        basis = _poly_from_roots([pts[l] for l in range(len(pts)) if l != i])
+        acc -= LONG(psis[i]) * basis
+    _add_pgn_terms(acc, u, field)
     return QPolynomial(tuple(float(c) for c in acc))
 
 
@@ -361,24 +370,9 @@ def hodograph_residual(u: EndpointVector, field: FieldSpec, m=None):
     These equal 2 R^2 Phi_g - Q evaluated at the u_i, where the R^2 term
     drops out because R vanishes there; zero exactly at equilibrium.
     """
-    g = u.g
-    deg = 2 * g + 1
     pts = u.precise
     psis = _psi_values(u, field, m)
-    p0 = np.zeros(deg + 1, dtype=LONG)
-    tail = pgn_poly(u, 0)
-    p0[deg + 1 - len(tail):] = tail
-    extra = p0 / LONG(math.pi)
-    if g:
-        gammas = gamma_coeffs(u, g + 1)
-        for k in range(1, g + 1):
-            ck = 2.0 * k * sum(
-                gammas[l] * qgk(u, k + l, field) for l in range(0, g - k + 1)
-            )
-            pk = np.zeros(deg + 1, dtype=LONG)
-            tail = pgn_poly(u, k)
-            pk[deg + 1 - len(tail):] = tail
-            extra = extra + LONG(ck) * pk
+    extra = _add_pgn_terms(np.zeros(2 * u.g + 2, dtype=LONG), u, field)
     out = []
     for i in range(len(pts)):
         q_at_ui = LONG(0.0)

@@ -83,17 +83,6 @@ def test_prediction_dict():
     assert d["limit_constant"] == pred.limit_constant
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("EQM_THREADS", raising=False)
-    assert asymptotics.worker_count(16) == 4
-    monkeypatch.setenv("EQM_THREADS", "2")
-    assert asymptotics.worker_count(16) == 2
-    monkeypatch.setenv("EQM_THREADS", "99")
-    assert asymptotics.worker_count(16) == 16
-    monkeypatch.setenv("EQM_THREADS", "junk")
-    assert asymptotics.worker_count(16) == 4
-
-
 def test_scaling_study_sextic():
     study = asymptotics.scaling_study(sextic_field(0.0), -1, 3)
     devs = [row["deviation"] for row in study.rows]

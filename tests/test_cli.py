@@ -29,6 +29,18 @@ QUARTIC = {
     "solver": {"max_iter": 100, "tol": 1e-10},
 }
 
+# |xi|^3.5 + 3 xi^2: the one-band solve converges but its density misses
+# unit mass; the two-band fallback does not converge
+ABS35 = {
+    "field": {
+        "vstar": [{"kind": "abs_power", "a": 3.5, "c": 1.0}],
+        "p": {"coeffs": [0.0, 0.0, 1.0]},
+        "t": 3.0,
+    },
+    "ansatz": "auto",
+    "solver": {"max_iter": 100, "tol": 1e-10},
+}
+
 NONCONVEX = {
     "field": {
         "vstar": [{"kind": "monomial", "k": 8, "c": 1.0}],
@@ -116,6 +128,21 @@ def test_solve_forced_wrong_ansatz_exits_3(tmp_path):
     assert proc.returncode == 3
     report = json.loads(proc.stdout)
     assert report["verification"]["passed"] is False
+
+
+def test_solve_reports_furthest_failure(tmp_path, capsys):
+    problem = write_problem(tmp_path, ABS35)
+    code = main(["solve", "--problem", problem])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 3
+    assert err["error"] == "PrecisionLoss"
+    assert err["message"].startswith("band mass 0.9999974")
+    assert err["message"].endswith("deviates from 1")
+    code = main(["sweep", "--problem", problem, "--t-from", "3",
+                 "--t-to", "3", "--steps", "1"])
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert code == 2
+    assert [row.split(",")[1] for row in rows] == ["unresolved"]
 
 
 def test_malformed_json_exits_4(tmp_path):

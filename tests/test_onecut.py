@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eqm import onecut
+from eqm.errors import InvalidInterval, NegativeDensity
 
 from conftest import quartic_field, semicircle_field, semicircle_radius, sextic_field
 
@@ -75,3 +76,17 @@ def test_iteration_budget_respected():
     field = sextic_field(-1e6)
     sol = onecut.solve_endpoints(field, guess=(100.0, 50.0), max_iter=1)
     assert not sol.converged
+
+
+def test_guess_must_be_ordered():
+    with pytest.raises(InvalidInterval):
+        onecut.solve_endpoints(semicircle_field(1.0), guess=(1.0, 2.0))
+
+
+def test_density_rejects_double_well():
+    # xi^4 - xi^2: the one-band endpoints solve, but psi dips below 0
+    field = quartic_field(-1.0)
+    sol = onecut.solve_endpoints(field)
+    assert sol.converged
+    with pytest.raises(NegativeDensity, match="one-band ansatz violated"):
+        onecut.density(sol, field, 400)

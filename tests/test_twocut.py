@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eqm import twocut
-from eqm.errors import NotEven
+from eqm.errors import InvalidInterval, NotEven
 
 from conftest import quartic_field, sextic_field
 
@@ -59,3 +59,15 @@ def test_scaled_endpoints_large_t():
 def test_rejects_odd_field():
     with pytest.raises(NotEven):
         twocut.solve_endpoints_symmetric(sextic_field(-10.0))
+
+
+def test_guess_must_be_positive_and_ordered():
+    with pytest.raises(InvalidInterval):
+        twocut.solve_endpoints_symmetric(quartic_field(-10.0), guess=(2.0, -1.0))
+
+
+def test_solve_from_guess():
+    sol = twocut.solve_endpoints_symmetric(quartic_field(-10.0), guess=(2.4, 2.1))
+    assert sol.converged
+    assert sol.u1 == pytest.approx(U1_QUARTIC, abs=1e-10)
+    assert sol.u2 == pytest.approx(U2_QUARTIC, abs=1e-10)
