@@ -61,6 +61,13 @@ class ProblemFile:
     report_path: str = None
     density_path: str = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0) or self.max_iter < 1:
+            raise ParseError(
+                "tol must be finite and positive and max_iter at least 1, "
+                f"got tol={self.tol}, max_iter={self.max_iter}"
+            )
+
 
 def parse_problem(text):
     try:
@@ -85,7 +92,7 @@ def parse_problem(text):
     try:
         tol = float(solver.get("tol", 1e-10))
         max_iter = int(solver.get("max_iter", 100))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad solver options: {exc}") from exc
     output = obj.get("output", {})
     if not isinstance(output, dict) or set(output) - {"report", "density"}:
@@ -207,12 +214,13 @@ def cmd_solve(args):
     ansatz = args.ansatz or problem.ansatz
     if ansatz not in _ANSATZE:
         raise ParseError(f"ansatz must be one of {_ANSATZE}, got {ansatz!r}")
-    tol = args.tol if args.tol is not None else problem.tol
+    if args.tol is not None:
+        problem = dataclasses.replace(problem, tol=args.tol)
     try:
         name, sol, tab, report, accepted = _construct(
             field=problem.field,
             ansatz=ansatz,
-            tol=tol,
+            tol=problem.tol,
             max_iter=problem.max_iter,
             grid_n=_SOLVE_GRID,
         )
@@ -333,6 +341,8 @@ def cmd_predict(args):
 
 
 def cmd_oracle(args):
+    if args.grid_n < 2 or args.iters < 1:
+        raise ParseError("oracle needs --grid-n >= 2 and --iters >= 1")
     problem = _load_problem(args.problem)
     constructed = None
     obj = {"constructed": None, "oracle": None, "comparison": None}

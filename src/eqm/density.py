@@ -168,10 +168,6 @@ class DensityTable:
                 raise ValueError("bands must be disjoint and ascending")
 
     @property
-    def support(self):
-        return [(b.lo, b.hi) for b in self.bands]
-
-    @property
     def endpoints_desc(self):
         u = []
         for b in reversed(self.bands):
@@ -210,7 +206,8 @@ class DensityTable:
 
     @classmethod
     def from_csv(cls, text):
-        """Parse CSV produced by ``to_csv`` (support headers optional)."""
+        """Parse CSV produced by ``to_csv`` (support headers optional); a
+        malformed line or an empty or overlapping band is a ParseError."""
         support = None
         lagrange = None
         xs, ps = [], []
@@ -220,13 +217,16 @@ class DensityTable:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                if body.startswith("support:"):
-                    support = []
-                    for piece in body[len("support:"):].split(";"):
-                        lo, hi = piece.split(",")
-                        support.append((float(lo), float(hi)))
-                elif body.startswith("lagrange-l:"):
-                    lagrange = float(body[len("lagrange-l:"):])
+                try:
+                    if body.startswith("support:"):
+                        support = []
+                        for piece in body[len("support:"):].split(";"):
+                            lo, hi = piece.split(",")
+                            support.append((float(lo), float(hi)))
+                    elif body.startswith("lagrange-l:"):
+                        lagrange = float(body[len("lagrange-l:"):])
+                except ValueError as exc:
+                    raise ParseError(f"bad density header {line!r}") from exc
                 continue
             if line.lower().startswith("xi"):
                 continue
@@ -249,8 +249,13 @@ class DensityTable:
             mask = (xs >= lo) & (xs <= hi)
             bx, bp = xs[mask], ps[mask]
             interior = (bx > lo) & (bx < hi)
+            if not interior.any():
+                raise ParseError(f"support band ({lo}, {hi}) holds no samples")
             bands.append(Band(lo, hi, bx[interior], bp[interior]))
-        return cls(bands, lagrange_l=lagrange)
+        try:
+            return cls(bands, lagrange_l=lagrange)
+        except ValueError as exc:
+            raise ParseError(f"declared support: {exc}") from exc
 
 
 def _infer_support(xs):

@@ -43,8 +43,8 @@ from .errors import InvalidInterval, NotEven
 from .field import FieldSpec, LocalField
 from .quadrature import (
     band_integral,
-    field_pv_band_integral,
-    field_symmetric_band_integral,
+    field_pv_band_integral_delta,
+    field_symmetric_band_integral_delta,
     pv_band_integral,
     r_branch,
 )
@@ -67,6 +67,7 @@ _DEFAULT_NODES = {0: 32, 1: 24}
 # Largest argument tensor one contraction holds: one g = 1 point at the
 # non-polynomial default, 24^4 nodes.
 _TENSOR_CAP = 24**4
+_WINDOW = 1e-6  # band widths; the closed forms defer to phi_eval inside
 
 
 @dataclass(frozen=True)
@@ -325,11 +326,7 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
     the tensor arguments are formed from offsets exactly, without the
     absolute coordinates ever rounding through a float.
     """
-    du = np.asarray(du, dtype=float)
-    if du.shape != (2 * spec.g + 2,):
-        raise ValueError(f"offset vector must have length {2 * spec.g + 2}")
-    if np.any(np.diff(du) > 0.0):
-        raise ValueError("offsets must be in descending order")
+    du = _validate_u(spec.g, np.asarray(du, dtype=float))
     need = spec.order + (1 if want_grad else 0)
     if lf.mode == "series" and lf.max_order < need:
         raise ValueError(f"LocalField max_order {lf.max_order} < {need}")
@@ -415,10 +412,6 @@ def epd2_eval(boundary, rho, x1, x2, m=64):
     return float(np.dot(w, vals) / np.sum(w))
 
 
-def _window(u1, u2):
-    return 1e-6 * (u1 - u2)
-
-
 def phi0_closed(field, xi, u1, u2, m=None):
     """Closed one-dimensional form of Phi_0 away from the endpoints.
 
@@ -429,11 +422,13 @@ def phi0_closed(field, xi, u1, u2, m=None):
     """
     if not u1 > u2:
         raise InvalidInterval(f"need u1 > u2, got ({u1}, {u2})")
-    w = _window(u1, u2)
+    w = _WINDOW * (u1 - u2)
     if min(abs(xi - u1), abs(xi - u2)) < w:
         spec = EpdSpec(0, "phi", field)
         return phi_eval(spec, xi, (u1, u2))
-    pv = field_pv_band_integral(field, u1, u2, xi, order=1, m=m)
+    lf = LocalField(field, min(u2, xi), max(u1, xi), max_order=1)
+    d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
+    pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=m)
     if u2 < xi < u1:
         return -pv / (2.0 * math.pi)
     r = r_branch(xi, (u1, u2))
@@ -452,7 +447,7 @@ def phi1_symmetric_closed(field, xi, u1, u2, m=None):
     if not 0.0 < u2 < u1:
         raise InvalidInterval(f"need 0 < u2 < u1, got ({u1}, {u2})")
     ax = abs(xi)
-    w = _window(u1, u2)
+    w = _WINDOW * (u1 - u2)
     if min(abs(ax - u1), abs(ax - u2)) < w:
         spec = EpdSpec(1, "phi", field)
         return phi_eval(spec, xi, (u1, u2, -u2, -u1))
@@ -485,4 +480,8 @@ def psi1_symmetric_sum(field, u1, u2, m=None):
     """Psi_1(u1) + Psi_1(u2) on symmetric endpoints, via one band integral."""
     if not field.is_even:
         raise NotEven("psi1_symmetric_sum requires an even field")
-    return field_symmetric_band_integral(field, u1, u2, order=1, m=m) / math.pi
+    if not 0.0 < u2 < u1:
+        raise InvalidInterval(f"need 0 < u2 < u1, got u1={u1}, u2={u2}")
+    lf = LocalField(field, u2, u1, max_order=1)
+    d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
+    return field_symmetric_band_integral_delta(lf, d1, d2, order=1, m=m) / math.pi

@@ -15,7 +15,6 @@ ordinary Horner sums in the small local coordinate delta.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -466,12 +465,3 @@ def field_from_json(obj):
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid field specification: {exc}") from exc
-
-
-def loads(text):
-    """Parse a JSON string holding a field specification."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return field_from_json(obj)

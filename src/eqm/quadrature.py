@@ -1,4 +1,4 @@
-"""Gauss-Chebyshev band quadrature, principal values, and log kernels.
+"""Gauss-Chebyshev band quadrature, principal values, and the R branch.
 
 All band integrals carry the weight 1/sqrt((u1 - mu)(mu - u2)) on the
 interval (u2, u1) with u1 > u2.  Principal values use the standard
@@ -10,13 +10,13 @@ per array: the integrand f(d, x) sees the nodes d as a row and the
 poles x as a column, so whatever depends on the nodes alone is formed
 once per node count for every pole.
 
-Field-aware variants (``field_band_integral`` and friends) integrate a
-derivative of an external field using local band coordinates throughout,
-which preserves accuracy when the band is many orders of magnitude
-narrower than its distance from the origin.  The ``*_delta`` forms take
-a prebuilt ``LocalField`` plus endpoint offsets in its local coordinate;
-solvers that track endpoints as anchor-plus-offset call these directly,
-so the offsets never round through a single absolute float.
+``band_integral`` is the one band rule and ``_pv_core`` the one
+principal-value rule; every other entry point hands them an integrand.
+The field forms (``field_band_integral_delta`` and friends) integrate a
+derivative of a prebuilt ``LocalField`` with the band and poles as
+offsets from its center, so they never round through one absolute
+float: bands many orders of magnitude narrower than their distance
+from the origin keep full accuracy.
 """
 
 from __future__ import annotations
@@ -25,16 +25,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .density import chebyshev_angles
 from .errors import InvalidInterval, SingularPoint
-from .field import LocalField
 
 __all__ = [
     "band_integral",
-    "symmetric_band_integral",
     "pv_band_integral",
-    "field_band_integral",
-    "field_symmetric_band_integral",
-    "field_pv_band_integral",
     "field_band_integral_delta",
     "field_symmetric_band_integral_delta",
     "field_pv_band_integral_delta",
@@ -55,9 +51,7 @@ _BLOCK = 2**14
 @lru_cache(maxsize=64)
 def chebyshev_rule(m):
     """First-kind Gauss-Chebyshev nodes (ascending) and uniform weight."""
-    j = np.arange(1, m + 1)
-    x = np.cos((2.0 * j - 1.0) * np.pi / (2.0 * m))[::-1].copy()
-    return x, np.pi / m
+    return np.cos(chebyshev_angles(m))[::-1].copy(), np.pi / m
 
 
 def _check_interval(u1, u2):
@@ -113,33 +107,19 @@ def band_integral(f, u1, u2, m=None):
     return float(_adaptive(evaluate, m)[0])
 
 
-def symmetric_band_integral(f, u1, u2, m=None):
-    """Integral of f(mu)/sqrt((u1^2-mu^2)(mu^2-u2^2)) over (u2, u1).
-
-    Requires 0 < u2 < u1.  Uses the substitution s = mu^2.
-    """
-    if not 0.0 < u2 < u1:
-        raise InvalidInterval(f"need 0 < u2 < u1, got u1={u1}, u2={u2}")
-
-    def g(s):
-        mu = np.sqrt(s)
-        return f(mu) / (2.0 * mu)
-
-    return band_integral(g, u1 * u1, u2 * u2, m=m)
-
-
-def _pv_core(f, d1, d2, dxi, m, guard_scale):
+def _pv_core(f, d1, d2, dxi, m, guard_scale=None):
     """PV of f(d, x)/((x-d) sqrt((d1-d)(d-d2))) at each pole x of dxi.
 
     f is called with the nodes d as a row and a block of poles x as a
     column (broadcasting, so it may ignore either), and once with d = x
     for the poles inside the band, whose f(x, x) is subtracted to remove
     the pole.  Outside poles subtract nothing; the integrand is regular
-    there.  Each pole keeps its own adaptive node count.  Returns a
-    float for a scalar dxi, else one value per pole.
+    there.  Each pole keeps its own adaptive node count.  A pole within
+    1e-12 guard_scale (default: the band width) of an endpoint raises
+    SingularPoint.  Returns a float for a scalar dxi, else one value per
+    pole.
     """
-    if not d1 > d2:
-        raise InvalidInterval(f"need d1 > d2, got d1={d1}, d2={d2}")
+    _check_interval(d1, d2)
     if guard_scale is None:
         guard_scale = max(d1 - d2, 1e-12)
     xs = np.atleast_1d(np.asarray(dxi, dtype=float))
@@ -169,10 +149,6 @@ def _pv_core(f, d1, d2, dxi, m, guard_scale):
     return out if np.ndim(dxi) else float(out[0])
 
 
-def _guard_scale(u1, u2):
-    return max(u1 - u2, 1e-6 * max(1.0, abs(u1), abs(u2)))
-
-
 def pv_band_integral(f, u1, u2, xi, m=None):
     """Principal value of f(mu)/((xi-mu) sqrt((u1-mu)(mu-u2))) over (u2, u1).
 
@@ -191,11 +167,11 @@ def pv_band_integral(f, u1, u2, xi, m=None):
         -half,
         np.asarray(xi, dtype=float) - mid,
         m,
-        _guard_scale(u1, u2),
+        max(u1 - u2, 1e-6 * max(1.0, abs(u1), abs(u2))),
     )
 
 
-def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None, guard_scale=None):
+def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None):
     """PV of fdelta(d, x)/((x-d) sqrt((d1-d)(d-d2))) in offset coordinates.
 
     Offsets are taken from the caller's anchor: d1 > d2 bracket the band
@@ -209,7 +185,7 @@ def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None, guard_scale=None):
     else an array.  Raises SingularPoint when any pole sits on an
     endpoint.
     """
-    return _pv_core(fdelta, d1, d2, dxi, m, guard_scale)
+    return _pv_core(fdelta, d1, d2, dxi, m)
 
 
 def field_band_integral_delta(lf, d1, d2, order=1, m=None, dtype=np.float64):
@@ -218,25 +194,7 @@ def field_band_integral_delta(lf, d1, d2, order=1, m=None, dtype=np.float64):
     The band is (center + d2, center + d1) for the LocalField's center;
     nodes are formed directly in the offset coordinate.
     """
-    if not d1 > d2:
-        raise InvalidInterval(f"need d1 > d2, got d1={d1}, d2={d2}")
-    dmid = 0.5 * (d1 + d2)
-    half = 0.5 * (d1 - d2)
-
-    def evaluate(mm, idx):
-        x, w = chebyshev_rule(mm)
-        return w * float(np.sum(lf.deriv(dmid + half * x, order, dtype=dtype)))
-
-    return float(_adaptive(evaluate, m)[0])
-
-
-def field_band_integral(field, u1, u2, order=1, m=None):
-    """Integral of V^(order)(mu)/sqrt((u1-mu)(mu-u2)) in band coordinates."""
-    _check_interval(u1, u2)
-    lf = LocalField(field, u2, u1, max_order=order)
-    d1 = float(lf.to_delta(u1))
-    d2 = float(lf.to_delta(u2))
-    return field_band_integral_delta(lf, d1, d2, order=order, m=m)
+    return band_integral(lambda d: lf.deriv(d, order, dtype=dtype), d1, d2, m)
 
 
 def field_symmetric_band_integral_delta(
@@ -245,39 +203,21 @@ def field_symmetric_band_integral_delta(
     """Integral of V^(order)/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets.
 
     Requires the band (center + d2, center + d1) to sit strictly in the
-    positive half line.  The vanishing factors (u1-mu)(mu-u2) are formed
-    from offsets alone; the smooth factors (u1+mu)(mu+u2) from the
-    center in a plain float sum.
+    positive half line.  The vanishing factors (u1-mu)(mu-u2) are the
+    band rule's weight, formed from offsets alone; the smooth factors
+    (u1+mu)(mu+u2) go into the integrand, from the center in a plain
+    float sum.
     """
-    if not d1 > d2:
-        raise InvalidInterval(f"need d1 > d2, got d1={d1}, d2={d2}")
     twoc = float(2.0 * lf.center_long)
-    dmid = 0.5 * (d1 + d2)
-    half = 0.5 * (d1 - d2)
 
-    def evaluate(mm, idx):
-        x, w = chebyshev_rule(mm)
-        d = dmid + half * x
+    def f(d):
         plus = (twoc + d + d1) * (twoc + d + d2)
-        vals = lf.deriv(d, order, dtype=dtype) / np.sqrt(plus)
-        return w * float(np.sum(vals))
+        return lf.deriv(d, order, dtype=dtype) / np.sqrt(plus)
 
-    return float(_adaptive(evaluate, m)[0])
-
-
-def field_symmetric_band_integral(field, u1, u2, order=1, m=None):
-    """Integral of V^(order)(mu)/sqrt((u1^2-mu^2)(mu^2-u2^2)) over (u2, u1)."""
-    if not 0.0 < u2 < u1:
-        raise InvalidInterval(f"need 0 < u2 < u1, got u1={u1}, u2={u2}")
-    lf = LocalField(field, u2, u1, max_order=order)
-    d1 = float(lf.to_delta(u1))
-    d2 = float(lf.to_delta(u2))
-    return field_symmetric_band_integral_delta(lf, d1, d2, order=order, m=m)
+    return band_integral(f, d1, d2, m)
 
 
-def field_pv_band_integral_delta(
-    lf, d1, d2, dxi, order=1, m=None, dtype=np.float64, guard_scale=None
-):
+def field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=None, dtype=np.float64):
     """PV of V^(order)/((xi-mu) sqrt weight) with band and poles as offsets.
 
     dxi is one pole offset or a 1-D array of them (an array returns an
@@ -285,27 +225,7 @@ def field_pv_band_integral_delta(
     node count and shared by all poles; each pole stops doubling at its
     own node count, so the values equal those of one call per pole.
     """
-
-    def fdelta(d, x):
-        return lf.deriv(d, order, dtype=dtype)
-
-    return _pv_core(fdelta, d1, d2, dxi, m, guard_scale)
-
-
-def field_pv_band_integral(field, u1, u2, xi, order=1, m=None):
-    """PV of V^(order)(mu)/((xi-mu) sqrt((u1-mu)(mu-u2))) in band coordinates.
-
-    Inside the band the subtracted difference quotient is evaluated from
-    local coordinates, keeping full accuracy on very narrow bands.
-    """
-    _check_interval(u1, u2)
-    lf = LocalField(field, min(u2, xi), max(u1, xi), max_order=order)
-    d1 = float(lf.to_delta(u1))
-    d2 = float(lf.to_delta(u2))
-    dxi = float(lf.to_delta(xi))
-    return field_pv_band_integral_delta(
-        lf, d1, d2, dxi, order=order, m=m, guard_scale=_guard_scale(u1, u2)
-    )
+    return _pv_core(lambda d, x: lf.deriv(d, order, dtype=dtype), d1, d2, dxi, m)
 
 
 def r_branch(xi, u):

@@ -26,7 +26,6 @@ __all__ = [
     "EndpointVector",
     "QPolynomial",
     "gamma_coeffs",
-    "gamma_inverse_coeffs",
     "pgn_poly",
     "qgk",
     "q_polynomial",
@@ -189,24 +188,21 @@ def gamma_coeffs(u: EndpointVector, count):
     return _gamma_series(u.u, count, inverse=False).astype(float)
 
 
-def gamma_inverse_coeffs(u: EndpointVector, count):
-    """Series of mu^{g+1}/R(mu, u): coefficients of prod(1 - u_i/mu)^(-1/2)."""
-    if count > 12:
-        raise ValueError("count > 12 exceeds the series precision budget")
-    return _gamma_series(u.u, count, inverse=True).astype(float)
+def _outside_product(mu, u: EndpointVector, lo, hi):
+    """prod |mu - x| over the endpoints x outside [lo, hi], in u order."""
+    rest = np.ones_like(mu)
+    for x in u.u:
+        if not lo <= x <= hi:
+            rest = rest * np.abs(mu - x)
+    return rest
 
 
 def _gap_moments(u: EndpointVector, max_power, m=None):
     """Integrals of xi^p/|R| over each gap, p = 0..max_power; rows per gap."""
     rows = []
     for gap_lo, gap_hi in u.gaps:
-        others = [x for x in u.u if not (gap_lo <= x <= gap_hi)]
-
         def f(mu, p):
-            rest = np.ones_like(mu)
-            for x in others:
-                rest = rest * np.abs(mu - x)
-            return mu**p / np.sqrt(rest)
+            return mu**p / np.sqrt(_outside_product(mu, u, gap_lo, gap_hi))
 
         rows.append(
             [
@@ -268,15 +264,12 @@ def _qgk_band_quadrature(u: EndpointVector, k, term, m=None):
     g = u.g
     total = 0.0
     for j, (lo, hi) in enumerate(u.bands):
-        others = [x for x in u.u if not (lo <= x <= hi)]
         lf = LocalField(
             FieldSpec(vstar=(term,), p_coeffs=(0.0, 1.0), t=0.0), lo, hi, 0
         )
 
         def f(mu):
-            rest = np.ones_like(mu)
-            for x in others:
-                rest = rest * np.abs(mu - x)
+            rest = _outside_product(mu, u, lo, hi)
             return lf.deriv(lf.to_delta(mu), 0) * mu ** (g - k) / np.sqrt(rest)
 
         total += (-1.0) ** j * band_integral(f, hi, lo, m=m)

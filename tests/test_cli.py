@@ -293,3 +293,64 @@ def test_invalid_field_exits_4(tmp_path, capsys, field_text, reason):
     assert code == 4
     assert err["error"] == "ParseError"
     assert reason in err["message"]
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# support: 5.0,6.0",
+        "# support: 0.5,-0.5",
+        "# support: -0.5,0.0,0.5",
+        "# support: -0.5",
+        "# lagrange-l: abc",
+        "# support: -0.5,0.2;0.1,0.5",
+    ],
+    ids=["empty-band", "reversed-band", "two-commas", "no-comma",
+         "bad-lagrange", "overlapping-bands"],
+)
+def test_verify_malformed_density_exits_4(tmp_path, capsys, header):
+    problem = write_problem(tmp_path, SEMI)
+    csv_path = tmp_path / "density.csv"
+    csv_path.write_text(
+        header + "\nxi,psi\n-0.3,0.1\n0.0,0.2\n0.15,0.1\n0.3,0.1\n"
+    )
+    code = main(["verify", "--problem", problem, "--density", str(csv_path)])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["oracle", "--grid-n", "1", "--iters", "10"],
+        ["oracle", "--grid-n", "401", "--iters", "0"],
+        ["solve", "--tol", "0"],
+        ["solve", "--tol", "-1e-10"],
+        ["solve", "--tol", "nan"],
+        ["solve", "--tol", "inf"],
+    ],
+    ids=["grid-n-1", "iters-0", "tol-0", "tol-negative", "tol-nan", "tol-inf"],
+)
+def test_invalid_numeric_option_exits_4(tmp_path, capsys, args):
+    problem = write_problem(tmp_path, SEMI)
+    code = main([args[0], "--problem", problem, *args[1:]])
+    assert code == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "solver",
+    ['{"tol": NaN}', '{"tol": 0}', '{"tol": -1e-10}', '{"max_iter": 0}',
+     '{"max_iter": Infinity}'],
+    ids=["tol-nan", "tol-0", "tol-negative", "max-iter-0", "max-iter-inf"],
+)
+def test_invalid_solver_options_exit_4(tmp_path, capsys, solver):
+    path = tmp_path / "problem.json"
+    path.write_text(
+        '{"field": {"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": 1.0},'
+        ' "solver": ' + solver + "}"
+    )
+    code = main(["solve", "--problem", str(path)])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 4
+    assert err["error"] == "ParseError"

@@ -7,17 +7,16 @@ import pytest
 from scipy import integrate
 
 from eqm.errors import InvalidInterval, SingularPoint
-from eqm.field import LocalField
+from eqm.field import LocalField, polynomial_field
 from eqm.quadrature import (
     band_integral,
     chebyshev_rule,
-    field_band_integral,
-    field_pv_band_integral,
+    field_band_integral_delta,
     field_pv_band_integral_delta,
+    field_symmetric_band_integral_delta,
     pv_band_integral,
     pv_band_integral_delta,
     r_branch,
-    symmetric_band_integral,
 )
 
 from conftest import quartic_field
@@ -41,10 +40,13 @@ def test_band_integral_interval_validation():
 
 
 def test_symmetric_band_integral_weight():
-    # weight 1/sqrt((u1^2-mu^2)(mu^2-u2^2)) on the right band
+    # weight 1/sqrt((u1^2-mu^2)(mu^2-u2^2)) on the right band, for
+    # V' = mu^2 + 0.3 mu^4
     u1, u2 = 2.1, 0.7
+    lf = LocalField(polynomial_field([0.06, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]), u2, u1)
+    d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
+    val = field_symmetric_band_integral_delta(lf, d1, d2, order=1)
     f = lambda mu: mu**2 + 0.3 * mu**4
-    val = symmetric_band_integral(f, u1, u2)
     smooth = lambda mu: f(mu) / math.sqrt((u1 + mu) * (mu + u2))
     ref, _ = integrate.quad(smooth, u2, u1, weight="alg", wvar=(-0.5, -0.5))
     assert val == pytest.approx(ref, rel=1e-10)
@@ -86,14 +88,31 @@ def test_pv_singular_point_validation():
 
 def test_field_band_integrals_match_generic():
     f = quartic_field(-10.0)
-    u1, u2 = 2.3, 2.1
+    u1, u2, xi = 2.3, 2.1, 2.2
+    lf = LocalField(f, u2, u1, max_order=1)
+    d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
     direct = band_integral(lambda mu: f.eval(mu, 1), u1, u2)
-    via_field = field_band_integral(f, u1, u2, order=1)
+    via_field = field_band_integral_delta(lf, d1, d2, order=1)
     assert via_field == pytest.approx(direct, rel=1e-12)
-    xi = 2.2
     direct_pv = pv_band_integral(lambda mu: f.eval(mu, 1), u1, u2, xi)
-    via_field_pv = field_pv_band_integral(f, u1, u2, xi, order=1)
+    via_field_pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1)
     assert via_field_pv == pytest.approx(direct_pv, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lf: field_band_integral_delta(lf, -0.1, 0.1),
+        lambda lf: field_symmetric_band_integral_delta(lf, -0.1, 0.1),
+        lambda lf: field_pv_band_integral_delta(lf, -0.1, 0.1, 0.0),
+        lambda lf: pv_band_integral_delta(lambda d, x: d, -0.1, 0.1, 0.0),
+    ],
+    ids=["band", "symmetric", "field_pv", "pv"],
+)
+def test_delta_forms_reject_reversed_offsets(call):
+    lf = LocalField(quartic_field(-10.0), 2.1, 2.3, max_order=1)
+    with pytest.raises(InvalidInterval):
+        call(lf)
 
 
 def test_r_branch_signs():
