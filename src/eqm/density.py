@@ -206,8 +206,11 @@ class DensityTable:
 
     @classmethod
     def from_csv(cls, text):
-        """Parse CSV produced by ``to_csv`` (support headers optional); a
-        malformed line or an empty or overlapping band is a ParseError."""
+        """Parse CSV produced by ``to_csv`` (support headers optional).
+
+        A malformed or non-finite line, an empty or overlapping band and
+        a sample outside every declared band are each a ParseError.
+        """
         support = None
         lagrange = None
         xs, ps = [], []
@@ -232,10 +235,13 @@ class DensityTable:
                 continue
             try:
                 sx, sp = line.split(",")
-                xs.append(float(sx))
-                ps.append(float(sp))
+                x, p = float(sx), float(sp)
             except ValueError as exc:
                 raise ParseError(f"bad density row {line!r}") from exc
+            if not (math.isfinite(x) and math.isfinite(p)):
+                raise ParseError(f"non-finite density row {line!r}")
+            xs.append(x)
+            ps.append(p)
         if not xs:
             raise ParseError("density CSV holds no samples")
         xs = np.asarray(xs)
@@ -244,14 +250,21 @@ class DensityTable:
         xs, ps = xs[order], ps[order]
         if support is None:
             support = _infer_support(xs)
+        covered = np.zeros(xs.shape, dtype=bool)
         bands = []
         for lo, hi in support:
             mask = (xs >= lo) & (xs <= hi)
+            covered |= mask
             bx, bp = xs[mask], ps[mask]
             interior = (bx > lo) & (bx < hi)
             if not interior.any():
                 raise ParseError(f"support band ({lo}, {hi}) holds no samples")
             bands.append(Band(lo, hi, bx[interior], bp[interior]))
+        if not covered.all():
+            raise ParseError(
+                f"density row at xi = {xs[~covered][0]!r} lies outside "
+                "the declared support"
+            )
         try:
             return cls(bands, lagrange_l=lagrange)
         except ValueError as exc:

@@ -295,25 +295,31 @@ def test_invalid_field_exits_4(tmp_path, capsys, field_text, reason):
     assert reason in err["message"]
 
 
+_ROWS = "-0.3,0.1\n0.0,0.2\n0.15,0.1\n0.3,0.1\n"
+
+
 @pytest.mark.parametrize(
-    "header",
+    "header, rows",
     [
-        "# support: 5.0,6.0",
-        "# support: 0.5,-0.5",
-        "# support: -0.5,0.0,0.5",
-        "# support: -0.5",
-        "# lagrange-l: abc",
-        "# support: -0.5,0.2;0.1,0.5",
+        ("# support: 5.0,6.0", _ROWS),
+        ("# support: 0.5,-0.5", _ROWS),
+        ("# support: -0.5,0.0,0.5", _ROWS),
+        ("# support: -0.5", _ROWS),
+        ("# lagrange-l: abc", _ROWS),
+        ("# support: -0.5,0.2;0.1,0.5", _ROWS),
+        ("# support: -0.5,0.5", _ROWS + "3.0,5.0\n"),
+        ("# support: -0.5,0.5", _ROWS.replace("0.0,0.2", "0.0,nan")),
+        ("# support: -0.5,0.5", _ROWS.replace("0.15,0.1", "inf,0.1")),
+        ("", _ROWS.replace("0.0,0.2", "0.0,-inf")),
     ],
     ids=["empty-band", "reversed-band", "two-commas", "no-comma",
-         "bad-lagrange", "overlapping-bands"],
+         "bad-lagrange", "overlapping-bands", "row-outside-support",
+         "psi-nan", "xi-inf", "psi-inf-no-header"],
 )
-def test_verify_malformed_density_exits_4(tmp_path, capsys, header):
+def test_verify_malformed_density_exits_4(tmp_path, capsys, header, rows):
     problem = write_problem(tmp_path, SEMI)
     csv_path = tmp_path / "density.csv"
-    csv_path.write_text(
-        header + "\nxi,psi\n-0.3,0.1\n0.0,0.2\n0.15,0.1\n0.3,0.1\n"
-    )
+    csv_path.write_text(header + "\nxi,psi\n" + rows)
     code = main(["verify", "--problem", problem, "--density", str(csv_path)])
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"

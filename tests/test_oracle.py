@@ -10,6 +10,47 @@ from eqm import onecut, oracle, twocut
 from conftest import quartic_field, semicircle_field
 
 
+def fixed_step_pgd(problem, iters=50000):
+    """The fixed-step projected gradient descent the minimizer replaced:
+    steps of 1/L from the uniform density until one moves the iterate by
+    less than 1e-10."""
+    step = 1.0 / oracle._lipschitz(problem)
+    total = 1.0 / problem.h
+    psi = np.full(problem.n, total / problem.n)
+    for _ in range(iters):
+        candidate = oracle._project_scaled_simplex(
+            psi - step * problem.gradient(psi), total
+        )
+        residual = float(np.linalg.norm(candidate - psi))
+        psi = candidate
+        if residual < 1e-10:
+            return psi
+    raise AssertionError("reference PGD did not converge")
+
+
+def pgd_step_residual(problem, psi):
+    """How far one plain projected-gradient step of size 1/L moves psi."""
+    step = 1.0 / oracle._lipschitz(problem)
+    moved = oracle._project_scaled_simplex(
+        psi - step * problem.gradient(psi), 1.0 / problem.h
+    )
+    return float(np.linalg.norm(moved - psi))
+
+
+def _shifted(problem, c):
+    problem.potential += c
+    return problem
+
+
+N301_CASES = {
+    "semicircle t=1": lambda: oracle.discretize(semicircle_field(1.0), -1.0, 1.0, 301),
+    "quartic t=-10": lambda: oracle.discretize(quartic_field(-10.0), -3.0, 3.0, 301),
+    "semicircle t=1, V+5": lambda: _shifted(
+        oracle.discretize(semicircle_field(1.0), -1.0, 1.0, 301), 5.0
+    ),
+}
+
+
 def test_matvec_matches_dense():
     field = semicircle_field(1.0)
     prob = oracle.discretize(field, -1.0, 1.0, 257)
@@ -103,3 +144,169 @@ def test_not_converged_flag():
     res = oracle.direct_minimize(prob, iters=3)
     assert not res.converged
     assert res.iterations == 3
+
+
+@pytest.mark.parametrize("case", sorted(N301_CASES))
+def test_matches_fixed_step_pgd(case):
+    prob = N301_CASES[case]()
+    res = oracle.direct_minimize(prob)
+    ref = fixed_step_pgd(N301_CASES[case]())
+    assert res.converged
+    assert prob.h * float(np.sum(np.abs(res.psi - ref))) <= 1e-8
+    assert abs(prob.energy(res.psi) - prob.energy(ref)) <= 1e-12
+    if case.startswith("quartic"):
+        assert len(oracle._detect_bands(prob.grid, res.psi, 1e-4)) == 2
+
+
+@pytest.mark.parametrize("case", sorted(N301_CASES))
+def test_returned_iterate_is_certified(case):
+    prob = N301_CASES[case]()
+    res = oracle.direct_minimize(prob)
+    assert res.converged
+    assert res.iterations < 1000
+    assert np.all(res.psi >= 0.0)
+    # the reported residual is the step from the returned iterate itself
+    assert pgd_step_residual(prob, res.psi) == res.residual < 1e-10
+    assert abs(prob.h * float(np.sum(res.psi)) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["quartic t=-10", "semicircle t=1"])
+def test_restarted_fista_alone_converges(monkeypatch, case):
+    # every active-set solve rejected: FISTA with restart must finish
+    # alone, well inside the ~3100-3500 steps fixed-step PGD takes here
+    prob = N301_CASES[case]()
+    monkeypatch.setattr(oracle, "_active_set_solve", lambda p, a: -np.ones(p.n))
+    res = oracle.direct_minimize(prob)
+    assert res.converged
+    assert res.iterations < 1000
+    assert np.all(res.psi >= 0.0)
+    assert pgd_step_residual(prob, res.psi) == res.residual < 1e-10
+    ref = fixed_step_pgd(N301_CASES[case]())
+    assert prob.h * float(np.sum(np.abs(res.psi - ref))) <= 1e-8
+
+
+def test_iterations_never_exceed_budget():
+    prob = oracle.discretize(quartic_field(-10.0), -3.0, 3.0, 301)
+    full = oracle.direct_minimize(prob)
+    for budget in (1, oracle._ACTIVE_HOLD, full.iterations - 1):
+        res = oracle.direct_minimize(prob, iters=budget)
+        assert res.iterations == budget
+        assert not res.converged
+        assert abs(prob.h * float(np.sum(res.psi)) - 1.0) <= 1e-13
+    res = oracle.direct_minimize(prob, iters=full.iterations)
+    assert res.converged
+    np.testing.assert_array_equal(res.psi, full.psi)
+
+
+def test_negative_active_set_solve_is_rejected(monkeypatch):
+    prob = oracle.discretize(semicircle_field(1.0), -1.0, 1.0, 301)
+    # on the whole grid the equality-constrained minimizer goes negative
+    whole = oracle._active_set_solve(prob, np.ones(prob.n, dtype=bool))
+    assert whole.min() < 0.0
+
+    clean = oracle.direct_minimize(prob)
+    real = oracle._active_set_solve
+    steps = []
+    calls = []
+
+    def counting_gradient(psi, gradient=prob.gradient):
+        steps.append(1)
+        return gradient(psi)
+
+    def first_one_negative(problem, active):
+        psi = real(problem, active)
+        calls.append(len(steps))
+        if len(calls) == 1:
+            psi[np.flatnonzero(active)[0]] = -1e-3
+        return psi
+
+    monkeypatch.setattr(prob, "gradient", counting_gradient)
+    monkeypatch.setattr(oracle, "_active_set_solve", first_one_negative)
+    res = oracle.direct_minimize(prob)
+    # a rejected set is not solved again; a new one must hold first
+    assert calls[0] >= oracle._ACTIVE_HOLD
+    assert np.all(np.diff(calls) > oracle._ACTIVE_HOLD)
+    assert res.converged
+    assert res.iterations > clean.iterations
+    assert np.all(res.psi >= 0.0)
+    assert prob.h * float(np.sum(np.abs(res.psi - clean.psi))) <= 1e-8
+
+    # stop right after the rejected solve: the iterate is still FISTA's
+    first = calls[0]
+    calls.clear()
+    steps.clear()
+    cut = oracle.direct_minimize(prob, iters=first)
+    assert calls == [first]
+    assert not cut.converged
+    assert np.all(cut.psi >= 0.0)
+
+
+def _two_band_active_set(prob):
+    return oracle.direct_minimize(prob).psi > 0.0
+
+
+def _mirror_pair(prob):
+    # V is equal on both nodes, so V - mean(V) is exactly zero there
+    active = np.zeros(prob.n, dtype=bool)
+    active[[100, prob.n - 101]] = True
+    return active
+
+
+@pytest.mark.parametrize("pick", [_two_band_active_set, _mirror_pair])
+def test_active_set_solve_matches_dense_kkt(pick):
+    # two runs of active nodes: the preconditioner is exact only per run
+    prob = oracle.discretize(quartic_field(-10.0), -3.0, 3.0, 301)
+    active = pick(prob)
+    idx = np.flatnonzero(active)
+    assert np.any(np.diff(idx) > 1)
+    m = len(idx)
+    kkt = np.zeros((m + 1, m + 1))
+    kkt[:m, :m] = 2.0 * prob.h * prob.kernel[np.ix_(idx, idx)]
+    kkt[:m, m] = kkt[m, :m] = 1.0
+    rhs = np.append(-prob.potential[idx], 1.0 / prob.h)
+    want = np.linalg.solve(kkt, rhs)[:m]
+    got = oracle._active_set_solve(prob, active)
+    np.testing.assert_allclose(got[idx], want, rtol=0.0, atol=1e-10 * np.max(want))
+    assert np.all(got[~active] == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 301, 1000])
+def test_shifted_kernel_is_positive_definite(n):
+    prob = oracle.discretize(semicircle_field(1.0), -1.0, 4.0, n)
+    shift = math.log(prob.grid[-1] - prob.grid[0]) / (2.0 * math.pi)
+    assert np.linalg.eigvalsh(prob.kernel + shift).min() > 0.0
+
+
+def test_levinson_matches_dense_solve():
+    prob = oracle.discretize(semicircle_field(1.0), -2.0, 2.0, 400)
+    col = prob.kernel_row + math.log(4.0) / (2.0 * math.pi)
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal((400, 2))
+    want = np.linalg.solve(prob.kernel + math.log(4.0) / (2.0 * math.pi), rhs)
+    np.testing.assert_allclose(oracle._levinson(col, rhs), want, rtol=0.0, atol=1e-12)
+
+
+def _detect_bands_loop(grid, psi, threshold):
+    above = psi > threshold
+    bands = []
+    start = None
+    for i, flag in enumerate(above):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            bands.append((grid[start], grid[i - 1]))
+            start = None
+    if start is not None:
+        bands.append((grid[start], grid[-1]))
+    return bands
+
+
+def test_detect_bands_matches_loop():
+    rng = np.random.default_rng(13)
+    grid = np.linspace(-1.0, 1.0, 40)
+    masks = [np.zeros(40), np.ones(40), np.eye(40)[0], np.eye(40)[-1]]
+    masks += [(rng.random(40) < p).astype(float) for p in (0.1, 0.5, 0.9) for _ in range(30)]
+    assert any(m[0] and m[-1] and not m.all() for m in masks)
+    for mask in masks:
+        psi = mask * rng.uniform(0.5, 2.0, 40)
+        assert oracle._detect_bands(grid, psi, 0.1) == _detect_bands_loop(grid, psi, 0.1)
