@@ -178,6 +178,21 @@ def _table(ansatz, lf, dm, half, psis):
     return ansatz.table(float(u2), float(u1), psis)
 
 
+def _local(sol, field):
+    """LocalField and anchored (dm, half) that density() samples in."""
+    anchor, dm, half = _split(sol)
+    lf, dm = _prepare(field, anchor, dm, half)
+    return lf, dm, half
+
+
+def support(ansatz, sol, field):
+    """Descending band edges of the table density() builds for sol,
+    found without sampling it."""
+    lf, dm, half = _local(sol, field)
+    u1, u2 = (float(u) for u in endpoints_long(lf.center_long, dm, half))
+    return (u1, u2, -u2, -u1) if ansatz.mirror else (u1, u2)
+
+
 def _lagrange(table, field, lf, dm):
     """L(psi) - V at the band midpoint."""
     mid = float(lf.center_long + LONG(dm))
@@ -193,8 +208,7 @@ def density(ansatz, sol, field, grid_n):
     """
     if not sol.converged:
         raise ValueError("density requires a converged solution")
-    anchor, dm, half = _split(sol)
-    lf, dm = _prepare(field, anchor, dm, half)
+    lf, dm, half = _local(sol, field)
     psis = _sample(ansatz, field, lf, dm, half, int(grid_n))
     low = float(np.min(psis))
     if low < -1e-6:

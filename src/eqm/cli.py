@@ -28,10 +28,14 @@ from .asymptotics import predict
 from .density import DensityTable
 from .errors import EqmError, NotEven, ParseError, UnsupportedRegime
 from .field import FieldSpec, field_from_json, field_to_json, validate_growth
-from .onecut import density, solve_endpoints
+from .onecut import density, solve_endpoints, support
 from .oracle import compare, direct_minimize, discretize
-from .twocut import density_symmetric, solve_endpoints_symmetric
-from .verify import check_variational
+from .twocut import (
+    density_symmetric,
+    solve_endpoints_symmetric,
+    support_symmetric,
+)
+from .verify import check_variational, sign_and_gap_flags
 
 __all__ = ["main", "ProblemFile", "parse_problem", "emit_problem"]
 
@@ -151,17 +155,29 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
     attempt is returned with accepted=False (verification failure);
     otherwise the error of the attempt that got furthest propagates,
     the later one on a tie.
+
+    A converged attempt with a later one behind it runs the sign and gap
+    checks on its endpoints first.  If they fail, its report cannot
+    pass, so its density is built and verified only when no later
+    attempt gets a report; the outcome is the same as building it at
+    once.
     """
     attempts = []
     if ansatz in ("auto", "onecut"):
-        attempts.append(("onecut", solve_endpoints, density))
+        attempts.append(("onecut", solve_endpoints, support, density))
     if ansatz == "twocut-sym" or (ansatz == "auto" and field.is_even):
-        attempts.append(
-            ("twocut-sym", solve_endpoints_symmetric, density_symmetric)
-        )
+        attempts.append(("twocut-sym", solve_endpoints_symmetric,
+                         support_symmetric, density_symmetric))
+
+    def verified(name, sol, build, flags):
+        tab = build(sol, field, grid_n)
+        report = check_variational(tab, field, probe_n=probe_n, sign_flags=flags)
+        return name, sol, tab, report
+
     last_solved = None
+    deferred = None  # (name, sol, build, flags) of a failed sign check
     furthest = (-1, None)  # (stage reached, its error)
-    for name, solve, build in attempts:
+    for i, (name, solve, edges, build) in enumerate(attempts):
         stage = 0  # 0 solving, 1 solved, 2 converged
         try:
             sol = solve(field, tol=tol, max_iter=max_iter)
@@ -169,14 +185,24 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
             if not sol.converged:
                 raise _NoConvergence(f"residual {sol.residual_norm:.3e}")
             stage = 2
-            tab = build(sol, field, grid_n)
-            report = check_variational(tab, field, probe_n=probe_n)
-            if report.passed():
-                return name, sol, tab, report, True
-            last_solved = (name, sol, tab, report)
+            flags = None
+            if i + 1 < len(attempts):
+                flags = sign_and_gap_flags(edges(sol, field), field)
+                if not all(flags):
+                    deferred = (name, sol, build, flags)
+                    continue
+            last_solved = verified(name, sol, build, flags)
+            if last_solved[3].passed():
+                return (*last_solved, True)
         except (EqmError, _NoConvergence) as exc:
             if stage >= furthest[0]:
                 furthest = (stage, exc)
+    if last_solved is None and deferred is not None:
+        try:
+            last_solved = verified(*deferred)
+        except EqmError as exc:
+            if furthest[0] < 2:  # a later attempt wins the tie
+                furthest = (2, exc)
     if last_solved is not None:
         return (*last_solved, False)
     raise furthest[1]

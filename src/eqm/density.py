@@ -4,9 +4,14 @@ A ``DensityTable`` stores one or more support bands (lo, hi) together
 with samples of the density at first-kind Chebyshev angles inside each
 band.  The density of interest behaves like
 ``psi(mid + half*cos(theta)) = half * sin(theta) * w(theta)`` with a
-smooth, analytic factor ``w``; the table therefore also exposes the
-sine-series coefficients of ``sin(theta) * w(theta)``, from which the
-mass and the logarithmic potential are obtained spectrally.
+smooth, analytic factor ``w``.  Each band takes the sine-series
+coefficients of ``sin(theta) * w(theta)`` by one type-II DST and folds
+them once into the coefficients a_k of its logarithmic potential: a
+constant plus ``sum a_k T_k(y)`` on the band, and a logarithm plus
+``sum a_k v^-k`` off it, with ``y = (xi - mid) / half`` and
+``v = y + sign(y) sqrt(y^2 - 1)``.  At the band's own nodes the sum is
+one type-III DCT (Trefethen, *Approximation Theory and Approximation
+Practice*, ch. 3 and 19).
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.fft import dct, dst
 
 from .errors import ParseError
 
@@ -24,19 +30,6 @@ __all__ = ["Band", "DensityTable", "chebyshev_angles"]
 # Entries of the largest point-by-term matrix one log-potential block
 # holds (128 KiB of float64), so memory stays flat in the number of points.
 _BLOCK = 2**14
-
-
-def _inverse_powers(v, ks):
-    """v ** -ks for a column v with |v| > 1, as numpy's power gives it.
-
-    Once k log2|v| passes 1100 the power lies far below the smallest
-    subnormal and rounds to a zero signed like v ** k; those entries
-    are filled in directly, because pow takes a slow path on underflow.
-    """
-    out = np.zeros((len(v), len(ks)))
-    out[:, ks % 2 == 1] = np.copysign(0.0, v)
-    np.power(v, -ks, out=out, where=~(np.log2(np.abs(v)) * ks > 1100.0))
-    return out
 
 
 def chebyshev_angles(n):
@@ -59,6 +52,7 @@ class Band:
     xs: np.ndarray
     psis: np.ndarray
     _coeffs: np.ndarray = dc_field(default=None, repr=False, compare=False)
+    _series: np.ndarray = dc_field(default=None, repr=False, compare=False)
 
     @property
     def mid(self):
@@ -71,15 +65,18 @@ class Band:
     @classmethod
     def from_angles(cls, lo, hi, psis_at_angles):
         """Build from density values ordered by ascending angle."""
-        n = len(psis_at_angles)
-        theta = chebyshev_angles(n)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        xs = mid + half * np.cos(theta)
-        return cls(lo, hi, xs[::-1].copy(), np.asarray(psis_at_angles)[::-1].copy())
+        psis = np.asarray(psis_at_angles)[::-1].copy()
+        band = cls(lo, hi, np.empty(len(psis)), psis)
+        band.xs = band.nodes().copy()
+        return band
 
     def angles(self):
         return chebyshev_angles(len(self.xs))
+
+    def nodes(self):
+        """The Chebyshev nodes mid + half*cos(theta), in the order of xs:
+        where the spectral sums take the samples to sit."""
+        return (self.mid + self.half * np.cos(self.angles()))[::-1]
 
     def psis_by_angle(self):
         """Density samples ordered by ascending angle (descending x)."""
@@ -88,13 +85,24 @@ class Band:
     def sine_coeffs(self):
         """Coefficients b_m of sin(theta)*w = sum b_m sin((m+1) theta)."""
         if self._coeffs is None:
-            n = len(self.xs)
-            theta = self.angles()
             q = self.psis_by_angle() / self.half
-            m = np.arange(n)
-            sines = np.sin(np.outer(m + 1.0, theta))
-            self._coeffs = (2.0 / n) * sines.dot(q)
+            self._coeffs = dst(q, type=2) / len(q)
         return self._coeffs
+
+    def _log_series(self):
+        """Coefficients a_k, k = 0..n+1 (a_0 = 0), of the non-constant
+        part of the band's log potential in T_k(y) on the band and in
+        v^-k off it, folded once from the sine coefficients."""
+        if self._series is None:
+            b = self.sine_coeffs()
+            n = len(b)
+            m = np.arange(1.0, n)
+            a = np.zeros(n + 2)
+            a[2] = 0.25 * b[0]
+            a[1:n] -= b[1:] / (2.0 * m)
+            a[3:] += b[1:] / (2.0 * (m + 2.0))
+            self._series = a
+        return self._series
 
     def mass(self):
         """Integral of the density over the band (spectral quadrature)."""
@@ -107,37 +115,47 @@ class Band:
     def log_potential(self, xi):
         """(1/pi) * integral of log|xi - mu| psi(mu) dmu over this band.
 
-        Points go in blocks of at most _BLOCK matrix entries.  A block
-        builds one matrix of cos(k phi) rows (points on the band) and
-        v^-k rows (points off it) and contracts it with the sine
-        coefficients in one matmul.  The angle phi and radius v of each
-        point are computed with ``math``, whose acos can differ from
-        numpy's in the last bit.
+        A point on the band sums a_k cos(k phi) with y = cos(phi); a
+        point off it sums a_k v^-k, the powers taken by a running
+        product of 1/v, so terms past underflow are exact zeros.  Points
+        go in blocks of at most _BLOCK matrix entries.
         """
-        b = self.sine_coeffs()
-        n = len(b)
+        a = self._log_series()
         y = np.atleast_1d((np.asarray(xi, dtype=float) - self.mid) / self.half)
-        ks = np.arange(1, n + 3)
-        m = np.arange(1, n)
-        out = np.empty(y.shape)
-        step = max(1, _BLOCK // len(ks))
-        for start in range(0, y.size, step):
-            yb = y[start:start + step]
-            on = np.abs(yb) <= 1.0
-            phi = [math.acos(min(1.0, max(-1.0, yi))) for yi in yb[on].tolist()]
-            v = [
-                math.copysign(abs(yi) + math.sqrt(yi * yi - 1.0), yi)
-                for yi in yb[~on].tolist()
-            ]
-            rho = np.empty((yb.size, len(ks)))
-            rho[on] = np.cos(np.multiply.outer(phi, ks))
-            rho[~on] = _inverse_powers(np.array(v)[:, None], ks)
-            c0 = np.full(yb.size, -math.log(2.0))
-            c0[~on] = [math.log(abs(vi) / 2.0) for vi in v]
-            total = 0.5 * b[0] * (math.log(self.half) + c0) + 0.25 * b[0] * rho[:, 1]
-            total -= 0.5 * ((rho[:, :n - 1] / m - rho[:, 2:n + 1] / (m + 2.0)) @ b[1:])
-            out[start:start + step] = self.half**2 * total
+        band = np.abs(y) <= 1.0
+        on, off = np.flatnonzero(band), np.flatnonzero(~band)
+        step = max(1, _BLOCK // len(a))
+        sums = np.empty(y.shape)
+        ks = np.arange(len(a))
+        for start in range(0, on.size, step):
+            i = on[start:start + step]
+            sums[i] = np.cos(np.multiply.outer(np.arccos(y[i]), ks)) @ a
+        v = y[off] + np.copysign(np.sqrt(y[off] * y[off] - 1.0), y[off])
+        for start in range(0, off.size, step):
+            w = 1.0 / v[start:start + step, None]
+            powers = np.cumprod(np.broadcast_to(w, (w.size, len(a) - 1)), axis=1)
+            sums[off[start:start + step]] = powers @ a[1:]
+        c0 = np.full(y.shape, -math.log(2.0))
+        c0[off] = np.log(np.abs(v) / 2.0)
+        b0 = self.sine_coeffs()[0]
+        out = self.half**2 * (0.5 * b0 * (math.log(self.half) + c0) + sums)
         return out if np.ndim(xi) else float(out[0])
+
+    def log_potential_at_nodes(self):
+        """log_potential at the band's own nodes(), in the order of xs.
+
+        At theta_j the series is one type-III DCT of a_0..a_{n-1}; the
+        k = n term vanishes and the k = n+1 term is (-1)^(j+1) a_{n+1}
+        sin(theta_j), with j counted from 0 by ascending angle.
+        """
+        a = self._log_series()
+        n = len(self.xs)
+        theta = self.angles()
+        sign = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+        sums = 0.5 * dct(a[:n], type=3) + a[n + 1] * sign * np.sin(theta)
+        b0 = self.sine_coeffs()[0]
+        total = 0.5 * b0 * (math.log(self.half) - math.log(2.0)) + sums
+        return (self.half**2 * total)[::-1]
 
     def interp(self, x):
         """Piecewise-linear interpolation with exact zeros at the edges."""
@@ -181,6 +199,19 @@ class DensityTable:
         """Integral of log|xi - mu| against the density (all bands)."""
         vals = [b.log_potential(xi) for b in self.bands]
         return sum(vals[1:], start=vals[0])
+
+    def log_potential_at_nodes(self):
+        """log_potential at every band's nodes(), concatenated in band
+        order: one DCT per band on its own nodes, the off-band series
+        on the other bands' nodes."""
+        total = 0.0
+        for band in self.bands:
+            total = total + np.concatenate([
+                band.log_potential_at_nodes() if other is band
+                else band.log_potential(other.nodes())
+                for other in self.bands
+            ])
+        return total
 
     def interp(self, x):
         x = np.asarray(x, dtype=float)

@@ -20,7 +20,7 @@ from .field import LONG
 from .quadrature import field_band_integral_delta, field_pv_band_integral_delta
 from .rhp import EndpointVector
 
-__all__ = ["OneCutSolution", "solve_endpoints", "density"]
+__all__ = ["OneCutSolution", "solve_endpoints", "density", "support"]
 
 
 class OneCutSolution(AnchoredSolution):
@@ -115,3 +115,8 @@ def density(sol, field, grid_n):
         than 1e-8.
     """
     return anchored.density(_ANSATZ, sol, field, grid_n)
+
+
+def support(sol, field):
+    """Descending edges (u1, u2) of the band density() tabulates."""
+    return anchored.support(_ANSATZ, sol, field)

@@ -24,7 +24,12 @@ from .quadrature import (
 )
 from .rhp import EndpointVector
 
-__all__ = ["TwoCutSolution", "solve_endpoints_symmetric", "density_symmetric"]
+__all__ = [
+    "TwoCutSolution",
+    "solve_endpoints_symmetric",
+    "density_symmetric",
+    "support_symmetric",
+]
 
 
 class TwoCutSolution(AnchoredSolution):
@@ -144,3 +149,9 @@ def density_symmetric(sol, field, grid_n):
         If the total quadrature mass strays from 1 by more than 1e-8.
     """
     return anchored.density(_ANSATZ, sol, field, grid_n)
+
+
+def support_symmetric(sol, field):
+    """Descending edges (u1, u2, -u2, -u1) of the bands that
+    density_symmetric() tabulates."""
+    return anchored.support(_ANSATZ, sol, field)

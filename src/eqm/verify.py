@@ -35,6 +35,7 @@ __all__ = [
     "effective_potential",
     "check_variational",
     "check_sign_and_gaps",
+    "sign_and_gap_flags",
     "far_field_deviation",
 ]
 
@@ -124,19 +125,26 @@ def check_variational(
     tol_eq=_TOL_EQ,
     tol_ineq=_TOL_INEQ,
     tol_mass=_TOL_MASS,
+    sign_flags=None,
 ):
     """Run all variational checks and collect them in a report.
 
     Failures are reported, never raised: a deliberately wrong density
-    yields a failing report.
+    yields a failing report.  The equality check evaluates L(psi) at
+    the Chebyshev nodes of every band by
+    ``DensityTable.log_potential_at_nodes``, and V there too.
+    ``sign_flags``, when given, is the result of ``sign_and_gap_flags``
+    on the density's endpoints, already computed by the caller.
     """
     mass_residual = abs(density.mass() - 1.0)
 
     ref = _reference_point(density)
     lref = density.log_potential(ref)
 
-    pts = np.concatenate([b.xs for b in density.bands])
-    dev = (density.log_potential(pts) - lref) - potential_difference(
+    # L(psi) and V at the same points: the nodes the spectral sums assume,
+    # which the stored xs of a density read from CSV only approximate
+    pts = np.concatenate([b.nodes() for b in density.bands])
+    dev = (density.log_potential_at_nodes() - lref) - potential_difference(
         field, pts, ref
     )
     equality_deviation = float(np.max(np.abs(dev)))
@@ -147,14 +155,9 @@ def check_variational(
     )
     inequality_margin = float(np.min(margins))
 
-    # the band-factor kernels cover one and two bands only
-    sign_ok, gaps_ok = False, False
-    if len(density.bands) <= 2:
-        try:
-            u = EndpointVector(len(density.bands) - 1, tuple(density.endpoints_desc))
-            sign_ok, gaps_ok = check_sign_and_gaps(u, field)
-        except (EqmError, np.linalg.LinAlgError):
-            pass
+    if sign_flags is None:
+        sign_flags = sign_and_gap_flags(density.endpoints_desc, field)
+    sign_ok, gaps_ok = sign_flags
 
     return VariationalReport(
         equality_deviation=equality_deviation,
@@ -163,6 +166,19 @@ def check_variational(
         constraint_sign_ok=sign_ok,
         gap_integral_ok=gaps_ok,
     )
+
+
+def sign_and_gap_flags(endpoints, field):
+    """``check_sign_and_gaps`` on descending band edges, as the report's
+    two booleans: both false when the kernels cannot decide (more than
+    two bands, or an error in the band factor)."""
+    if len(endpoints) > 4:  # the band-factor kernels cover g = 0 and 1
+        return False, False
+    try:
+        u = EndpointVector(len(endpoints) // 2 - 1, tuple(endpoints))
+        return check_sign_and_gaps(u, field)
+    except (EqmError, np.linalg.LinAlgError):
+        return False, False
 
 
 def far_field_deviation(density):

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import eqm
+from eqm import cli, verify
 from eqm.cli import emit_problem, main, parse_problem
+from eqm.errors import PrecisionLoss
 
 # the directory holding the eqm package under test, for child processes
 EQM_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(eqm.__file__)))
@@ -360,3 +362,86 @@ def test_invalid_solver_options_exit_4(tmp_path, capsys, solver):
     err = json.loads(capsys.readouterr().err)
     assert code == 4
     assert err["error"] == "ParseError"
+
+
+def test_two_band_sweep_row_builds_no_one_band_table(tmp_path, capsys, monkeypatch):
+    """The one-band attempt fails its sign checks, so its density is
+    never sampled once the two-band attempt passes."""
+    built, checked = [], []
+    density, check = cli.density, verify.check_sign_and_gaps
+
+    def counted_density(*args):
+        built.append(args)
+        return density(*args)
+
+    def counted_check(u, field):
+        checked.append(u.g)
+        return check(u, field)
+
+    monkeypatch.setattr(cli, "density", counted_density)
+    monkeypatch.setattr(verify, "check_sign_and_gaps", counted_check)
+    problem = write_problem(tmp_path, QUARTIC)
+    code = main(["sweep", "--problem", problem, "--t-from=-100", "--t-to=-100",
+                 "--steps", "1"])
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert code == 0
+    assert (row[1], row[-1]) == ("twocut-sym", "pass")
+    assert built == []
+    assert checked == [0, 1]  # one sign check per attempt
+
+
+M4 = {"kind": "monomial", "k": 4, "c": 1.0}
+A35 = {"kind": "abs_power", "a": 3.5, "c": 1.0}
+A45 = {"kind": "abs_power", "a": 4.5, "c": 1.0}
+
+
+def _field_problem(vstar, coeffs, t):
+    return {"field": {"vstar": vstar, "p": {"coeffs": coeffs}, "t": t},
+            "ansatz": "auto"}
+
+
+@pytest.mark.parametrize("problem, code, error, ansatz", [
+    (_field_problem([A35], [0.0, 0.0, 1.0], 3.0), 3, "PrecisionLoss", None),
+    (_field_problem([A35], [0.0, 0.0, 1.0], -5.0), 3, "VerificationFailure", "onecut"),
+    (_field_problem([A45], [0.0, 0.0, 1.0], 0.3), 3, "PrecisionLoss", None),
+    (_field_problem([M4], [0.0, 0.0, 1.0], 1e12), 2, "NoConvergence", None),
+    (_field_problem([M4], [0.0, 0.0, 1.0], -5e6), 3, "VerificationFailure", "twocut-sym"),
+], ids=["abs3.5+3x2", "abs3.5-5x2", "abs4.5+0.3x2", "quartic+1e12",
+        "quartic-5e6"])
+def test_auto_fallback_outcomes(tmp_path, capsys, problem, code, error, ansatz):
+    """When both attempts fail, the outcome is the one that building
+    every table at once gives: exit code, error kind and ansatz."""
+    out = tmp_path / "out"
+    got = main(["solve", "--problem", write_problem(tmp_path, problem),
+                "--out", str(out)])
+    assert got == code
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    if ansatz is None:
+        assert not (out / "report.json").exists()
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert report["ansatz"] == ansatz
+        assert report["verification"]["passed"] is False
+
+
+@pytest.mark.parametrize("later_fails, want", [(True, "two-band"), (False, "twocut-sym")])
+def test_construct_tie_goes_to_later_attempt(monkeypatch, later_fails, want):
+    """Both ansaetze converge for xi^4 - 10 xi^2 and the one-band sign
+    checks fail.  If both density builds then raise, the later (two-band)
+    error wins the tie; if only the one-band build raises, the two-band
+    report is returned."""
+
+    def fails(message):
+        def build(sol, field, grid_n):
+            raise PrecisionLoss(message)
+        return build
+
+    monkeypatch.setattr(cli, "density", fails("one-band"))
+    if later_fails:
+        monkeypatch.setattr(cli, "density_symmetric", fails("two-band"))
+    field = parse_problem(json.dumps(QUARTIC)).field
+    try:
+        name = cli._construct(field, "auto", 1e-10, 100, 101, probe_n=40)[0]
+    except PrecisionLoss as exc:
+        name = str(exc)
+    assert name == want

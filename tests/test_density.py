@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from eqm import onecut, twocut
-from eqm.density import Band, DensityTable, _inverse_powers, chebyshev_angles
+from eqm.density import Band, DensityTable, chebyshev_angles
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
 
@@ -95,7 +95,8 @@ def test_csv_roundtrip_two_bands():
 
 
 def _log_potential_reference(band, xi):
-    """The per-point loop that the blocked log potential replaces."""
+    """The log potential term by term from the sine coefficients, with
+    cos(k phi) and v^-k taken one point at a time."""
     b = band.sine_coeffs()
     n = len(b)
     y = (xi - band.mid) / band.half
@@ -113,19 +114,59 @@ def _log_potential_reference(band, xi):
     return band.half**2 * total
 
 
-def test_log_potential_array_matches_points_two_bands():
+def _tables():
+    one = _semicircle_table(1.0, 300)
     field = quartic_field(-10.0)
     sol = twocut.solve_endpoints_symmetric(field)
-    tab = twocut.density_symmetric(sol, field, 401)
+    return one, twocut.density_symmetric(sol, field, 401), sol
+
+
+def _rough_table(n):
+    """Two bands of random samples: their sine coefficients do not
+    decay, so the last terms of every series carry weight."""
+    rng = np.random.default_rng(n)
+    return DensityTable([Band.from_angles(lo, hi, rng.uniform(0.0, 1.0, n))
+                         for lo, hi in ((-3.0, -1.0), (0.5, 1.5))])
+
+
+def test_sine_coeffs_match_explicit_sum():
+    one, two, _ = _tables()
+    for band in one.bands + two.bands:
+        n = len(band.xs)
+        q = band.psis_by_angle() / band.half
+        # (m+1) theta_j = (m+1)(2j+1) pi / (2n), reduced mod 2 pi in integers
+        # so that the sines of large arguments stay exact to rounding
+        j = np.arange(n)
+        turns = np.outer(j + 1, 2 * j + 1) % (4 * n)
+        want = (2.0 / n) * np.sin(turns * (np.pi / (2 * n))) @ q
+        np.testing.assert_allclose(band.sine_coeffs(), want, rtol=1e-15,
+                                   atol=1e-15 * np.max(np.abs(want)))
+
+
+def test_node_evaluation_matches_reference():
+    for tab in (*_tables()[:2], _rough_table(9), _rough_table(64)):
+        nodes = np.concatenate([b.nodes() for b in tab.bands])
+        got = tab.log_potential_at_nodes()
+        want = sum(
+            np.array([_log_potential_reference(b, x) for x in nodes])
+            for b in tab.bands
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(got, tab.log_potential(nodes),
+                                   rtol=1e-15, atol=1e-15)
+
+
+def test_log_potential_array_matches_points_two_bands():
+    _, tab, sol = _tables()
     on = np.concatenate([b.xs for b in tab.bands])
     u1, u2 = sol.u1, sol.u2
     off = np.concatenate([
         np.linspace(-u2, u2, 41)[1:-1],  # the gap
         np.linspace(u1, 3.0 * u1, 40)[1:],  # outside, out to where v^-k underflows
         -np.linspace(u1, 3.0 * u1, 40)[1:],
-        [-1e4 * u1, 1e4 * u1, np.inf],
+        [-1e4 * u1, 1e4 * u1, -np.inf, np.inf],
     ])
-    for band in tab.bands:
+    for band in tab.bands + _rough_table(64).bands:
         for pts in (on, off):
             batched = band.log_potential(pts)
             single = np.array([band.log_potential(x) for x in pts])
@@ -133,19 +174,6 @@ def test_log_potential_array_matches_points_two_bands():
             np.testing.assert_allclose(batched, single, rtol=1e-15, atol=1e-15)
             np.testing.assert_allclose(single, ref, rtol=1e-15, atol=1e-15)
     # the table sums its bands point by point
-    pts = np.concatenate([on, off[:-1]])
+    pts = np.concatenate([on, off[:-2]])
     total = sum(band.log_potential(pts) for band in tab.bands)
     assert tab.log_potential(pts).tolist() == total.tolist()
-
-
-def test_inverse_powers_match_numpy_power_bitwise():
-    rng = np.random.default_rng(7)
-    v = np.concatenate([
-        rng.uniform(1.0, 1.01, 20), rng.uniform(1.0, 200.0, 200),
-        -rng.uniform(1.0, 200.0, 200), [np.inf, -np.inf, 1e300, -1e300],
-    ])[:, None]
-    ks = np.arange(1, 804)
-    with np.errstate(all="ignore"):
-        want = np.power(v, -ks)
-    got = _inverse_powers(v, ks)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))

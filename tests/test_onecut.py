@@ -7,6 +7,7 @@ import pytest
 
 from eqm import onecut
 from eqm.errors import InvalidInterval, NegativeDensity
+from eqm.field import FieldSpec, PowerTerm
 
 from conftest import quartic_field, semicircle_field, semicircle_radius, sextic_field
 
@@ -90,3 +91,17 @@ def test_density_rejects_double_well():
     assert sol.converged
     with pytest.raises(NegativeDensity, match="one-band ansatz violated"):
         onecut.density(sol, field, 400)
+
+
+@pytest.mark.parametrize("field", [
+    quartic_field(100.0),
+    sextic_field(-1e3),
+    FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),), p_coeffs=(0.0, 1.0), t=-30.0),
+    FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),), p_coeffs=(0.0, 1.0), t=300.0),
+    # here the table's inner edge lies 1 ulp from the solution's u2
+    FieldSpec(vstar=(PowerTerm("abs_power", 5.5, 1.0),), p_coeffs=(0.0, 1.0), t=-30.0),
+], ids=["quartic", "sextic", "abs4.5-left", "abs4.5-right", "abs5.5-left"])
+def test_support_matches_table_edges(field):
+    sol = onecut.solve_endpoints(field)
+    edges = onecut.support(sol, field)
+    assert edges == tuple(onecut.density(sol, field, 101).endpoints_desc)

@@ -71,3 +71,11 @@ def test_solve_from_guess():
     assert sol.converged
     assert sol.u1 == pytest.approx(U1_QUARTIC, abs=1e-10)
     assert sol.u2 == pytest.approx(U2_QUARTIC, abs=1e-10)
+
+
+@pytest.mark.parametrize("t", [-10.0, -1e4, -2.5e6])
+def test_support_matches_table_edges(t):
+    field = quartic_field(t)
+    sol = twocut.solve_endpoints_symmetric(field)
+    edges = twocut.support_symmetric(sol, field)
+    assert edges == tuple(twocut.density_symmetric(sol, field, 101).endpoints_desc)

@@ -55,6 +55,20 @@ def test_quartic_twocut_passes_with_gap_probes():
     assert rep.constraint_sign_ok
 
 
+def test_report_ignores_stored_sample_positions():
+    # a density read from a 12-digit CSV keeps its nodes only approximately;
+    # the report depends on the band edges and the samples alone
+    field = quartic_field(-1e3)
+    sol = twocut.solve_endpoints_symmetric(field)
+    tab = twocut.density_symmetric(sol, field, 401)
+    moved = DensityTable([
+        Band(b.lo, b.hi, np.array([float(f"{x:.12g}") for x in b.xs]), b.psis)
+        for b in tab.bands
+    ])
+    assert any(not np.array_equal(a.xs, b.xs) for a, b in zip(tab.bands, moved.bands))
+    assert verify.check_variational(moved, field) == verify.check_variational(tab, field)
+
+
 def test_mis_scaled_density_fails():
     field = semicircle_field(1.0)
     sol = onecut.solve_endpoints(field)
