@@ -35,7 +35,9 @@ class AnchoredSolution:
 
     anchor/dm/half record the split-precision form u1 = anchor+dm+half,
     u2 = anchor+dm-half the solver worked in; density evaluation reuses
-    it so narrow bands keep their full relative resolution.
+    it so narrow bands keep their full relative resolution.  iterations
+    and message are the Newton step count and stop reason
+    (``NewtonResult``).
     """
 
     u1: float
@@ -46,6 +48,8 @@ class AnchoredSolution:
     anchor: object = None
     dm: float = 0.0
     half: float = 0.0
+    iterations: int = 0
+    message: str = ""
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,8 @@ def solve(ansatz, field, guess, tol, max_iter):
         psis = _sample(ansatz, field, lf, dm, half, _LAGRANGE_GRID)
         lagrange_l = _lagrange(_table(ansatz, lf, dm, half, psis), field, lf, dm)
     return ansatz.solution(float(u1), float(u2), lagrange_l, res.converged,
-                           res.residual_norm, anchor=anchor, dm=dm, half=half)
+                           res.residual_norm, anchor=anchor, dm=dm, half=half,
+                           iterations=res.iterations, message=res.message)
 
 
 def _sample(ansatz, field, lf, dm, half, n):

@@ -87,6 +87,9 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
     NewtonResult
         converged is False when the budget or the line search is
         exhausted; the best iterate seen is returned either way.
+        iterations counts the Newton steps taken: ``max_iter`` when the
+        budget ran out, fewer when the Jacobian or the line search
+        stopped the solve early.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(fun(x), dtype=float)
@@ -133,7 +136,9 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
             break
         if fnorm < best_norm:
             best_x, best_f, best_norm = x.copy(), f.copy(), fnorm
+    else:
+        it = max_iter
 
     if fnorm <= tol:
-        return NewtonResult(x, f, fnorm, True, max_iter, "converged")
-    return NewtonResult(best_x, best_f, best_norm, False, max_iter, message)
+        return NewtonResult(x, f, fnorm, True, it, "converged")
+    return NewtonResult(best_x, best_f, best_norm, False, it, message)

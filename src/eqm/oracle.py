@@ -8,7 +8,10 @@ integral on the diagonal) and minimized over the scaled simplex
 (FISTA with gradient-mapping restart) plus exact solves of the
 equality-constrained problem on a stable active set.  The kernel matrix
 is symmetric Toeplitz, so matrix-vector products run through a
-circulant FFT embedding.
+circulant FFT embedding, and the active-set solve is preconditioned by
+the exact inverse of each active run's Toeplitz block: one
+Levinson-Durbin pass per block, then the Gohberg-Semencul formula
+applied with FFT convolutions.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 __all__ = [
     "DiscreteProblem",
@@ -63,17 +67,17 @@ class DiscreteProblem:
         return self._dense
 
     def matvec(self, psi):
-        """Kernel times vector through the circulant FFT embedding."""
+        """Kernel times a vector, or times each column of an (n, k)
+        block, through a circulant embedding of fast FFT length."""
         n = self.n
+        size = next_fast_len(2 * n - 1, real=True)
         if self._fft is None:
-            circ = np.concatenate(
-                [self.kernel_row, [0.0], self.kernel_row[-1:0:-1]]
-            )
-            self._fft = np.fft.rfft(circ)
-        padded = np.zeros(2 * n)
-        padded[:n] = psi
-        out = np.fft.irfft(np.fft.rfft(padded) * self._fft, 2 * n)
-        return out[:n]
+            circ = np.zeros(size)
+            circ[:n] = self.kernel_row
+            circ[size - n + 1:] = self.kernel_row[:0:-1]
+            self._fft = rfft(circ)
+        spectrum = self._fft if np.ndim(psi) == 1 else self._fft[:, None]
+        return irfft(rfft(psi, size, axis=0) * spectrum, size, axis=0)[:n]
 
     def energy(self, psi):
         """Discrete energy h^2 psi'K psi + h V'psi."""
@@ -124,40 +128,62 @@ def _project_scaled_simplex(v, total):
 
 
 def _lipschitz(problem, iters=100):
-    """2h * spectral radius of the kernel, by deterministic power iteration."""
+    """2h * spectral radius of the kernel, by deterministic power iteration.
+
+    On a symmetric matrix the estimate never decreases, so iteration
+    stops once a step raises it by at most a few ulps, or after
+    ``iters`` steps.
+    """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(problem.n)
     v /= np.linalg.norm(v)
-    lam = 1.0
+    lam = 0.0
     for _ in range(iters):
         w = problem.matvec(v)
-        lam = float(np.linalg.norm(w))
+        last, lam = lam, float(np.linalg.norm(w))
         if lam == 0.0:
             return 2.0 * problem.h
         v = w / lam
+        if lam - last <= 4.0 * np.finfo(float).eps * lam:
+            break
     return 2.0 * problem.h * lam
 
 
-def _levinson(col, rhs):
-    """Solve T x = rhs for the symmetric positive definite Toeplitz T
-    with first column ``col``; ``rhs`` has one column per system.
+def _toeplitz_inverse(col):
+    """T^-1 as a function of an (m, k) block, for the symmetric positive
+    definite Toeplitz T with first column ``col``.
 
-    Levinson recursion: O(m^2) time and O(m) memory.  ``fwd`` solves
-    T_k fwd = e_1 on the leading k x k block; by symmetry its reverse
-    solves T_k b = e_k, which extends the solution one row at a time.
+    One Levinson-Durbin pass gives x = T^-1 e_1: ``x`` solves the
+    leading k x k system T_k x = e_1, and by symmetry its reverse
+    solves T_k b = e_k, which extends it one row at a time.  Then
+    T^-1 = (L(x) L(x)' - L(y) L(y)') / x_0 with y = (0, x_{m-1}, ..., x_1),
+    where L(v) is the lower-triangular Toeplitz matrix with first
+    column v (Gohberg & Semencul 1972).  Each product with L(v) or
+    L(v)' is an FFT convolution, so one application costs O(m log m)
+    and the factor holds O(m) numbers.
     """
     m = len(col)
-    fwd = np.zeros(m)
-    fwd[0] = 1.0 / col[0]
-    x = np.zeros(rhs.shape)
-    x[0] = rhs[0] / col[0]
+    rev = col[::-1].copy()
+    x = np.zeros(m)
+    x[0] = 1.0 / col[0]
     for k in range(1, m):
-        tail = col[k:0:-1]
-        refl = float(tail @ fwd[:k])
-        # fwd[k] is still 0, so fwd[k::-1] is the shifted backward vector
-        fwd[:k + 1] = (fwd[:k + 1] - refl * fwd[k::-1]) / (1.0 - refl * refl)
-        x[:k + 1] += fwd[k::-1, None] * (rhs[k] - tail @ x[:k])
-    return x
+        refl = float(rev[m - 1 - k:m - 1] @ x[:k])
+        # x[k] is still 0, so x[k::-1] is the shifted backward vector
+        x[:k + 1] = (x[:k + 1] - refl * x[k::-1]) / (1.0 - refl * refl)
+    y = np.zeros(m)
+    y[1:] = x[:0:-1]
+    size = next_fast_len(2 * m - 1, real=True)
+    fx = rfft(x, size)[:, None]
+    fy = rfft(y, size)[:, None]
+
+    def apply(r):
+        # L(v)' r is the correlation of v with r: conj(F v) * F r
+        fr = rfft(r, size, axis=0)
+        xr = rfft(irfft(fx.conj() * fr, size, axis=0)[:m], size, axis=0)
+        yr = rfft(irfft(fy.conj() * fr, size, axis=0)[:m], size, axis=0)
+        return irfft(fx * xr - fy * yr, size, axis=0)[:m] / x[0]
+
+    return apply
 
 
 def _active_set_solve(problem, active):
@@ -170,8 +196,10 @@ def _active_set_solve(problem, active):
     nodes, the KKT conditions 2h K' psi + V = mu and h sum psi = 1 give
     psi = (mu z1 - z2) / 2h for K' z1 = 1 and K' z2 = V - mean(V).
     Both systems go through conjugate gradients with the FFT matvec,
-    preconditioned by an exact Levinson solve on each contiguous run
-    of active nodes (each run's block of K' is Toeplitz).  Iteration
+    preconditioned by the inverse of K' on each contiguous run of
+    active nodes, exact to rounding: each run's block of K' is
+    Toeplitz, factored once by ``_toeplitz_inverse`` before the first
+    step (runs of equal length share one factor).  Iteration
     stops once the estimated error reaches rounding level or stops
     shrinking.  The result may have negative entries; the caller
     decides.
@@ -181,19 +209,17 @@ def _active_set_solve(problem, active):
     shift = math.log(problem.grid[-1] - problem.grid[0]) / (2.0 * math.pi)
     col = problem.kernel_row + shift
     runs = np.split(np.arange(m), np.flatnonzero(np.diff(idx) > 1) + 1)
+    inverse = {k: _toeplitz_inverse(col[:k]) for k in {len(run) for run in runs}}
 
     def apply(z):
-        out = np.empty(z.shape)
-        full = np.zeros(problem.n)
-        for j in range(z.shape[1]):
-            full[idx] = z[:, j]
-            out[:, j] = problem.matvec(full)[idx] + shift * z[:, j].sum()
-        return out
+        full = np.zeros((problem.n, z.shape[1]))
+        full[idx] = z
+        return problem.matvec(full)[idx] + shift * z.sum(axis=0)
 
     def precondition(r):
         out = np.empty(r.shape)
         for run in runs:
-            out[run] = _levinson(col[:len(run)], r[run])
+            out[run] = inverse[len(run)](r[run])
         return out
 
     v = problem.potential[idx]

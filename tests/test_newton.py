@@ -1,0 +1,42 @@
+"""Damped Newton: stop reasons and the number of steps it reports."""
+
+import numpy as np
+
+from eqm.newton import damped_newton
+
+
+def test_converged_reports_steps_taken():
+    # a linear residual with an exact Jacobian is solved by one full step
+    res = damped_newton(lambda x: 2.0 * x - 1.0, [3.0],
+                        step_scale=lambda x: 0.5)
+    assert res.converged
+    assert res.message == "converged"
+    assert res.iterations == 1
+
+
+def test_budget_exhausted_reports_budget():
+    # x^3 = 0 converges linearly, so three steps are not enough
+    res = damped_newton(lambda x: x**3, [1.0], max_iter=3)
+    assert not res.converged
+    assert res.message == "iteration budget exhausted"
+    assert res.iterations == 3
+
+
+def test_singular_jacobian_reports_no_step():
+    # x^2 + 1 is even about 0: the central difference is exactly 0
+    res = damped_newton(lambda x: x * x + 1.0, [0.0])
+    assert not res.converged
+    assert res.message == "singular Jacobian"
+    assert res.iterations == 0
+
+
+def test_stalled_line_search_reports_steps_taken():
+    # residual x, exact unit Jacobian; every point below 1 is infeasible,
+    # so the first step lands on 1 and no step from there is accepted
+    res = damped_newton(lambda x: x.copy(), [2.0],
+                        step_scale=lambda x: 0.5,
+                        validate=lambda x: x[0] >= 1.0)
+    assert not res.converged
+    assert res.message == "line search stalled"
+    assert res.iterations == 1
+    np.testing.assert_array_equal(res.x, [1.0])

@@ -79,6 +79,18 @@ def test_iteration_budget_respected():
     assert not sol.converged
 
 
+def test_solution_carries_newton_diagnostics():
+    sol = onecut.solve_endpoints(semicircle_field(1.0))
+    assert sol.converged
+    assert sol.message == "converged"
+    assert sol.iterations >= 1
+    # xi^4 + 1e12 xi^2: the line search stalls just above tol
+    sol = onecut.solve_endpoints(quartic_field(1e12))
+    assert not sol.converged
+    assert sol.message == "line search stalled"
+    assert 1 <= sol.iterations < 100
+
+
 def test_guess_must_be_ordered():
     with pytest.raises(InvalidInterval):
         onecut.solve_endpoints(semicircle_field(1.0), guess=(1.0, 2.0))

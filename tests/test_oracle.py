@@ -7,7 +7,7 @@ import pytest
 
 from eqm import onecut, oracle, twocut
 
-from conftest import quartic_field, semicircle_field
+from conftest import quartic_field, semicircle_field, semicircle_radius
 
 
 def fixed_step_pgd(problem, iters=50000):
@@ -52,11 +52,15 @@ N301_CASES = {
 
 
 def test_matvec_matches_dense():
-    field = semicircle_field(1.0)
-    prob = oracle.discretize(field, -1.0, 1.0, 257)
+    # odd and even n; 2n - 1 = 4001 embeds in 4050, not 2n = 4002
     rng = np.random.default_rng(3)
-    v = rng.standard_normal(prob.n)
-    np.testing.assert_allclose(prob.matvec(v), prob.kernel @ v, atol=1e-10)
+    for n in (257, 2000, 2001):
+        prob = oracle.discretize(semicircle_field(1.0), -1.0, 1.0, n)
+        v = rng.standard_normal(prob.n)
+        np.testing.assert_allclose(prob.matvec(v), prob.kernel @ v, rtol=0.0, atol=1e-10)
+        block = rng.standard_normal((prob.n, 2))
+        np.testing.assert_allclose(prob.matvec(block), prob.kernel @ block,
+                                   rtol=0.0, atol=1e-10)
 
 
 def test_simplex_projection_properties():
@@ -277,13 +281,42 @@ def test_shifted_kernel_is_positive_definite(n):
     assert np.linalg.eigvalsh(prob.kernel + shift).min() > 0.0
 
 
-def test_levinson_matches_dense_solve():
-    prob = oracle.discretize(semicircle_field(1.0), -2.0, 2.0, 400)
-    col = prob.kernel_row + math.log(4.0) / (2.0 * math.pi)
-    rng = np.random.default_rng(7)
-    rhs = rng.standard_normal((400, 2))
-    want = np.linalg.solve(prob.kernel + math.log(4.0) / (2.0 * math.pi), rhs)
-    np.testing.assert_allclose(oracle._levinson(col, rhs), want, rtol=0.0, atol=1e-12)
+@pytest.mark.parametrize("m", [1, 2, 3, 17, 400, 1000])
+def test_toeplitz_inverse_matches_dense_solve(m):
+    # the leading m x m block of the shifted kernel, as an active run has
+    prob = oracle.discretize(semicircle_field(1.0), -2.0, 2.0, 1000)
+    shift = math.log(4.0) / (2.0 * math.pi)
+    rhs = np.random.default_rng(7).standard_normal((m, 2))
+    want = np.linalg.solve(prob.kernel[:m, :m] + shift, rhs)
+    got = oracle._toeplitz_inverse(prob.kernel_row[:m] + shift)(rhs)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("family, t, half_width, settles", [
+    # the N = 2001 grids of `eqm oracle` (twice the support's half
+    # width): the two largest eigenvalues lie close, so all 100 steps run
+    ("semicircle", 1.3, 2.0 * semicircle_radius(1.3), False),
+    ("quartic", -10.2, 2.0 * math.sqrt((10.2 + math.sqrt(2.0 / math.pi)) / 2.0), False),
+    ("semicircle", 1.3, 1.7, True),
+    ("quartic", -10.2, 7.0, True),
+])
+def test_lipschitz_settles_to_full_estimate(monkeypatch, family, t, half_width, settles):
+    field = semicircle_field(t) if family == "semicircle" else quartic_field(t)
+    prob = oracle.discretize(field, -half_width, half_width, 2001)
+    steps = []
+    matvec = prob.matvec
+    monkeypatch.setattr(prob, "matvec", lambda v: steps.append(1) or matvec(v))
+    settled = oracle._lipschitz(prob)
+    assert (len(steps) < 100) == settles
+    # the 100-step estimate, without the early stop
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(prob.n)
+    v /= np.linalg.norm(v)
+    for _ in range(100):
+        w = matvec(v)
+        lam = float(np.linalg.norm(w))
+        v = w / lam
+    assert abs(settled - 2.0 * prob.h * lam) <= 1e-14 * settled
 
 
 def _detect_bands_loop(grid, psi, threshold):

@@ -56,6 +56,15 @@ def test_scaled_endpoints_large_t():
         assert sol.u2 / s == pytest.approx(target, rel=2e-2)
 
 
+def test_stalled_solve_reports_steps_taken():
+    # xi^4 + 1000 xi^2 has no two-band solution: the Jacobian at the
+    # seed is singular, so no Newton step is taken
+    sol = twocut.solve_endpoints_symmetric(quartic_field(1000.0))
+    assert not sol.converged
+    assert sol.message == "singular Jacobian"
+    assert sol.iterations == 0
+
+
 def test_rejects_odd_field():
     with pytest.raises(NotEven):
         twocut.solve_endpoints_symmetric(sextic_field(-10.0))
