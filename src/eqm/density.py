@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.fft import dct, dst
 
 from .errors import ParseError
 
@@ -30,6 +29,46 @@ __all__ = ["Band", "DensityTable", "chebyshev_angles"]
 # Entries of the largest point-by-term matrix one log-potential block
 # holds (128 KiB of float64), so memory stays flat in the number of points.
 _BLOCK = 2**14
+
+
+def _dst2(x):
+    """Type-II DST, y_k = 2 sum_j x_j sin(pi (k+1)(2j+1) / 2n), by one
+    real FFT.
+
+    It is the type-II DCT of (-1)^j x_j, reversed.  That DCT takes the
+    FFT of the even-indexed entries followed by the odd-indexed ones
+    reversed, and y_k = 2 Re z_k, y_(n-k) = -2 Im z_k with
+    z_k = exp(-i pi k / 2n) times the k-th FFT coefficient (Makhoul
+    1980, IEEE Trans. ASSP 28).
+    """
+    n = len(x)
+    v = np.concatenate([x[::2], -x[1::2][::-1]])
+    z = np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1)) * np.fft.rfft(v)
+    c = np.empty(n)
+    c[:n // 2 + 1] = 2.0 * z.real
+    c[:n // 2:-1] = -2.0 * z.imag[1:(n + 1) // 2]
+    return c[::-1]
+
+
+def _dct3(a):
+    """Type-III DCT, y_j = a_0 + 2 sum_k a_k cos(pi k (2j+1) / 2n), by
+    one inverse real FFT.
+
+    The inverse of the type-II form in ``_dst2``: the Hermitian spectrum
+    exp(i pi k / 2n) (a_k - i a_(n-k)), with a_n = 0, transforms to the
+    even-indexed outputs followed by the odd-indexed ones reversed
+    (Makhoul 1980).
+    """
+    n = len(a)
+    k = np.arange(n // 2 + 1)
+    rev = np.zeros(n // 2 + 1)
+    rev[1:] = a[:(n - 1) // 2:-1]
+    spec = np.exp(0.5j * np.pi / n * k) * (a[:n // 2 + 1] - 1j * rev)
+    v = np.fft.irfft(spec, n, norm="forward")
+    y = np.empty(n)
+    y[::2] = v[:(n + 1) // 2]
+    y[1::2] = v[:(n - 1) // 2:-1]
+    return y
 
 
 def chebyshev_angles(n):
@@ -86,7 +125,7 @@ class Band:
         """Coefficients b_m of sin(theta)*w = sum b_m sin((m+1) theta)."""
         if self._coeffs is None:
             q = self.psis_by_angle() / self.half
-            self._coeffs = dst(q, type=2) / len(q)
+            self._coeffs = _dst2(q) / len(q)
         return self._coeffs
 
     def _log_series(self):
@@ -152,7 +191,7 @@ class Band:
         n = len(self.xs)
         theta = self.angles()
         sign = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
-        sums = 0.5 * dct(a[:n], type=3) + a[n + 1] * sign * np.sin(theta)
+        sums = 0.5 * _dct3(a[:n]) + a[n + 1] * sign * np.sin(theta)
         b0 = self.sine_coeffs()[0]
         total = 0.5 * b0 * (math.log(self.half) - math.log(2.0)) + sums
         return (self.half**2 * total)[::-1]

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import InvalidInterval, NotEven
 from .field import FieldSpec, LocalField
@@ -136,33 +135,60 @@ def _jacobi_poly(n, alpha, beta, x):
     return p, d
 
 
-@lru_cache(maxsize=128)
-def _jacobi_rule(m, k):
-    """Nodes/weights for variable slot k (1-based): Jacobi(-1/2, (k-1)/2).
+def _jacobi_seeds(m, alpha, beta):
+    """Float64 Gauss-Jacobi nodes, ascending: the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the monic recurrence (Golub &
+    Welsch 1969, Math. Comp. 23).
 
-    Float64 nodes from scipy are sharpened by Newton steps on the
-    recurrence in extended precision, and weights rebuilt from
-    w ~ 1/((1-x^2) P'^2).  The rule's relative accuracy bounds how well
-    the tensor mean can resolve a cancelling integrand, so float64
-    nodes would floor Phi/Psi at ~1e-16 of the largest V-derivative.
+    The k = 0 diagonal entry and the k = 1 off-diagonal entry are taken
+    in cancelled form, since the general formulas are 0/0 at
+    alpha + beta = 0 and alpha + beta = -1.
     """
-    alpha, beta = -0.5, 0.5 * (k - 1)
-    x, _ = roots_jacobi(m, alpha, beta)
-    x = x.astype(LONG)
+    a, b = alpha, beta
+    k = np.arange(m, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.empty(m)
+    diag[0] = (b - a) / (a + b + 2.0)
+    diag[1:] = (b * b - a * a) / (s[1:] * (s[1:] + 2.0))
+    off2 = np.empty(m - 1)
+    off2[:1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    k, s = k[2:], s[2:]
+    off2[1:] = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    # eigvalsh reads only the lower triangle
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(off2), -1))
+
+
+@lru_cache(maxsize=128)
+def _gauss_jacobi(m, alpha, beta):
+    """m-node Gauss rule for the weight (1-x)^alpha (1+x)^beta on (-1, 1).
+
+    Golub-Welsch seeds are sharpened by Newton steps on the recurrence
+    in extended precision, and weights rebuilt from
+    w ~ 1/((1-x^2) P'^2), scaled to the weight's mass.  The rule's
+    relative accuracy bounds how well the tensor mean can resolve a
+    cancelling integrand, so float64 nodes would floor Phi/Psi at
+    ~1e-16 of the largest V-derivative.
+    """
+    x = _jacobi_seeds(m, alpha, beta).astype(LONG)
     for _ in range(3):
         p, d = _jacobi_poly(m, alpha, beta, x)
         x = x - p / d
     _, d = _jacobi_poly(m, alpha, beta, x)
     w = 1.0 / ((1.0 - x * x) * d * d)
-    mass = LONG(2.0) ** LONG(0.5 * k) * LONG(
+    mass = LONG(2.0) ** LONG(alpha + beta + 1.0) * LONG(
         math.exp(
-            math.lgamma(0.5)
-            + math.lgamma(0.5 * (k + 1))
-            - math.lgamma(0.5 * k + 1.0)
+            math.lgamma(alpha + 1.0)
+            + math.lgamma(beta + 1.0)
+            - math.lgamma(alpha + beta + 2.0)
         )
     )
     w *= mass / np.sum(w)
     return x, w
+
+
+def _jacobi_rule(m, k):
+    """Nodes/weights for variable slot k (1-based): Jacobi(-1/2, (k-1)/2)."""
+    return _gauss_jacobi(m, -0.5, 0.5 * (k - 1))
 
 
 @lru_cache(maxsize=64)
@@ -406,7 +432,8 @@ def epd2_eval(boundary, rho, x1, x2, m=64):
         raise ValueError("rho must be positive")
     if x1 == x2:
         return float(boundary(x1))
-    x, w = roots_jacobi(m, -0.5, 0.5 * (rho - 2.0))
+    x, w = _gauss_jacobi(m, -0.5, 0.5 * (rho - 2.0))
+    x, w = x.astype(float), w.astype(float)
     args = 0.5 * (1.0 + x) * x1 + 0.5 * (1.0 - x) * x2
     vals = np.asarray([boundary(a) for a in args], dtype=float)
     return float(np.dot(w, vals) / np.sum(w))

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 __all__ = [
     "DiscreteProblem",
@@ -35,6 +36,24 @@ _DETECT_THRESHOLD = 1e-4
 _ACTIVE_THRESHOLD = 1e-6
 # Iterations the set {psi > 0} must hold before it gets an exact solve.
 _ACTIVE_HOLD = 30
+
+
+@lru_cache(maxsize=64)
+def _fast_len(n):
+    """Smallest 2^a 3^b 5^c >= n: a length the real FFT factors into
+    radix-2, -3 and -5 passes only."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @dataclass
@@ -70,7 +89,7 @@ class DiscreteProblem:
         """Kernel times a vector, or times each column of an (n, k)
         block, through a circulant embedding of fast FFT length."""
         n = self.n
-        size = next_fast_len(2 * n - 1, real=True)
+        size = _fast_len(2 * n - 1)
         if self._fft is None:
             circ = np.zeros(size)
             circ[:n] = self.kernel_row
@@ -172,7 +191,7 @@ def _toeplitz_inverse(col):
         x[:k + 1] = (x[:k + 1] - refl * x[k::-1]) / (1.0 - refl * refl)
     y = np.zeros(m)
     y[1:] = x[:0:-1]
-    size = next_fast_len(2 * m - 1, real=True)
+    size = _fast_len(2 * m - 1)
     fx = rfft(x, size)[:, None]
     fy = rfft(y, size)[:, None]
 

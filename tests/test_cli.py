@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
@@ -60,13 +61,19 @@ def write_problem(tmp_path, obj, name="problem.json"):
     return str(path)
 
 
-def run_cli(args, cwd, env_extra=None):
-    """Run the CLI in a child process whose working directory is cwd, so
-    default output files (e.g. oracle-density.csv) stay out of the tree."""
+def child_env():
+    """The environment of a child process that imports eqm under test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (EQM_ROOT, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_cli(args, cwd, env_extra=None):
+    """Run the CLI in a child process whose working directory is cwd, so
+    default output files (e.g. oracle-density.csv) stay out of the tree."""
+    env = child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -268,6 +275,65 @@ def test_sweep_accepts_exponent_negative_values(tmp_path, capsys):
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert code == 0
     assert [row.split(",")[0] for row in rows] == ["-1000000", "-0.0025"]
+
+
+@pytest.mark.parametrize("log", [False, True])
+@pytest.mark.parametrize("bound", ["t-from", "t-to"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sweep_rejects_non_finite_bounds(tmp_path, capsys, value, bound, log):
+    problem = write_problem(tmp_path, QUARTIC)
+    bounds = {"t-from": "-10", "t-to": "-100", bound: value}
+    argv = ["sweep", "--problem", problem, f"--t-from={bounds['t-from']}",
+            f"--t-to={bounds['t-to']}", "--steps", "3"]
+    code = main(argv + (["--log"] if log else []))
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ParseError",
+        "message": "--t-from and --t-to must be finite",
+    }
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc")
+def test_repeated_sweeps_reuse_freed_memory(tmp_path):
+    # each call frees hundreds of arrays of 64-160 KiB; a later call must
+    # take them from the heap, not fault fresh pages in (about 450 minor
+    # faults per one-row sweep under glibc's adaptive thresholds, under
+    # 10 with fixed ones)
+    problem = write_problem(tmp_path, QUARTIC)
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "from eqm.cli import main\n"
+        "argv = ['sweep', '--problem', sys.argv[1], '--t-from=-10',\n"
+        "        '--t-to=-10', '--steps', '1']\n"
+        "for _ in range(3):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, problem], capture_output=True, text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it would double start-up
+    code = (
+        "import sys, eqm, eqm.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_main_in_process(tmp_path, capsys):

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import fft, integrate
 
 from eqm import onecut, twocut
-from eqm.density import Band, DensityTable, chebyshev_angles
+from eqm.density import Band, DensityTable, _dct3, _dst2, chebyshev_angles
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
 
@@ -16,6 +16,13 @@ def _semicircle_table(t, n):
     field = semicircle_field(t)
     sol = onecut.solve_endpoints(field)
     return onecut.density(sol, field, n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 201, 401, 801])
+def test_real_fft_transforms_match_scipy(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    for ours, ref in ((_dst2(x), fft.dst(x, type=2)), (_dct3(x), fft.dct(x, type=3))):
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_chebyshev_angles_layout():

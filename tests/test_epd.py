@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
+from eqm import epd
 from eqm.epd import (
     EpdSpec,
     epd2_eval,
@@ -175,6 +177,32 @@ def test_epd2_linear_moment():
     rho = 2.5
     want = x2 + (x1 - x2) * rho / (rho + 1.0)
     assert epd2_eval(lambda x: x, rho, x1, x2) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_epd2_chebyshev_case():
+    # rho = 1 gives alpha + beta = -1, where the general k = 1
+    # off-diagonal of the Jacobi matrix is 0/0
+    assert epd2_eval(lambda x: x, 1.0, 3.0, 1.0) == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(-0.5, -0.5), (-0.5, 0.5), (-0.5, 0.0), (0.3, -0.7), (1.5, 2.0)]
+)
+def test_jacobi_seeds_match_scipy(alpha, beta):
+    for m in range(1, 65):
+        ref, _ = roots_jacobi(m, alpha, beta)
+        assert np.max(np.abs(epd._jacobi_seeds(m, alpha, beta) - ref)) < 1e-14
+
+
+def test_jacobi_rule_matches_scipy_seeded_rule(monkeypatch):
+    ours = {(m, k): epd._jacobi_rule(m, k) for k in range(1, 7) for m in range(1, 65)}
+    monkeypatch.setattr(epd, "_jacobi_seeds", lambda m, a, b: roots_jacobi(m, a, b)[0])
+    for (m, k), (x, w) in ours.items():
+        xr, wr = epd._gauss_jacobi.__wrapped__(m, -0.5, 0.5 * (k - 1))
+        assert np.max(np.abs(x - xr)) < 1e-18, (m, k)
+        # a one-ulp node move at 1 - x ~ 1e-3 moves a weight by ~1e-16
+        assert np.max(np.abs(w - wr) / wr) < 2e-16, (m, k)
 
 
 def test_epd2_validates_rho():

@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from eqm import onecut, oracle, twocut
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
+
+
+def test_fast_len_matches_scipy():
+    for n in range(1, 10001):
+        assert oracle._fast_len(n) == next_fast_len(n, real=True), n
 
 
 def fixed_step_pgd(problem, iters=50000):
