@@ -9,6 +9,7 @@ from .errors import (
     InvalidInterval,
     NegativeDensity,
     NegativeRadicand,
+    NoConvergence,
     NotEven,
     ParseError,
     PrecisionLoss,

@@ -6,7 +6,9 @@ Deep wells push the support width many orders of magnitude below its
 location; keeping the Newton unknowns (dm, half) as small offsets lets
 the residuals resolve far below what a single rounded float per
 endpoint allows.  An ``Ansatz`` record supplies what differs between
-the one-band and the mirrored two-band construction.
+the one-band and the mirrored two-band construction; its density
+sampler takes Phi from the principal-value kernels of ``epd`` at every
+Chebyshev node.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .wells import global_minimizer
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _COLLAPSE = 1e-12
-_EDGE_WINDOW = 1e-6  # band widths; the tensor evaluator takes over inside
 _LAGRANGE_GRID = 201
 
 
@@ -55,10 +56,10 @@ class AnchoredSolution:
 @dataclass(frozen=True)
 class Ansatz:
     """What a band shape supplies: residual(field, lf) -> pair(dm, half)
-    of endpoint residuals; psi(field, lf, dm, half, dxi, edge) -> density
-    at offsets dxi (edge: inside the edge window); table(lo, hi, psis);
-    mirror, for the positive band of a mirror pair (u2 > 0); the words
-    of its density errors; the AnchoredSolution subclass it returns."""
+    of endpoint residuals; psi(lf, dm, half, dxi) -> density at offsets
+    dxi inside the band; table(lo, hi, psis); mirror, for the positive
+    band of a mirror pair (u2 > 0); the words of its density errors; the
+    AnchoredSolution subclass it returns."""
 
     residual: Callable
     psi: Callable
@@ -160,22 +161,17 @@ def solve(ansatz, field, guess, tol, max_iter):
     u1, u2 = endpoints_long(anchor, dm, half)
     lagrange_l = math.nan
     if res.converged:
-        psis = _sample(ansatz, field, lf, dm, half, _LAGRANGE_GRID)
+        psis = _sample(ansatz, lf, dm, half, _LAGRANGE_GRID)
         lagrange_l = _lagrange(_table(ansatz, lf, dm, half, psis), field, lf, dm)
     return ansatz.solution(float(u1), float(u2), lagrange_l, res.converged,
                            res.residual_norm, anchor=anchor, dm=dm, half=half,
                            iterations=res.iterations, message=res.message)
 
 
-def _sample(ansatz, field, lf, dm, half, n):
-    """Density at first-kind Chebyshev nodes of the band, by ascending
-    angle; nodes within the edge window of an endpoint are marked for
-    the tensor evaluator, the rest take the principal-value form."""
-    d1 = dm + half
-    d2 = dm - half
+def _sample(ansatz, lf, dm, half, n):
+    """Density at the band's first-kind Chebyshev nodes, by ascending angle."""
     dxi = dm + half * np.cos(chebyshev_angles(n))
-    edge = np.minimum(d1 - dxi, dxi - d2) < _EDGE_WINDOW * 2.0 * half
-    return ansatz.psi(field, lf, dm, half, dxi, edge)
+    return ansatz.psi(lf, dm, half, dxi)
 
 
 def _table(ansatz, lf, dm, half, psis):
@@ -214,7 +210,7 @@ def density(ansatz, sol, field, grid_n):
     if not sol.converged:
         raise ValueError("density requires a converged solution")
     lf, dm, half = _local(sol, field)
-    psis = _sample(ansatz, field, lf, dm, half, int(grid_n))
+    psis = _sample(ansatz, lf, dm, half, int(grid_n))
     low = float(np.min(psis))
     if low < -1e-6:
         raise NegativeDensity(

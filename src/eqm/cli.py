@@ -28,7 +28,8 @@ import numpy as np
 
 from .asymptotics import predict
 from .density import DensityTable
-from .errors import EqmError, NotEven, ParseError, UnsupportedRegime
+from .errors import (EqmError, NoConvergence, NotEven, ParseError,
+                     UnsupportedRegime)
 from .field import FieldSpec, field_from_json, field_to_json, validate_growth
 from .onecut import density, solve_endpoints, support
 from .oracle import compare, direct_minimize, discretize
@@ -148,10 +149,6 @@ def emit_problem(problem):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-class _NoConvergence(Exception):
-    """Newton stopped before the residual norm reached tol."""
-
-
 def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
     """Solve, build the density and verify, with the auto fallback.
 
@@ -190,7 +187,7 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
             sol = solve(field, tol=tol, max_iter=max_iter)
             stage = 1
             if not sol.converged:
-                raise _NoConvergence(f"residual {sol.residual_norm:.3e}")
+                raise NoConvergence(f"residual {sol.residual_norm:.3e}")
             stage = 2
             flags = None
             if i + 1 < len(attempts):
@@ -201,7 +198,7 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
             last_solved = verified(name, sol, build, flags)
             if last_solved[3].passed():
                 return (*last_solved, True)
-        except (EqmError, _NoConvergence) as exc:
+        except EqmError as exc:
             if stage >= furthest[0]:
                 furthest = (stage, exc)
     if last_solved is None and deferred is not None:
@@ -249,16 +246,13 @@ def cmd_solve(args):
         raise ParseError(f"ansatz must be one of {_ANSATZE}, got {ansatz!r}")
     if args.tol is not None:
         problem = dataclasses.replace(problem, tol=args.tol)
-    try:
-        name, sol, tab, report, accepted = _construct(
-            field=problem.field,
-            ansatz=ansatz,
-            tol=problem.tol,
-            max_iter=problem.max_iter,
-            grid_n=_SOLVE_GRID,
-        )
-    except _NoConvergence as exc:
-        return _fail("NoConvergence", str(exc), _EXIT_NO_CONVERGENCE)
+    name, sol, tab, report, accepted = _construct(
+        field=problem.field,
+        ansatz=ansatz,
+        tol=problem.tol,
+        max_iter=problem.max_iter,
+        grid_n=_SOLVE_GRID,
+    )
 
     report_path = problem.report_path
     density_path = problem.density_path
@@ -314,7 +308,7 @@ def _sweep_row(field, t, tol, max_iter):
             grid_n=_SWEEP_GRID,
             probe_n=_SWEEP_PROBES,
         )
-    except (EqmError, _NoConvergence):
+    except EqmError:
         return cells
     u = [float(x) for x in sol.endpoint_vector().u]
     upad = [_fmt(x) for x in u] + [""] * (4 - len(u))
@@ -394,7 +388,7 @@ def cmd_oracle(args):
         lo, hi = tab.bands[0].lo, tab.bands[-1].hi
         mid, width = 0.5 * (lo + hi), hi - lo
         a, b = mid - width, mid + width
-    except (EqmError, _NoConvergence) as exc:
+    except EqmError as exc:
         obj["constructed"] = {"error": f"{type(exc).__name__}: {exc}"}
         a, b = -2.0, 2.0
 
@@ -536,6 +530,8 @@ def main(argv=None):
         return _fail("UnsupportedRegime", str(exc), _EXIT_REGIME)
     except NotEven as exc:
         return _fail("NotEven", str(exc), _EXIT_PARSE)
+    except NoConvergence as exc:
+        return _fail("NoConvergence", str(exc), _EXIT_NO_CONVERGENCE)
     except EqmError as exc:
         return _fail(type(exc).__name__, str(exc), _EXIT_VERIFY)
 

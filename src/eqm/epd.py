@@ -25,9 +25,11 @@ are the default; fields with absolute-power terms default to m = 32
 array of points and evaluates an array in one tensor contraction.
 
 The density on band j (counting from the right) of a valid solution is
-psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi), and closed
-one-dimensional reductions of Phi are provided for g = 0 and for the
-reflection-symmetric g = 1 case.
+psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  Inside a band
+Phi is evaluated only by the principal-value kernels ``phi0_band``
+(g = 0) and ``phi1_symmetric_band`` (reflection-symmetric g = 1), off
+the bands only by the tensor rule; ``phi0_closed`` and
+``phi1_symmetric_closed`` pick between them for one absolute point.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ import numpy as np
 from .errors import InvalidInterval, NotEven
 from .field import FieldSpec, LocalField
 from .quadrature import (
-    band_integral,
     field_pv_band_integral_delta,
     field_symmetric_band_integral_delta,
-    pv_band_integral,
-    r_branch,
+    pv_band_integral_delta,
 )
 
 __all__ = [
@@ -55,6 +55,8 @@ __all__ = [
     "phi_eval_anchored",
     "epd_residual",
     "epd2_eval",
+    "phi0_band",
+    "phi1_symmetric_band",
     "phi0_closed",
     "phi1_symmetric_closed",
     "psi1_symmetric_sum",
@@ -66,7 +68,6 @@ _DEFAULT_NODES = {0: 32, 1: 24}
 # Largest argument tensor one contraction holds: one g = 1 point at the
 # non-polynomial default, 24^4 nodes.
 _TENSOR_CAP = 24**4
-_WINDOW = 1e-6  # band widths; the closed forms defer to phi_eval inside
 
 
 @dataclass(frozen=True)
@@ -439,68 +440,66 @@ def epd2_eval(boundary, rho, x1, x2, m=64):
     return float(np.dot(w, vals) / np.sum(w))
 
 
-def phi0_closed(field, xi, u1, u2, m=None):
-    """Closed one-dimensional form of Phi_0 away from the endpoints.
+def phi0_band(lf, d1, d2, dxi, m=None):
+    """Phi_0 = -PV int V'(mu) / ((xi-mu) sqrt((u1-mu)(mu-u2))) / (2 pi).
 
-    Inside the band this is the principal-value reduction; outside it
-    carries the extra residue term V'(xi)/(2 R(xi)) with the real branch
-    of R.  Within 1e-6 band widths of an endpoint the evaluation routes
-    to the canonical tensor quadrature.
+    The band (center + d2, center + d1) and the points dxi inside it (a
+    float or a 1-D array) are offsets from the center of lf.  m fixes
+    the node count (adaptive when omitted).
+    """
+    pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=m)
+    return -pv / (2.0 * math.pi)
+
+
+def phi1_symmetric_band(lf, d1, d2, dxi, m=None):
+    """Phi_1 = -(xi/pi) PV int V'(mu) / ((xi^2-mu^2) sqrt((u1^2-mu^2)
+    (mu^2-u2^2))) on the band (u2, u1) > 0 of an even field's mirror pair.
+
+    Offsets and m as in ``phi0_band``.  The factors (u1-mu)(mu-u2) are
+    the band rule's weight; (u1+mu)(mu+u2) and xi+mu are formed from the
+    center in a plain float sum.
+    """
+    anchor = lf.center_long
+    twoc = float(2.0 * anchor)
+
+    def gdelta(d, x):
+        plus = (twoc + d + d1) * (twoc + d + d2)
+        return lf.deriv(d, 1) / ((twoc + d + x) * np.sqrt(plus))
+
+    xi = (anchor + np.asarray(dxi, dtype=float).astype(LONG)).astype(float)
+    return -(xi / math.pi) * pv_band_integral_delta(gdelta, d1, d2, dxi, m=m)
+
+
+def phi0_closed(field, xi, u1, u2, m=None):
+    """Phi_0 at one point: in band, the principal value ``phi0_band``
+    (m Chebyshev nodes, adaptive when omitted); off band, ``phi_eval``.
     """
     if not u1 > u2:
         raise InvalidInterval(f"need u1 > u2, got ({u1}, {u2})")
-    w = _WINDOW * (u1 - u2)
-    if min(abs(xi - u1), abs(xi - u2)) < w:
-        spec = EpdSpec(0, "phi", field)
-        return phi_eval(spec, xi, (u1, u2))
-    lf = LocalField(field, min(u2, xi), max(u1, xi), max_order=1)
+    if not u2 < xi < u1:
+        return phi_eval(EpdSpec(0, "phi", field), xi, (u1, u2))
+    lf = LocalField(field, u2, u1, max_order=1)
     d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
-    pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=m)
-    if u2 < xi < u1:
-        return -pv / (2.0 * math.pi)
-    r = r_branch(xi, (u1, u2))
-    vp = float(field.eval(xi, 1))
-    return vp / (2.0 * r) - pv / (2.0 * math.pi)
+    return phi0_band(lf, d1, d2, dxi, m=m)
 
 
 def phi1_symmetric_closed(field, xi, u1, u2, m=None):
-    """Closed form of Phi_1 for even fields on symmetric endpoints.
-
-    Endpoint vector (u1, u2, -u2, -u1) with 0 < u2 < u1.  Odd in xi.
-    Routes to the canonical evaluator near the four endpoints.
+    """Phi_1 at one point for an even field on endpoints (u1, u2, -u2, -u1)
+    with 0 < u2 < u1, odd in xi: in band, the principal value
+    ``phi1_symmetric_band`` (m Chebyshev nodes, adaptive when omitted);
+    off band, ``phi_eval``.
     """
     if not field.is_even:
         raise NotEven("phi1_symmetric_closed requires an even field")
     if not 0.0 < u2 < u1:
         raise InvalidInterval(f"need 0 < u2 < u1, got ({u1}, {u2})")
     ax = abs(xi)
-    w = _WINDOW * (u1 - u2)
-    if min(abs(ax - u1), abs(ax - u2)) < w:
-        spec = EpdSpec(1, "phi", field)
-        return phi_eval(spec, xi, (u1, u2, -u2, -u1))
-    if xi == 0.0:
-        return 0.0
+    if not u2 < ax < u1:
+        return phi_eval(EpdSpec(1, "phi", field), xi, (u1, u2, -u2, -u1))
     lf = LocalField(field, u2, u1, max_order=1)
-
-    if u2 < ax < u1:
-        def gfun(mu):
-            return lf.deriv(lf.to_delta(mu), 1) / (
-                (mu + ax) * np.sqrt((u1 + mu) * (mu + u2))
-            )
-
-        pv = pv_band_integral(gfun, u1, u2, ax, m=m)
-        return -math.copysign(1.0, xi) * ax / math.pi * pv
-
-    def f(mu):
-        return lf.deriv(lf.to_delta(mu), 1) / (
-            (mu * mu - xi * xi) * np.sqrt((u1 + mu) * (mu + u2))
-        )
-
-    uvec = (u1, u2, -u2, -u1)
-    r = r_branch(xi, uvec)
-    vp = float(field.eval(xi, 1))
-    integral = band_integral(f, u1, u2, m=m)
-    return vp / (2.0 * r) + xi / math.pi * integral
+    d1, d2, dax = (float(lf.to_delta(x)) for x in (u1, u2, ax))
+    phi = phi1_symmetric_band(lf, d1, d2, dax, m=m)
+    return math.copysign(1.0, xi) * float(phi)
 
 
 def psi1_symmetric_sum(field, u1, u2, m=None):

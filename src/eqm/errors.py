@@ -11,6 +11,7 @@ __all__ = [
     "UnsupportedRegime",
     "SingularSystem",
     "PrecisionLoss",
+    "NoConvergence",
     "ParseError",
 ]
 
@@ -53,6 +54,10 @@ class SingularSystem(EqmError):
 
 class PrecisionLoss(EqmError):
     """A computation cannot reach the requested accuracy."""
+
+
+class NoConvergence(EqmError):
+    """Newton stopped before the residual norm reached tol."""
 
 
 class ParseError(EqmError):

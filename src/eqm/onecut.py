@@ -14,10 +14,10 @@ import numpy as np
 from . import anchored
 from .anchored import INV_SQRT_PI, AnchoredSolution
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi_eval_anchored
+from .epd import EpdSpec, phi0_band, phi_eval_anchored
 from .errors import NegativeRadicand
 from .field import LONG
-from .quadrature import field_band_integral_delta, field_pv_band_integral_delta
+from .quadrature import field_band_integral_delta
 from .rhp import EndpointVector
 
 __all__ = ["OneCutSolution", "solve_endpoints", "density", "support"]
@@ -51,19 +51,13 @@ def _residual_fun(field, lf):
     return pair
 
 
-def _psi_values(field, lf, dm, half, dxi, edge):
-    """psi = 2 sqrt((u1-xi)(xi-u2)) Phi_0(xi): one principal-value call
-    covers the interior nodes and one tensor call the edge window."""
-    spec = EpdSpec(0, "phi", field)
+def _psi_values(lf, dm, half, dxi):
+    """psi = 2 sqrt((u1-xi)(xi-u2)) Phi_0(xi), Phi_0 by one
+    principal-value call over all nodes."""
     d1 = dm + half
     d2 = dm - half
-    phi = np.empty(len(dxi))
-    if np.any(edge):
-        phi[edge] = phi_eval_anchored(spec, lf, dxi[edge], (d1, d2))
-    pv = field_pv_band_integral_delta(lf, d1, d2, dxi[~edge], order=1)
-    phi[~edge] = -pv / (2.0 * math.pi)
     rad = (d1 - dxi) * (dxi - d2)
-    return 2.0 * np.sqrt(np.maximum(rad, 0.0)) * phi
+    return 2.0 * np.sqrt(np.maximum(rad, 0.0)) * phi0_band(lf, d1, d2, dxi)
 
 
 def _table(lo, hi, psis):
@@ -100,10 +94,9 @@ def solve_endpoints(field, guess=None, tol=1e-10, max_iter=100):
 def density(sol, field, grid_n):
     """Equilibrium density on [u2, u1] sampled at Chebyshev nodes.
 
-    psi = 2 sqrt((u1-xi)(xi-u2)) Phi_0(xi); the principal-value form is
-    used in the interior and the tensor evaluator within 1e-6 band
-    widths of the endpoints.  The result carries the Lagrange constant
-    L(psi) - V at the band midpoint.
+    psi = 2 sqrt((u1-xi)(xi-u2)) Phi_0(xi), with Phi_0 from its
+    principal-value form (``epd.phi0_band``) at every node.  The result
+    carries the Lagrange constant L(psi) - V at the band midpoint.
 
     Raises
     ------

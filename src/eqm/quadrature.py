@@ -12,11 +12,13 @@ once per node count for every pole.
 
 ``band_integral`` is the one band rule and ``_pv_core`` the one
 principal-value rule; every other entry point hands them an integrand.
-The field forms (``field_band_integral_delta`` and friends) integrate a
-derivative of a prebuilt ``LocalField`` with the band and poles as
-offsets from its center, so they never round through one absolute
-float: bands many orders of magnitude narrower than their distance
-from the origin keep full accuracy.
+Principal values are taken in offsets only: ``pv_band_integral_delta``
+for a caller's integrand, ``field_pv_band_integral_delta`` for a
+derivative of V.  The field forms (``field_band_integral_delta`` and
+friends) integrate a derivative of a prebuilt ``LocalField`` with the
+band and poles as offsets from its center, so they never round through
+one absolute float: bands many orders of magnitude narrower than their
+distance from the origin keep full accuracy.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import InvalidInterval, SingularPoint
 
 __all__ = [
     "band_integral",
-    "pv_band_integral",
     "field_band_integral_delta",
     "field_symmetric_band_integral_delta",
     "field_pv_band_integral_delta",
@@ -107,27 +108,27 @@ def band_integral(f, u1, u2, m=None):
     return float(_adaptive(evaluate, m)[0])
 
 
-def _pv_core(f, d1, d2, dxi, m, guard_scale=None):
+def _pv_core(f, d1, d2, dxi, m):
     """PV of f(d, x)/((x-d) sqrt((d1-d)(d-d2))) at each pole x of dxi.
 
     f is called with the nodes d as a row and a block of poles x as a
     column (broadcasting, so it may ignore either), and once with d = x
     for the poles inside the band, whose f(x, x) is subtracted to remove
     the pole.  Outside poles subtract nothing; the integrand is regular
-    there.  Each pole keeps its own adaptive node count.  A pole within
-    1e-12 guard_scale (default: the band width) of an endpoint raises
-    SingularPoint.  Returns a float for a scalar dxi, else one value per
-    pole.
+    there.  Each pole keeps its own adaptive node count.  A pole on an
+    endpoint, or outside within 1e-12 band widths of one, raises
+    SingularPoint; inside poles stay regular once subtracted.  Returns a
+    float for a scalar dxi, else one value per pole.
     """
     _check_interval(d1, d2)
-    if guard_scale is None:
-        guard_scale = max(d1 - d2, 1e-12)
+    guard = 1e-12 * max(d1 - d2, 1e-12)
     xs = np.atleast_1d(np.asarray(dxi, dtype=float))
-    if np.any(np.minimum(np.abs(xs - d1), np.abs(xs - d2)) < 1e-12 * guard_scale):
+    inside = (d2 < xs) & (xs < d1)
+    near = np.minimum(np.abs(xs - d1), np.abs(xs - d2)) < guard
+    if np.any(near & ~inside):
         raise SingularPoint("evaluation point coincides with a band endpoint")
     dmid = 0.5 * (d1 + d2)
     half = 0.5 * (d1 - d2)
-    inside = (d2 < xs) & (xs < d1)
     fxi = np.zeros(xs.shape)
     if np.any(inside):
         col = xs[inside, None]
@@ -149,41 +150,16 @@ def _pv_core(f, d1, d2, dxi, m, guard_scale=None):
     return out if np.ndim(dxi) else float(out[0])
 
 
-def pv_band_integral(f, u1, u2, xi, m=None):
-    """Principal value of f(mu)/((xi-mu) sqrt((u1-mu)(mu-u2))) over (u2, u1).
-
-    For xi inside the band the pole is removed by subtracting f(xi),
-    whose own principal value vanishes.  For xi outside, the integrand
-    is regular.  Raises SingularPoint when xi sits on an endpoint.
-    f takes an array of absolute points; xi may be a float or a 1-D
-    array of poles, which returns an array.
-    """
-    _check_interval(u1, u2)
-    mid = 0.5 * (u1 + u2)
-    half = 0.5 * (u1 - u2)
-    return _pv_core(
-        lambda d, x: f(mid + d),
-        half,
-        -half,
-        np.asarray(xi, dtype=float) - mid,
-        m,
-        max(u1 - u2, 1e-6 * max(1.0, abs(u1), abs(u2))),
-    )
-
-
 def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None):
     """PV of fdelta(d, x)/((x-d) sqrt((d1-d)(d-d2))) in offset coordinates.
 
     Offsets are taken from the caller's anchor: d1 > d2 bracket the band
-    and dxi holds the poles x, a float or a 1-D array.  fdelta(d, x)
-    receives the quadrature nodes d as a row and poles x as a column and
-    broadcasts to their outer shape, so a factor that depends on the
-    nodes alone is computed once for every pole; it is also called
-    element-wise with d = x for poles inside the band.  Every pole
-    doubles its node count on its own (see ``_adaptive``), so the values
-    equal those of one call per pole.  Returns a float for a float dxi,
-    else an array.  Raises SingularPoint when any pole sits on an
-    endpoint.
+    and dxi holds the poles x, a float or a 1-D array (which returns an
+    array).  fdelta(d, x) sees the nodes d as a row and the poles x as a
+    column, so a factor of the nodes alone is formed once for every
+    pole, and once sees d = x for the poles inside the band.  Each pole
+    doubles its node count on its own, so the values equal those of one
+    call per pole.  Raises SingularPoint when a pole sits on an endpoint.
     """
     return _pv_core(fdelta, d1, d2, dxi, m)
 

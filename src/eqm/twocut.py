@@ -15,13 +15,10 @@ import numpy as np
 from . import anchored
 from .anchored import INV_SQRT_PI, AnchoredSolution, endpoints_long
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi_eval, phi_eval_grad
+from .epd import EpdSpec, phi1_symmetric_band, phi_eval_grad
 from .errors import InvalidInterval, NegativeRadicand, NotEven
 from .field import LONG
-from .quadrature import (
-    field_symmetric_band_integral_delta,
-    pv_band_integral_delta,
-)
+from .quadrature import field_symmetric_band_integral_delta
 from .rhp import EndpointVector
 
 __all__ = [
@@ -69,28 +66,13 @@ def _residual_fun(field, lf):
     return pair
 
 
-def _psi_values_right(field, lf, dm, half, dxi, edge):
-    """Right-band psi = 2 sqrt((u1^2-xi^2)(xi^2-u2^2)) Phi_1(xi): one
-    principal-value call covers the interior nodes and one tensor call
-    the edge window."""
-    spec = EpdSpec(1, "phi", field)
-    anchor = lf.center_long
+def _psi_values_right(lf, dm, half, dxi):
+    """Right-band psi = 2 sqrt((u1^2-xi^2)(xi^2-u2^2)) Phi_1(xi), Phi_1
+    by one principal-value call over all nodes."""
     d1 = dm + half
     d2 = dm - half
-    twoc = float(2.0 * anchor)
-    phi = np.empty(len(dxi))
-    if np.any(edge):
-        u1l, u2l = endpoints_long(anchor, dm, half)
-        uvec = np.array([u1l, u2l, -u2l, -u1l], dtype=LONG)
-        phi[edge] = phi_eval(spec, anchor + dxi[edge].astype(LONG), uvec)
-
-    def gdelta(d, x):
-        plus = (twoc + d + d1) * (twoc + d + d2)
-        return lf.deriv(d, 1) / ((twoc + d + x) * np.sqrt(plus))
-
-    inner = dxi[~edge]
-    xi = (anchor + inner.astype(LONG)).astype(float)
-    phi[~edge] = -(xi / math.pi) * pv_band_integral_delta(gdelta, d1, d2, inner)
+    twoc = float(2.0 * lf.center_long)
+    phi = phi1_symmetric_band(lf, d1, d2, dxi)
     rad = (d1 - dxi) * (dxi - d2)
     plus_xi = (twoc + dxi + d1) * (twoc + dxi + d2)
     return 2.0 * np.sqrt(np.maximum(rad, 0.0) * plus_xi) * phi
@@ -138,8 +120,10 @@ def density_symmetric(sol, field, grid_n):
     """Two-band equilibrium density, sampled and mirrored exactly.
 
     The right band carries grid_n Chebyshev samples of psi =
-    2 sqrt((u1^2-xi^2)(xi^2-u2^2)) Phi_1(xi); the left band is its
-    exact mirror image, so psi(-xi) = psi(xi) holds identically.
+    2 sqrt((u1^2-xi^2)(xi^2-u2^2)) Phi_1(xi), with Phi_1 from its
+    principal-value form (``epd.phi1_symmetric_band``) at every node;
+    the left band is its exact mirror image, so psi(-xi) = psi(xi)
+    holds identically.
 
     Raises
     ------

@@ -490,6 +490,19 @@ def test_auto_fallback_outcomes(tmp_path, capsys, problem, code, error, ansatz):
         assert report["verification"]["passed"] is False
 
 
+def test_oracle_reports_no_convergence(tmp_path, capsys, monkeypatch):
+    """A construction that does not converge is named by its public
+    error type in the oracle's JSON, and the oracle still runs."""
+    monkeypatch.chdir(tmp_path)
+    problem = write_problem(tmp_path, _field_problem([M4], [0.0, 0.0, 1.0], 1e12))
+    got = main(["oracle", "--problem", problem, "--grid-n", "101", "--iters", "50"])
+    assert got == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["constructed"] == {"error": "NoConvergence: residual 3.142e+12"}
+    assert payload["oracle"]["interval"] == [-2.0, 2.0]
+    assert payload["comparison"] is None
+
+
 @pytest.mark.parametrize("later_fails, want", [(True, "two-band"), (False, "twocut-sym")])
 def test_construct_tie_goes_to_later_attempt(monkeypatch, later_fails, want):
     """Both ansaetze converge for xi^4 - 10 xi^2 and the one-band sign

@@ -77,6 +77,49 @@ def test_quartic_phi1_closed_form():
         )
 
 
+@pytest.mark.parametrize("frac", [2e-6, 1e-5, 1e-4])
+def test_closed_forms_beside_a_band_match_tensor_rule(frac):
+    # frac band widths outside each endpoint the closed forms are the
+    # tensor rule, which is exact for polynomial fields
+    f0 = sextic_field(-100.0)
+    u1, u2 = 4.0, 3.5
+    w = frac * (u1 - u2)
+    spec0 = EpdSpec(0, "phi", f0)
+    for xi in (u1 + w, u2 - w):
+        want = phi_eval(spec0, xi, (u1, u2))
+        assert phi0_closed(f0, xi, u1, u2) == pytest.approx(want, rel=1e-12)
+    f1 = quartic_field(-10.0)
+    u1, u2 = 2.3, 2.1
+    w = frac * (u1 - u2)
+    spec1 = EpdSpec(1, "phi", f1)
+    for xi in (u1 + w, u2 - w, -u2 + w, -u1 - w):
+        want = phi_eval(spec1, xi, (u1, u2, -u2, -u1))
+        assert phi1_symmetric_closed(f1, xi, u1, u2) == pytest.approx(
+            want, rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("frac", [1e-15, 1e-13, 1e-6, 1e-3, 0.5])
+def test_closed_forms_inside_a_band_match_tensor_rule(frac):
+    # frac band widths inside each endpoint the closed forms take the
+    # principal value, whose subtracted integrand stays regular up to
+    # the endpoint; the tensor rule is exact here too
+    f0 = sextic_field(-100.0)
+    u1, u2 = 4.0, 3.5
+    w = frac * (u1 - u2)
+    spec0 = EpdSpec(0, "phi", f0)
+    for xi in (u1 - w, u2 + w):
+        want = phi_eval(spec0, xi, (u1, u2))
+        assert phi0_closed(f0, xi, u1, u2) == pytest.approx(want, rel=1e-12)
+    f1 = quartic_field(-10.0)
+    u1, u2 = 2.3, 2.1
+    w = frac * (u1 - u2)
+    for xi in (u1 - w, u2 + w, -u2 - w, -u1 + w):
+        assert phi1_symmetric_closed(f1, xi, u1, u2) == pytest.approx(
+            2.0 * xi, rel=1e-12
+        )
+
+
 def test_psi1_symmetric_sum_matches_tensor():
     # Psi1(u1) + Psi1(u2) equals the closed band-integral form; at
     # equilibrium endpoints this sum is the vanishing hodograph residual

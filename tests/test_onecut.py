@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from eqm import onecut
+from eqm import anchored, onecut
+from eqm.density import chebyshev_angles
 from eqm.errors import InvalidInterval, NegativeDensity
 from eqm.field import FieldSpec, PowerTerm
+from eqm.quadrature import field_pv_band_integral_delta
 
 from conftest import quartic_field, semicircle_field, semicircle_radius, sextic_field
 
@@ -117,3 +119,19 @@ def test_support_matches_table_edges(field):
     sol = onecut.solve_endpoints(field)
     edges = onecut.support(sol, field)
     assert edges == tuple(onecut.density(sol, field, 101).endpoints_desc)
+
+
+def test_edge_samples_match_fine_principal_value():
+    # |xi|^4.5 + 30 xi^2 has a kink at 0 inside the band.  At grid 801
+    # the outermost samples lie 1e-6 band widths from the endpoints;
+    # they match a principal value with a fixed 2^16 nodes.
+    field = FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),),
+                      p_coeffs=(0.0, 0.0, 1.0), t=30.0)
+    sol = onecut.solve_endpoints(field)
+    got = onecut.density(sol, field, 801).bands[0].psis_by_angle()[[0, -1]]
+    lf, dm, half = anchored._local(sol, field)
+    d1, d2 = dm + half, dm - half
+    dxi = dm + half * np.cos(chebyshev_angles(801)[[0, -1]])
+    pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=2**16)
+    want = 2.0 * np.sqrt((d1 - dxi) * (dxi - d2)) * (-pv / (2.0 * math.pi))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

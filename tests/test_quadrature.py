@@ -14,7 +14,6 @@ from eqm.quadrature import (
     field_band_integral_delta,
     field_pv_band_integral_delta,
     field_symmetric_band_integral_delta,
-    pv_band_integral,
     pv_band_integral_delta,
     r_branch,
 )
@@ -54,20 +53,22 @@ def test_symmetric_band_integral_weight():
 
 def test_pv_identity_inside():
     # PV integral of 1/((xi-mu) sqrt((u1-mu)(mu-u2))) vanishes inside
-    val = pv_band_integral(lambda mu: np.ones_like(mu), 1.0, -1.0, 0.3)
+    val = pv_band_integral_delta(lambda d, x: np.ones_like(d), 1.0, -1.0, 0.3)
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
 def test_pv_linear_inside():
-    # PV of mu/((xi-mu)sqrt(1-mu^2)): xi*PV[1/...] - pi = -pi inside
-    val = pv_band_integral(lambda mu: mu, 1.0, -1.0, 0.3)
-    assert val == pytest.approx(-math.pi, rel=1e-10)
+    # PV of mu/((xi-mu)sqrt(1-mu^2)): xi*PV[1/...] - pi = -pi inside,
+    # up to the endpoints
+    for xi in (0.3, 1.0 - 2e-13, -1.0 + 2e-13):
+        val = pv_band_integral_delta(lambda d, x: d, 1.0, -1.0, xi)
+        assert val == pytest.approx(-math.pi, rel=1e-10)
 
 
 def test_pv_matches_epsilon_limit():
     f = lambda mu: np.exp(0.3 * mu)
     u1, u2, xi = 1.2, -0.4, 0.5
-    val = pv_band_integral(f, u1, u2, xi)
+    val = pv_band_integral_delta(lambda d, x: f(d), u1, u2, xi)
 
     def sym(eps):
         g = lambda mu: f(mu) / ((xi - mu) * np.sqrt((u1 - mu) * (mu - u2)))
@@ -82,8 +83,10 @@ def test_pv_matches_epsilon_limit():
 
 
 def test_pv_singular_point_validation():
-    with pytest.raises(SingularPoint):
-        pv_band_integral(lambda mu: mu, 1.0, -1.0, 1.0)
+    # on an endpoint, or just outside one
+    for xi in (1.0, -1.0, 1.0 + 2e-13, -1.0 - 2e-13):
+        with pytest.raises(SingularPoint):
+            pv_band_integral_delta(lambda d, x: d, 1.0, -1.0, xi)
 
 
 def test_field_band_integrals_match_generic():
@@ -94,7 +97,7 @@ def test_field_band_integrals_match_generic():
     direct = band_integral(lambda mu: f.eval(mu, 1), u1, u2)
     via_field = field_band_integral_delta(lf, d1, d2, order=1)
     assert via_field == pytest.approx(direct, rel=1e-12)
-    direct_pv = pv_band_integral(lambda mu: f.eval(mu, 1), u1, u2, xi)
+    direct_pv = pv_band_integral_delta(lambda d, x: f.eval(d, 1), u1, u2, xi)
     via_field_pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1)
     assert via_field_pv == pytest.approx(direct_pv, rel=1e-9, abs=1e-9)
 
@@ -212,7 +215,9 @@ def test_field_pv_array_matches_scalar():
 
 def test_array_pv_singular_point_on_any_pole():
     with pytest.raises(SingularPoint):
-        pv_band_integral(lambda mu: mu, 1.0, -1.0, np.array([0.2, -1.0, 0.4]))
+        pv_band_integral_delta(
+            lambda d, x: d, 1.0, -1.0, np.array([0.2, -1.0, 0.4])
+        )
     with pytest.raises(SingularPoint):
         pv_band_integral_delta(
             lambda d, x: np.exp(d), 1.0, -1.0, np.array([3.0, 1.0])

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from eqm import twocut
+from eqm import anchored, twocut
+from eqm.density import chebyshev_angles
 from eqm.errors import InvalidInterval, NotEven
+from eqm.field import FieldSpec, PowerTerm
+from eqm.quadrature import pv_band_integral_delta
 
 from conftest import quartic_field, sextic_field
 
@@ -88,3 +91,29 @@ def test_support_matches_table_edges(t):
     sol = twocut.solve_endpoints_symmetric(field)
     edges = twocut.support_symmetric(sol, field)
     assert edges == tuple(twocut.density_symmetric(sol, field, 101).endpoints_desc)
+
+
+def test_edge_samples_match_fine_principal_value():
+    # |xi|^4.5 - 30 xi^2 has a kink at 0 between the bands.  At grid
+    # 801 the outermost right-band samples lie 1e-6 band widths from
+    # the endpoints; they match a principal value with a fixed 2^16
+    # nodes.  density_symmetric itself rejects this field's mass.
+    field = FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),),
+                      p_coeffs=(0.0, 0.0, 1.0), t=-30.0)
+    sol = twocut.solve_endpoints_symmetric(field)
+    assert sol.converged
+    lf, dm, half = anchored._local(sol, field)
+    got = anchored._sample(twocut._ANSATZ, lf, dm, half, 801)[[0, -1]]
+    d1, d2 = dm + half, dm - half
+    dxi = dm + half * np.cos(chebyshev_angles(801)[[0, -1]])
+    twoc = float(2.0 * lf.center_long)
+
+    def g(d, x):
+        # V'(mu) / ((xi + mu) sqrt((u1 + mu)(mu + u2)))
+        return lf.deriv(d, 1) / ((twoc + d + x) * np.sqrt(
+            (twoc + d + d1) * (twoc + d + d2)))
+
+    xi = float(lf.center_long) + dxi
+    phi = -(xi / math.pi) * pv_band_integral_delta(g, d1, d2, dxi, m=2**16)
+    rad = (d1 - dxi) * (dxi - d2) * (twoc + dxi + d1) * (twoc + dxi + d2)
+    np.testing.assert_allclose(got, 2.0 * np.sqrt(rad) * phi, rtol=1e-12, atol=0.0)
