@@ -33,12 +33,9 @@ from .errors import (EqmError, NoConvergence, NotEven, ParseError,
 from .field import FieldSpec, field_from_json, field_to_json, validate_growth
 from .onecut import density, solve_endpoints, support
 from .oracle import compare, direct_minimize, discretize
-from .twocut import (
-    density_symmetric,
-    solve_endpoints_symmetric,
-    support_symmetric,
-)
+from .twocut import density_symmetric, solve_endpoints_symmetric
 from .verify import check_variational, sign_and_gap_flags
+from .wells import global_minimizer
 
 __all__ = ["main", "ProblemFile", "parse_problem", "emit_problem"]
 
@@ -153,35 +150,46 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
     """Solve, build the density and verify, with the auto fallback.
 
     Returns (name, solution, table, report, accepted).  ``auto`` tries
-    the single band first and falls back to the symmetric two-band
-    ansatz for even fields when the construction or its verification
-    fails.  When an attempt got as far as verification, the last such
-    attempt is returned with accepted=False (verification failure);
-    otherwise the error of the attempt that got furthest propagates,
-    the later one on a tie.
+    the single band and, for even fields, the symmetric two-band ansatz.
+    The outcome depends only on what each attempt yields, ranked in the
+    canonical order onecut, then twocut-sym: an attempt whose report
+    passes wins (a passing certificate pins the unique minimizer, so at
+    most one ansatz passes); otherwise the canonically later attempt
+    that got as far as verification is returned with accepted=False;
+    otherwise the error of the attempt that got furthest propagates, the
+    canonically later one on a tie.
 
-    A converged attempt with a later one behind it runs the sign and gap
-    checks on its endpoints first.  If they fail, its report cannot
-    pass, so its density is built and verified only when no later
+    The try order only saves work.  Each support component holds a well
+    of V, so at an even double well (the global minimizer of V off 0)
+    the two-band attempt runs first and a pass ends the search before
+    any one-band solve; elsewhere the single band runs first.
+
+    A converged one-band attempt with a two-band one beside it runs the
+    sign and gap checks on its endpoints first.  If they fail, its report
+    cannot pass, so its density is built and verified only when no other
     attempt gets a report; the outcome is the same as building it at
-    once.
+    once.  The two-band attempt builds its density without that check,
+    whose g=1 kernels can cost far more than a density build that fails.
     """
     attempts = []
     if ansatz in ("auto", "onecut"):
-        attempts.append(("onecut", solve_endpoints, support, density))
+        attempts.append(("onecut", solve_endpoints, density))
     if ansatz == "twocut-sym" or (ansatz == "auto" and field.is_even):
         attempts.append(("twocut-sym", solve_endpoints_symmetric,
-                         support_symmetric, density_symmetric))
+                         density_symmetric))
+    ranked = list(enumerate(attempts))
+    if len(attempts) > 1 and global_minimizer(field)[0] != 0.0:
+        ranked.reverse()
 
     def verified(name, sol, build, flags):
         tab = build(sol, field, grid_n)
         report = check_variational(tab, field, probe_n=probe_n, sign_flags=flags)
         return name, sol, tab, report
 
-    last_solved = None
-    deferred = None  # (name, sol, build, flags) of a failed sign check
-    furthest = (-1, None)  # (stage reached, its error)
-    for i, (name, solve, edges, build) in enumerate(attempts):
+    reported = {}  # rank -> verified attempt
+    deferred = None  # (rank, (name, sol, build, flags)) of a failed sign check
+    failed = []  # (stage reached, rank, its error)
+    for rank, (name, solve, build) in ranked:
         stage = 0  # 0 solving, 1 solved, 2 converged
         try:
             sol = solve(field, tol=tol, max_iter=max_iter)
@@ -190,26 +198,25 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
                 raise NoConvergence(f"residual {sol.residual_norm:.3e}")
             stage = 2
             flags = None
-            if i + 1 < len(attempts):
-                flags = sign_and_gap_flags(edges(sol, field), field)
+            if name == "onecut" and len(attempts) > 1:
+                flags = sign_and_gap_flags(support(sol, field), field)
                 if not all(flags):
-                    deferred = (name, sol, build, flags)
+                    deferred = (rank, (name, sol, build, flags))
                     continue
-            last_solved = verified(name, sol, build, flags)
-            if last_solved[3].passed():
-                return (*last_solved, True)
+            reported[rank] = verified(name, sol, build, flags)
+            if reported[rank][3].passed():
+                return (*reported[rank], True)
         except EqmError as exc:
-            if stage >= furthest[0]:
-                furthest = (stage, exc)
-    if last_solved is None and deferred is not None:
+            failed.append((stage, rank, exc))
+    if not reported and deferred is not None:
+        rank, args = deferred
         try:
-            last_solved = verified(*deferred)
+            reported[rank] = verified(*args)
         except EqmError as exc:
-            if furthest[0] < 2:  # a later attempt wins the tie
-                furthest = (2, exc)
-    if last_solved is not None:
-        return (*last_solved, False)
-    raise furthest[1]
+            failed.append((2, rank, exc))
+    if reported:
+        return (*reported[max(reported)], False)
+    raise max(failed, key=lambda f: f[:2])[2]
 
 
 def _report_obj(name, sol, report):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,16 @@ __all__ = ["Band", "DensityTable", "chebyshev_angles"]
 # Entries of the largest point-by-term matrix one log-potential block
 # holds (128 KiB of float64), so memory stays flat in the number of points.
 _BLOCK = 2**14
+
+
+@lru_cache(maxsize=16)
+def _twiddles(n, inverse):
+    """exp(-+ i pi k / 2n), k = 0..n//2, read-only: the factors of the
+    forward (``_dst2``) or inverse (``_dct3``) transform of length n."""
+    unit = 0.5j if inverse else -0.5j
+    w = np.exp(unit * np.pi / n * np.arange(n // 2 + 1))
+    w.flags.writeable = False
+    return w
 
 
 def _dst2(x):
@@ -43,7 +54,7 @@ def _dst2(x):
     """
     n = len(x)
     v = np.concatenate([x[::2], -x[1::2][::-1]])
-    z = np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1)) * np.fft.rfft(v)
+    z = _twiddles(n, False) * np.fft.rfft(v)
     c = np.empty(n)
     c[:n // 2 + 1] = 2.0 * z.real
     c[:n // 2:-1] = -2.0 * z.imag[1:(n + 1) // 2]
@@ -60,10 +71,9 @@ def _dct3(a):
     (Makhoul 1980).
     """
     n = len(a)
-    k = np.arange(n // 2 + 1)
     rev = np.zeros(n // 2 + 1)
     rev[1:] = a[:(n - 1) // 2:-1]
-    spec = np.exp(0.5j * np.pi / n * k) * (a[:n // 2 + 1] - 1j * rev)
+    spec = _twiddles(n, True) * (a[:n // 2 + 1] - 1j * rev)
     v = np.fft.irfft(spec, n, norm="forward")
     y = np.empty(n)
     y[::2] = v[:(n + 1) // 2]

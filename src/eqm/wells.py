@@ -9,6 +9,8 @@ achievable residual floor on very narrow supports.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .field import LONG
@@ -69,6 +71,9 @@ def refine_minimizer(field, x0, keep_positive=False):
 def global_minimizer(field, positive=False):
     """Global minimizer of V, refined to extended precision.
 
+    Memoised per (field, positive): the attempt order, the solver seed
+    and the verifier's well probes of one field share one scan.
+
     Parameters
     ----------
     field : FieldSpec
@@ -82,6 +87,11 @@ def global_minimizer(field, positive=False):
     curvature : float
         V''(x); callers fall back to cruder seed widths when <= 0.
     """
+    return _scan(field, bool(positive))
+
+
+@lru_cache(maxsize=64)
+def _scan(field, positive):
     L = search_radius(field)
     if positive:
         xs = np.linspace(L / _GRID_N, L, _GRID_N)

@@ -6,12 +6,14 @@ import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import eqm
 from eqm import cli, verify
 from eqm.cli import emit_problem, main, parse_problem
-from eqm.errors import PrecisionLoss
+from eqm.errors import EqmError, NoConvergence, PrecisionLoss
+from eqm.field import FieldSpec, PowerTerm
 
 # the directory holding the eqm package under test, for child processes
 EQM_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(eqm.__file__)))
@@ -431,8 +433,8 @@ def test_invalid_solver_options_exit_4(tmp_path, capsys, solver):
 
 
 def test_two_band_sweep_row_builds_no_one_band_table(tmp_path, capsys, monkeypatch):
-    """The one-band attempt fails its sign checks, so its density is
-    never sampled once the two-band attempt passes."""
+    """At a double well the two-band attempt runs first and passes, so
+    no one-band density is sampled or sign-checked."""
     built, checked = [], []
     density, check = cli.density, verify.check_sign_and_gaps
 
@@ -453,7 +455,7 @@ def test_two_band_sweep_row_builds_no_one_band_table(tmp_path, capsys, monkeypat
     assert code == 0
     assert (row[1], row[-1]) == ("twocut-sym", "pass")
     assert built == []
-    assert checked == [0, 1]  # one sign check per attempt
+    assert checked == [1]  # the two-band report's own sign check
 
 
 M4 = {"kind": "monomial", "k": 4, "c": 1.0}
@@ -524,3 +526,132 @@ def test_construct_tie_goes_to_later_attempt(monkeypatch, later_fails, want):
     except PrecisionLoss as exc:
         name = str(exc)
     assert name == want
+
+
+X4 = PowerTerm("monomial", 4, 1.0)
+
+
+def _even_field(term, t):
+    return FieldSpec((term,), (0.0, 0.0, 1.0), float(t))
+
+
+def _outcome(field, ansatz):
+    """(ansatz, accepted) of one construction, or (error kind, None)."""
+    try:
+        name, _, _, _, accepted = cli._construct(field, ansatz, 1e-10, 100, 101,
+                                                 probe_n=40)
+        return name, accepted
+    except EqmError as exc:
+        return type(exc).__name__, None
+
+
+@pytest.mark.parametrize("k, t_from, t_to", [(4, -0.73, -0.85), (6, -0.57, -0.69)],
+                         ids=["quartic", "sextic"])
+def test_auto_outcome_independent_of_try_order(k, t_from, t_to):
+    """Across the one/two-band transition (quartic near t = -0.8, sextic
+    near -0.64) at most one ansatz passes on its own, and auto returns
+    that one.  So trying two bands first at a double well returns what
+    trying one band first did."""
+    term = PowerTerm("monomial", k, 1.0)
+    kinds = set()
+    for t in np.linspace(t_from, t_to, 7):
+        field = _even_field(term, t)
+        one, two = _outcome(field, "onecut"), _outcome(field, "twocut-sym")
+        assert not (one[1] and two[1]), t
+        passing = one if one[1] else two
+        assert passing[1], t
+        assert _outcome(field, "auto") == passing, t
+        kinds.add(passing[0])
+    assert kinds == {"onecut", "twocut-sym"}
+
+
+def test_failed_reports_rank_in_canonical_order(monkeypatch):
+    """xi^4 - 5e6 xi^2 fails both certificates.  With the one-band sign
+    pre-check forced through, the one-band report is built after the
+    two-band one, yet the canonically later two-band report is returned."""
+    monkeypatch.setattr(cli, "sign_and_gap_flags", lambda u, field: (True, True))
+    field = _even_field(X4, -5e6)
+    assert _outcome(field, "auto") == ("twocut-sym", False)
+
+
+def test_failed_one_band_sign_check_builds_no_table(monkeypatch):
+    """xi^4 - 5e6 xi^2: the two-band report fails, and the one-band sign
+    checks fail, so the one-band report could not win and its density
+    is never built."""
+    built = []
+    density = cli.density
+
+    def counted_density(*args):
+        built.append(args)
+        return density(*args)
+
+    monkeypatch.setattr(cli, "density", counted_density)
+    field = _even_field(X4, -5e6)
+    assert _outcome(field, "auto") == ("twocut-sym", False)
+    assert built == []
+
+
+@pytest.mark.parametrize("t", [10.0, -10.0], ids=["single-well", "double-well"])
+def test_error_tie_goes_to_two_band_in_either_order(monkeypatch, t):
+    """Both attempts fail at the same stage: the two-band error wins
+    whether one band runs first (xi^4 + 10 xi^2) or last (xi^4 - 10 xi^2)."""
+    def fails(message):
+        def solve(field, tol, max_iter):
+            raise NoConvergence(message)
+        return solve
+
+    monkeypatch.setattr(cli, "solve_endpoints", fails("one-band"))
+    monkeypatch.setattr(cli, "solve_endpoints_symmetric", fails("two-band"))
+    field = _even_field(X4, t)
+    with pytest.raises(NoConvergence, match="two-band"):
+        cli._construct(field, "auto", 1e-10, 100, 101, probe_n=40)
+
+
+def test_double_well_solves_no_single_band(monkeypatch):
+    """xi^4 - 10 xi^2 passes on two bands without a one-band Newton solve."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("one-band solve attempted")
+
+    monkeypatch.setattr(cli, "solve_endpoints", no_solve)
+    field = _even_field(X4, -10.0)
+    assert _outcome(field, "auto") == ("twocut-sym", True)
+
+
+def test_two_band_density_error_precedes_any_g1_sign_check(monkeypatch):
+    """|xi|^4.5 - 3 xi^2: the two-band density build raises PrecisionLoss
+    before any g=1 sign check could run; the only sign check is the
+    one-band (g=0) one."""
+    events = []
+    check, build = verify.check_sign_and_gaps, cli.density_symmetric
+
+    def spy_check(u, field):
+        events.append(("check", u.g))
+        return check(u, field)
+
+    def spy_build(*args):
+        try:
+            return build(*args)
+        except PrecisionLoss:
+            events.append(("raise", "PrecisionLoss"))
+            raise
+
+    monkeypatch.setattr(verify, "check_sign_and_gaps", spy_check)
+    monkeypatch.setattr(cli, "density_symmetric", spy_build)
+    field = _even_field(PowerTerm("abs_power", 4.5, 1.0), -3.0)
+    assert _outcome(field, "auto") == ("onecut", False)
+    assert events == [("raise", "PrecisionLoss"), ("check", 0)]
+
+
+def test_shallow_double_well_stays_one_band(tmp_path, capsys):
+    """xi^4 - 0.1 xi^2 has its wells off 0, so two bands run first, but
+    the support is one band: auto prints what --ansatz onecut prints."""
+    problem = write_problem(tmp_path, _field_problem([M4], [0.0, 0.0, 1.0], -0.1))
+    assert cli.global_minimizer(_even_field(X4, -0.1))[0] != 0.0
+    outs = []
+    for extra in ([], ["--ansatz", "onecut"]):
+        assert main(["solve", "--problem", problem, *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["ansatz"] == "onecut"
+    assert report["verification"]["passed"] is True

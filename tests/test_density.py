@@ -7,7 +7,8 @@ import pytest
 from scipy import fft, integrate
 
 from eqm import onecut, twocut
-from eqm.density import Band, DensityTable, _dct3, _dst2, chebyshev_angles
+from eqm.density import (Band, DensityTable, _dct3, _dst2, _twiddles,
+                         chebyshev_angles)
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
 
@@ -23,6 +24,44 @@ def test_real_fft_transforms_match_scipy(n):
     x = np.random.default_rng(n).standard_normal(n)
     for ours, ref in ((_dst2(x), fft.dst(x, type=2)), (_dct3(x), fft.dct(x, type=3))):
         assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def _dst2_fresh(x):
+    """``_dst2`` with its twiddles built inline on every call."""
+    n = len(x)
+    v = np.concatenate([x[::2], -x[1::2][::-1]])
+    z = np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1)) * np.fft.rfft(v)
+    c = np.empty(n)
+    c[:n // 2 + 1] = 2.0 * z.real
+    c[:n // 2:-1] = -2.0 * z.imag[1:(n + 1) // 2]
+    return c[::-1]
+
+
+def _dct3_fresh(a):
+    """``_dct3`` with its twiddles built inline on every call."""
+    n = len(a)
+    k = np.arange(n // 2 + 1)
+    rev = np.zeros(n // 2 + 1)
+    rev[1:] = a[:(n - 1) // 2:-1]
+    spec = np.exp(0.5j * np.pi / n * k) * (a[:n // 2 + 1] - 1j * rev)
+    v = np.fft.irfft(spec, n, norm="forward")
+    y = np.empty(n)
+    y[::2] = v[:(n + 1) // 2]
+    y[1::2] = v[:(n - 1) // 2:-1]
+    return y
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 201, 401, 801])
+def test_cached_twiddles_are_bitwise_fresh(n):
+    """The per-length twiddle cache changes no bit of either transform,
+    on the call that fills it and on the calls that reuse it."""
+    x = np.random.default_rng(n).standard_normal(n)
+    _twiddles.cache_clear()
+    for _ in range(2):
+        assert np.array_equal(_dst2(x), _dst2_fresh(x))
+        assert np.array_equal(_dct3(x), _dct3_fresh(x))
+    assert _twiddles.cache_info().hits == 2
+    assert not _twiddles(n, False).flags.writeable
 
 
 def test_chebyshev_angles_layout():
