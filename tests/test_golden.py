@@ -1,9 +1,11 @@
 """Byte-identity of CLI outputs against stored golden files.
 
 The files under ``tests/data/golden`` hold the ``eqm sweep --log`` CSV
-of two short two-band sweeps and, for three one-band problems and one
+of two short two-band sweeps and, for five one-band problems and one
 two-band problem, the ``density.csv`` plus the report's ``endpoints``
-and ``lagrange_l``.
+and ``lagrange_l``.  The two non-even one-band fields, xi^4 - 10 xi and
+xi^6 - 1e4 xi^3, have endpoints that move with the last bit of the
+g = 0 endpoint residual.
 They pin the numbers a kernel or quadrature change must not move.
 Regenerate them only for a deliberate change of results, with
 
@@ -33,6 +35,8 @@ SOLVES = {
     "quartic-onecut": ([MONO4], [0.0, 0.0, 1.0], 1e4),
     "abs4.5-linear": ([ABS45], [0.0, 1.0], -30.0),
     "quartic-twocut": ([MONO4], [0.0, 0.0, 1.0], -10.0),
+    "quartic-linear": ([MONO4], [0.0, 1.0], -10.0),
+    "sextic-cubic": ([MONO6], [0.0, 0.0, 0.0, 1.0], -1e4),
 }
 # name: (vstar, t_from, t_to); three log rows of V = vstar + t xi^2
 SWEEPS = {
