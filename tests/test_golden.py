@@ -10,6 +10,16 @@ They pin the numbers a kernel or quadrature change must not move.
 Regenerate them only for a deliberate change of results, with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+A change that claims unchanged results is checked on a wider set, the
+DUMP_SOLVES problems and DUMP_SWEEPS sweeps below.  Run
+
+    PYTHONPATH=src python tests/test_golden.py --dump DIR
+
+on each tree, then ``diff -r`` the two directories.  Every case gets a
+directory holding its exit code, stdout and stderr (a sweep's CSV is
+its stdout); a solve adds the ``problem.json``, ``report.json`` and
+``density.csv`` of ``eqm solve --out``.
 """
 
 import contextlib
@@ -28,6 +38,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 MONO4 = {"kind": "monomial", "k": 4, "c": 1.0}
 MONO6 = {"kind": "monomial", "k": 6, "c": 1.0}
 ABS45 = {"kind": "abs_power", "a": 4.5, "c": 1.0}
+ABS35 = {"kind": "abs_power", "a": 3.5, "c": 1.0}
+MONO8 = {"kind": "monomial", "k": 8, "c": 1.0}
 
 # name: (vstar, ascending p coefficients, t)
 SOLVES = {
@@ -42,6 +54,43 @@ SOLVES = {
 SWEEPS = {
     "sweep-quartic": ([MONO4], -10.0, -1000.0),
     "sweep-sextic-even": ([MONO6], -10.0, -1000.0),
+}
+
+
+# The dump set: one-band, two-band and fallback cases across the
+# one/two-band transitions.  family: (vstar, {degree of p: t values}),
+# with p = xi^degree.
+_FAMILIES = {
+    "abs3.5": ([ABS35], {1: (-10.0, 10.0), 2: (-5.0, -1.0, 1.0, 3.0)}),
+    "abs4.5": ([ABS45], {1: (-30.0, 300.0),
+                         2: (-30.0, -3.0, -1.6, -1.0, 0.3, 1.0, 3.0, 30.0)}),
+    "quartic": ([MONO4], {1: (-10.0, 100.0),
+                          2: (-1e8, -5e6, -2.5e6, -1e5, -1000.0, -10.0, -0.8,
+                              -0.75, -0.1, 0.0, 100.0, 1e4, 1e12)}),
+    "sextic": ([MONO6], {2: (-1e4, -1000.0, -10.0, -0.65, -0.6),
+                         3: (-1e6, -1e4, -100.0)}),
+}
+DUMP_SOLVES = {
+    f"{family}-x{deg}-t{t:g}": (vstar, [0.0] * deg + [1.0], t)
+    for family, (vstar, tilts) in _FAMILIES.items()
+    for deg, ts in tilts.items()
+    for t in ts
+}
+DUMP_SOLVES["semicircle"] = SOLVES["semicircle"]
+DUMP_SOLVES["octic-x4-t10"] = ([MONO8], [0.0, 0.0, -3.0, 0.0, 1.0], 10.0)
+# name: (vstar, t_from, t_to, steps, log) of V = vstar + t xi^2
+DUMP_SWEEPS = {
+    "sweep-quartic-log5": ([MONO4], -10.0, -1e5, 5, True),
+    "sweep-abs4.5-log4": ([ABS45], 3.0, 3000.0, 4, True),
+    "sweep-abs4.5-neg-log3": ([ABS45], -3.0, -300.0, 3, True),
+    "sweep-quartic-log160": ([MONO4], -0.1, -1e6, 160, True),
+    "sweep-sextic-log160": ([MONO6], -0.1, -1e6, 160, True),
+    "sweep-quartic-offset-log5": ([MONO4], -6.31, -6.31e4, 5, True),
+    "sweep-sextic-offset-log4": ([MONO6], -7.9, -7.9e3, 4, True),
+    "sweep-abs3.5-log12": ([ABS35], -0.1, -100.0, 12, True),
+    "sweep-quartic-lin51": ([MONO4], -0.5, -1.0, 51, False),
+    "sweep-sextic-lin51": ([MONO6], -0.4, -0.9, 51, False),
+    "sweep-abs4.5-lin6": ([ABS45], -1.5, -1.75, 6, False),
 }
 
 
@@ -94,10 +143,42 @@ def test_outputs_match_golden(tmp_path, name):
         assert text == _read(os.path.join(GOLDEN, fname)), fname
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
-    os.makedirs(GOLDEN, exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in [*SOLVES, *SWEEPS]:
-            for fname, text in _outputs(tmp, name).items():
-                with open(os.path.join(GOLDEN, fname), "w") as fh:
-                    fh.write(text)
+def _run_captured(argv, case_dir):
+    """Run the CLI in process; write its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    for fname, text in (("exit_code", f"{code}\n"), ("stdout", out.getvalue()),
+                        ("stderr", err.getvalue())):
+        with open(os.path.join(case_dir, fname), "w") as fh:
+            fh.write(text)
+
+
+def dump(root):
+    """Write the outputs of every DUMP_SOLVES and DUMP_SWEEPS case under root."""
+    for name, (vstar, p, t) in DUMP_SOLVES.items():
+        case = os.path.join(root, name)
+        os.makedirs(case)
+        path = _problem(case, "problem", vstar, p, t)
+        _run_captured(["solve", "--problem", path, "--out", case], case)
+    for name, (vstar, t_from, t_to, steps, log) in DUMP_SWEEPS.items():
+        case = os.path.join(root, name)
+        os.makedirs(case)
+        path = _problem(case, "problem", vstar, [0.0, 0.0, 1.0], t_from)
+        argv = ["sweep", "--problem", path, f"--t-from={t_from!r}",
+                f"--t-to={t_to!r}", "--steps", str(steps)]
+        _run_captured(argv + (["--log"] if log else []), case)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        os.makedirs(GOLDEN, exist_ok=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in [*SOLVES, *SWEEPS]:
+                for fname, text in _outputs(tmp, name).items():
+                    with open(os.path.join(GOLDEN, fname), "w") as fh:
+                        fh.write(text)
+    elif len(sys.argv) == 3 and sys.argv[1] == "--dump":
+        dump(sys.argv[2])
+    else:
+        sys.exit("usage: test_golden.py --write | --dump DIR")
