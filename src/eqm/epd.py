@@ -22,7 +22,15 @@ field of degree M the integrand is a polynomial of degree
 D = M - order in every slot, so m = ceil((D+1)/2) nodes are exact and
 are the default; fields with absolute-power terms default to m = 32
 (g = 0) or m = 24 (g = 1).  ``phi_eval`` takes a single point or a 1-D
-array of points and evaluates an array in one tensor contraction.
+array of points and evaluates an array in one tensor contraction.  The
+rule's per-slot vectors are built once per (g, m, dtype).
+
+The endpoint residuals read one slope, dPsi_g/du_2, so ``phi_slope`` and
+``phi_slope_anchored`` contract only that gradient column: one tensor of
+V^(order+1) and one contraction, where ``phi_eval_grad`` builds tensors
+of V^(order) and V^(order+1) and contracts 2g+4 times.  Each contraction
+keeps ``np.tensordot``'s own reshape-and-dot form, so the slope is the
+full gradient's column bit for bit.
 
 The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  Inside a band
@@ -53,6 +61,8 @@ __all__ = [
     "phi_eval",
     "phi_eval_grad",
     "phi_eval_anchored",
+    "phi_slope",
+    "phi_slope_anchored",
     "epd_residual",
     "epd2_eval",
     "phi0_band",
@@ -219,7 +229,8 @@ def _validate_u(g, u):
     return u
 
 
-def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64):
+def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64,
+                 slot=None):
     """Nested-affine tensor quadrature at absolute coordinates.
 
     Builds one local expansion over the hull of the points and the
@@ -229,65 +240,108 @@ def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64):
     xs = np.atleast_1d(np.asarray(xi, dtype=LONG))
     ul = np.asarray(u, dtype=LONG)
     pts = np.concatenate([xs, ul])
+    grad = want_grad or slot is not None
     lf = LocalField(field, float(pts.min()), float(pts.max()),
-                    max_order=order + (1 if want_grad else 0))
+                    max_order=order + (1 if grad else 0))
     return _tensor_core(lf, g, order, xs - lf.center_long, ul - lf.center_long,
-                        m, want_grad=want_grad, dtype=dtype)
+                        m, want_grad=want_grad, dtype=dtype, slot=slot)
 
 
-def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64):
-    """Core nested-affine tensor quadrature in local offsets.
+@lru_cache(maxsize=32)
+def _rule_vectors(g, m, dtype):
+    """The tensor rule's per-slot vectors in dtype, built once, read-only.
 
-    dxi holds the offsets of P evaluation points, du those of the
-    endpoints.  Returns the P values and, with want_grad, their (P, 2g+3)
-    gradients w.r.t. (xi, u_1, ..., u_{2g+2}).  The points are contracted
-    in chunks whose argument tensor holds at most _TENSOR_CAP entries.
+    Returns (avecs, bvecs, wvecs, m0, grad_vecs): the pullback factors
+    a_k = (1+x_k)/2 and b_k = (1-x_k)/2, the weights w_k, the
+    normalization, and for each gradient slot (xi, u_1, ..., u_{2g+2})
+    the per-axis vectors its contraction takes.  d(arg)/d(xi) factorizes
+    as prod_k a_k over the tensor axes, and d(arg)/d(u_j) as b_j times
+    the a_k of the later axes.
     """
     nvar = 2 * g + 2
-    dxi = np.atleast_1d(np.asarray(dxi).astype(dtype))
-    du = np.asarray(du).astype(dtype)
-
     avecs, bvecs, wvecs = [], [], []
     for k in range(1, nvar + 1):
         x, w = _jacobi_rule(m, k)
         avecs.append((0.5 * (1.0 + x)).astype(dtype))
         bvecs.append((0.5 * (1.0 - x)).astype(dtype))
         wvecs.append(w.astype(dtype))
-    m0 = dtype(_normalization(g, m))
-
-    # d(arg)/d(xi) factorizes as prod_k a_k over the tensor axes, and
-    # d(arg)/d(u_j) as b_j times the a_k of the later axes.
-    grad_vecs = []
-    if want_grad:
-        grad_vecs.append([w * a for w, a in zip(wvecs, avecs)])
-        for j in range(1, nvar + 1):
-            vecs = []
-            for k in range(nvar):
-                if k + 1 < j:
-                    vecs.append(wvecs[k])
-                elif k + 1 == j:
-                    vecs.append(wvecs[k] * bvecs[k])
-                else:
-                    vecs.append(wvecs[k] * avecs[k])
-            grad_vecs.append(vecs)
-
-    def contract(tensor, axis_vecs):
-        for vec in reversed(axis_vecs):
-            tensor = np.tensordot(tensor, vec, axes=([-1], [0]))
-        return m0 * tensor
-
-    values, grads = [], []
-    step = max(1, _TENSOR_CAP // m**nvar)
-    for start in range(0, len(dxi), step):
-        arg = dxi[start:start + step]
+    grad_vecs = [tuple(w * a for w, a in zip(wvecs, avecs))]
+    for j in range(1, nvar + 1):
+        vecs = []
         for k in range(nvar):
-            arg = np.multiply.outer(arg, avecs[k]) + du[k] * bvecs[k]
-        values.append(contract(lf.deriv(arg, order, dtype=dtype), wvecs))
+            if k + 1 < j:
+                vecs.append(wvecs[k])
+            elif k + 1 == j:
+                vecs.append(wvecs[k] * bvecs[k])
+            else:
+                vecs.append(wvecs[k] * avecs[k])
+        grad_vecs.append(tuple(vecs))
+    for vecs in (avecs, bvecs, wvecs, *grad_vecs):
+        for vec in vecs:
+            vec.flags.writeable = False
+    return (tuple(avecs), tuple(bvecs), tuple(wvecs), dtype(_normalization(g, m)),
+            tuple(grad_vecs))
+
+
+def _contract(tensor, m0, axis_vecs):
+    """m0 times tensor contracted over its trailing axes with axis_vecs.
+
+    Each step is np.tensordot(tensor, vec, axes=([-1], [0])) written
+    out: tensordot reshapes to (-1, m) and calls np.dot against vec as
+    an (m, 1) column, and so does this, without tensordot's per-call
+    axis bookkeeping.  The form is kept on purpose.  The rounding
+    depends on the BLAS kernel np.dot reaches (one row goes to ddot,
+    several to gemv, and the two can differ by an ulp); matmul, einsum
+    or one flattened Kronecker weight pick their own kernels and
+    summation orders, so only this form is tensordot's bit for bit by
+    construction.
+    """
+    for vec in reversed(axis_vecs):
+        m = vec.shape[0]
+        tensor = np.dot(tensor.reshape(-1, m), vec.reshape(m, 1)).reshape(
+            tensor.shape[:-1])
+    return m0 * tensor
+
+
+def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64,
+                 slot=None):
+    """Core nested-affine tensor quadrature in local offsets.
+
+    dxi holds the offsets of P evaluation points, du those of the
+    endpoints.  Returns the P values and, with want_grad, their (P, 2g+3)
+    gradients w.r.t. (xi, u_1, ..., u_{2g+2}).  With slot (0 for xi, j
+    for u_j) it returns only the P gradient components along that
+    variable: one derivative tensor of order+1 and one contraction,
+    where the full gradient takes two tensors and 2g+4 contractions.
+    Every returned float comes out of the same operations either way.
+    The points are contracted in chunks whose argument tensor holds at
+    most _TENSOR_CAP entries.
+    """
+    nvar = 2 * g + 2
+    dxi = np.atleast_1d(np.asarray(dxi).astype(dtype))
+    du = np.asarray(du).astype(dtype)
+    avecs, bvecs, wvecs, m0, grad_vecs = _rule_vectors(g, m, dtype)
+
+    def args():
+        step = max(1, _TENSOR_CAP // m**nvar)
+        for start in range(0, len(dxi), step):
+            arg = dxi[start:start + step]
+            for k in range(nvar):
+                arg = np.multiply.outer(arg, avecs[k]) + du[k] * bvecs[k]
+            yield arg
+
+    if slot is not None:
+        return np.concatenate([
+            _contract(lf.deriv(arg, order + 1, dtype=dtype), m0, grad_vecs[slot])
+            for arg in args()
+        ])
+    values, grads = [], []
+    for arg in args():
+        values.append(_contract(lf.deriv(arg, order, dtype=dtype), m0, wvecs))
         if want_grad:
             fprime = lf.deriv(arg, order + 1, dtype=dtype)
-            grads.append(
-                np.stack([contract(fprime, v) for v in grad_vecs], axis=-1)
-            )
+            grads.append(np.stack(
+                [_contract(fprime, m0, v) for v in grad_vecs], axis=-1))
     if not want_grad:
         return np.concatenate(values)
     return np.concatenate(values), np.concatenate(grads)
@@ -333,6 +387,19 @@ def phi_eval_grad(spec, xi, u, m=None, dtype=np.float64):
     return vals[0], grads[0]
 
 
+def phi_slope(spec, xi, u, slot, m=None, dtype=np.float64):
+    """One gradient component of Phi_g/Psi_g at one point: the partial
+    derivative along slot (0 for xi, j for u_j).
+
+    Equal bit for bit to ``phi_eval_grad(spec, xi, u)[1][slot]``, from
+    one derivative tensor and one contraction; Newton residuals that
+    read one slope use it.
+    """
+    u = _validate_u(spec.g, u)
+    return _tensor_eval(spec.field, spec.g, spec.order, xi, u, spec.nodes(m),
+                        dtype=dtype, slot=slot)[0]
+
+
 def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
                       dtype=np.float64):
     """Phi/Psi evaluation with the point and endpoints as local offsets.
@@ -364,6 +431,21 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
     if want_grad:
         return out[0][0], out[1][0]
     return out[0]
+
+
+def phi_slope_anchored(spec, lf, dxi, du, slot, m=None, dtype=np.float64):
+    """``phi_slope`` with the point(s) and endpoints as offsets from the
+    center of lf, as in ``phi_eval_anchored``; an array dxi returns an
+    array.  Equal bit for bit to the slot column of
+    ``phi_eval_anchored(..., want_grad=True)``.
+    """
+    du = _validate_u(spec.g, np.asarray(du, dtype=float))
+    need = spec.order + 1
+    if lf.mode == "series" and lf.max_order < need:
+        raise ValueError(f"LocalField max_order {lf.max_order} < {need}")
+    out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),
+                       du, spec.nodes(m), dtype=dtype, slot=slot)
+    return out if np.ndim(dxi) else out[0]
 
 
 def epd_residual(spec, xi, u, i, j, h):

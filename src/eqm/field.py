@@ -387,7 +387,7 @@ class LocalField:
 
     def _coeffs_for(self, order, dtype=np.float64):
         """Horner coefficients of V^(order)(center+delta) in delta."""
-        key = (order, np.dtype(dtype).name)
+        key = (order, dtype)
         co = self._horner.get(key)
         if co is None:
             T = self._taylor

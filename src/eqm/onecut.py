@@ -14,7 +14,7 @@ import numpy as np
 from . import anchored
 from .anchored import INV_SQRT_PI, AnchoredSolution
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi0_band, phi_eval_anchored
+from .epd import EpdSpec, phi0_band, phi_slope_anchored
 from .errors import NegativeRadicand
 from .field import LONG
 from .quadrature import field_band_integral_delta
@@ -40,8 +40,7 @@ def _residual_fun(field, lf):
     def pair(dm, half):
         d1 = dm + half
         d2 = dm - half
-        _, grads = phi_eval_anchored(spec, lf, d1, (d1, d2), want_grad=True)
-        g2 = float(grads[2])
+        g2 = float(phi_slope_anchored(spec, lf, d1, (d1, d2), slot=2))
         if not g2 > 0.0:
             raise NegativeRadicand("dPsi0/du2 is not positive at the iterate")
         f1 = 2.0 * half * math.sqrt(g2) - INV_SQRT_PI

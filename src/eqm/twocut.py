@@ -15,7 +15,7 @@ import numpy as np
 from . import anchored
 from .anchored import INV_SQRT_PI, AnchoredSolution, endpoints_long
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi1_symmetric_band, phi_eval_grad
+from .epd import EpdSpec, phi1_symmetric_band, phi_slope
 from .errors import InvalidInterval, NegativeRadicand, NotEven
 from .field import LONG
 from .quadrature import field_symmetric_band_integral_delta
@@ -53,8 +53,7 @@ def _residual_fun(field, lf):
         if not u2 > 0.0:
             raise InvalidInterval("inner endpoint must stay positive")
         uvec = np.array([u1, u2, -u2, -u1], dtype=LONG)
-        _, grads = phi_eval_grad(spec, u1, uvec)
-        g2 = float(grads[2])
+        g2 = float(phi_slope(spec, u1, uvec, slot=2))
         if not g2 > 0.0:
             raise NegativeRadicand("dPsi1/du2 is not positive at the iterate")
         s = 4.0 * float(anchor + LONG(dm))  # 2 (u1 + u2)

@@ -14,10 +14,13 @@ from eqm.epd import (
     phi0_closed,
     phi1_symmetric_closed,
     phi_eval,
+    phi_eval_anchored,
     phi_eval_grad,
+    phi_slope,
+    phi_slope_anchored,
     psi1_symmetric_sum,
 )
-from eqm.field import FieldSpec, PowerTerm
+from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
 
 from conftest import quartic_field, semicircle_field, sextic_field
 
@@ -321,3 +324,125 @@ def test_abs_power_kernel_keeps_default_nodes():
             u = ENDPOINTS[g]
             xi = POINTS[g][2]
             assert phi_eval(spec, xi, u) == phi_eval(spec, xi, u, m=dense)
+
+
+def abs_even_field(t):
+    """V = |xi|^4.5 + t*xi^2 (non-polynomial, default nodes)."""
+    return FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),),
+                     p_coeffs=(0.0, 0.0, 1.0), t=float(t))
+
+
+# quartic, even sextic, xi^6 + t xi^3, and |xi|^4.5, whose g = 1 rule
+# (24^4 nodes) contracts one point per chunk
+SLOT_FIELDS = [quartic_field(-3.0), even_sextic_field(-2.0), sextic_field(-2.0),
+               abs_even_field(-3.0)]
+
+
+@pytest.mark.parametrize("field", SLOT_FIELDS, ids=["quartic", "sextic-even",
+                                                    "sextic-cubic", "abs4.5"])
+@pytest.mark.parametrize("g", [0, 1])
+@pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["float64", "longdouble"])
+def test_slot_gradient_is_bitwise_the_full_gradient_column(field, g, dtype):
+    """phi_slope and phi_slope_anchored return, bit for bit, the column of
+    the full gradient they stand for, for one point and for a batch.
+
+    The 24^4 one-point-per-chunk rule of |xi|^4.5 at g = 1 runs in
+    float64; in longdouble, where each such tensor costs 0.2 s, the rule
+    there takes 6 nodes per slot.
+    """
+    spec = EpdSpec(g, "psi", field)
+    slow = dtype is LONG and g == 1 and not field.is_polynomial
+    m = spec.nodes(6 if slow else None)
+    u = ENDPOINTS[g]
+    xs = np.array(POINTS[g][:2])
+    lf = LocalField(field, -3.0, 3.0, max_order=4)
+    dxs = lf.to_delta(xs)
+    du = lf.to_delta(np.array(u))
+    full = {
+        "batch": epd._tensor_eval(field, g, spec.order, xs, u, m, want_grad=True,
+                                  dtype=dtype)[1],
+        "one": phi_eval_grad(spec, xs[0], u, m=m, dtype=dtype)[1],
+        "anchored batch": phi_eval_anchored(spec, lf, dxs, du, m=m,
+                                            want_grad=True, dtype=dtype)[1],
+        "anchored one": phi_eval_anchored(spec, lf, dxs[0], du, m=m,
+                                          want_grad=True, dtype=dtype)[1],
+    }
+    for slot in range(2 * g + 3):
+        got = {
+            "batch": epd._tensor_eval(field, g, spec.order, xs, u, m, dtype=dtype,
+                                      slot=slot),
+            "one": phi_slope(spec, xs[0], u, slot, m=m, dtype=dtype),
+            "anchored batch": phi_slope_anchored(spec, lf, dxs, du, slot, m=m,
+                                                 dtype=dtype),
+            "anchored one": phi_slope_anchored(spec, lf, dxs[0], du, slot, m=m,
+                                               dtype=dtype),
+        }
+        for key, grad in full.items():
+            assert np.array_equal(got[key], grad[..., slot]), (key, slot)
+
+
+def _tensordot_contract(tensor, m0, axis_vecs):
+    for vec in reversed(axis_vecs):
+        tensor = np.tensordot(tensor, vec, axes=([-1], [0]))
+    return m0 * tensor
+
+
+# one point, several points, and the chunk shapes of the default rules:
+# 324 points of 32^2 nodes at g = 0, one point of 24^4 at g = 1
+@pytest.mark.parametrize("shape", [(1, 5, 5), (7, 5, 5), (1, 3, 3, 3, 3),
+                                   (6, 3, 3, 3, 3), (324, 32, 32), (17, 32, 32),
+                                   (1, 24, 24, 24, 24)])
+@pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["float64", "longdouble"])
+def test_contraction_is_bitwise_tensordot(shape, dtype):
+    rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+    tensor = rng.standard_normal(shape).astype(dtype)
+    vecs = [rng.random(n).astype(dtype) for n in shape[1:]]
+    m0 = dtype(0.37)
+    got = epd._contract(tensor, m0, vecs)
+    assert got.shape == (shape[0],)
+    assert np.array_equal(got, _tensordot_contract(tensor, m0, vecs))
+
+
+def _rule_vectors_fresh(g, m, dtype):
+    """The rule vectors as _tensor_core built them inline on every call."""
+    nvar = 2 * g + 2
+    avecs, bvecs, wvecs = [], [], []
+    for k in range(1, nvar + 1):
+        x, w = epd._jacobi_rule(m, k)
+        avecs.append((0.5 * (1.0 + x)).astype(dtype))
+        bvecs.append((0.5 * (1.0 - x)).astype(dtype))
+        wvecs.append(w.astype(dtype))
+    m0 = dtype(epd._normalization(g, m))
+    grad_vecs = [[w * a for w, a in zip(wvecs, avecs)]]
+    for j in range(1, nvar + 1):
+        vecs = []
+        for k in range(nvar):
+            if k + 1 < j:
+                vecs.append(wvecs[k])
+            elif k + 1 == j:
+                vecs.append(wvecs[k] * bvecs[k])
+            else:
+                vecs.append(wvecs[k] * avecs[k])
+        grad_vecs.append(vecs)
+    return avecs, bvecs, wvecs, m0, grad_vecs
+
+
+@pytest.mark.parametrize("g, m", [(0, 1), (0, 3), (0, 32), (1, 2), (1, 24)])
+@pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["float64", "longdouble"])
+def test_cached_rule_vectors_are_bitwise_fresh(g, m, dtype):
+    """The per-(g, m, dtype) cache changes no bit of the rule vectors, on
+    the call that fills it and on the call that reuses it, and hands out
+    arrays no caller can write to."""
+    epd._rule_vectors.cache_clear()
+    fresh = _rule_vectors_fresh(g, m, dtype)
+    for _ in range(2):
+        avecs, bvecs, wvecs, m0, grad_vecs = epd._rule_vectors(g, m, dtype)
+        assert m0 == fresh[3] and type(m0) is dtype
+        for got, want in zip((avecs, bvecs, wvecs, *grad_vecs),
+                             (*fresh[:3], *fresh[4])):
+            assert len(got) == len(want) == 2 * g + 2
+            for a, b in zip(got, want):
+                assert a.dtype == dtype and np.array_equal(a, b)
+                assert not a.flags.writeable
+    assert epd._rule_vectors.cache_info().hits == 1
+    assert len(grad_vecs) == 2 * g + 3

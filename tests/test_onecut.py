@@ -8,7 +8,7 @@ import pytest
 from eqm import anchored, onecut
 from eqm.density import chebyshev_angles
 from eqm.errors import InvalidInterval, NegativeDensity
-from eqm.field import FieldSpec, PowerTerm
+from eqm.field import FieldSpec, LocalField, PowerTerm
 from eqm.quadrature import field_pv_band_integral_delta
 
 from conftest import quartic_field, semicircle_field, semicircle_radius, sextic_field
@@ -135,3 +135,22 @@ def test_edge_samples_match_fine_principal_value():
     pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=2**16)
     want = 2.0 * np.sqrt((d1 - dxi) * (dxi - d2)) * (-pv / (2.0 * math.pi))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_residual_builds_one_derivative_tensor(monkeypatch):
+    """One residual evaluation evaluates the tensor rule once, for
+    V^(2) only: dPsi0/du2 is the one slope the pair reads."""
+    field = sextic_field(-10.0)
+    lf, dm, half = anchored._local(onecut.solve_endpoints(field), field)
+    pair = onecut._residual_fun(field, lf)
+    orders = []
+    deriv = LocalField.deriv
+
+    def spy(self, delta, order, dtype=np.float64):
+        if np.ndim(delta) == 3:  # the tensor rule's argument
+            orders.append(order)
+        return deriv(self, delta, order, dtype=dtype)
+
+    monkeypatch.setattr(LocalField, "deriv", spy)
+    pair(dm, half)
+    assert orders == [2]

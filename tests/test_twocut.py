@@ -8,7 +8,7 @@ import pytest
 from eqm import anchored, twocut
 from eqm.density import chebyshev_angles
 from eqm.errors import InvalidInterval, NotEven
-from eqm.field import FieldSpec, PowerTerm
+from eqm.field import FieldSpec, LocalField, PowerTerm
 from eqm.quadrature import pv_band_integral_delta
 
 from conftest import quartic_field, sextic_field
@@ -117,3 +117,22 @@ def test_edge_samples_match_fine_principal_value():
     phi = -(xi / math.pi) * pv_band_integral_delta(g, d1, d2, dxi, m=2**16)
     rad = (d1 - dxi) * (dxi - d2) * (twoc + dxi + d1) * (twoc + dxi + d2)
     np.testing.assert_allclose(got, 2.0 * np.sqrt(rad) * phi, rtol=1e-12, atol=0.0)
+
+
+def test_residual_builds_one_derivative_tensor(monkeypatch):
+    """One residual evaluation evaluates the tensor rule once, for
+    V^(3) only: dPsi1/du2 is the one slope the pair reads."""
+    field = quartic_field(-1000.0)
+    lf, dm, half = anchored._local(twocut.solve_endpoints_symmetric(field), field)
+    pair = twocut._residual_fun(field, lf)
+    orders = []
+    deriv = LocalField.deriv
+
+    def spy(self, delta, order, dtype=np.float64):
+        if np.ndim(delta) == 5:  # the tensor rule's argument
+            orders.append(order)
+        return deriv(self, delta, order, dtype=dtype)
+
+    monkeypatch.setattr(LocalField, "deriv", spy)
+    pair(dm, half)
+    assert orders == [3]
