@@ -78,6 +78,10 @@ DUMP_SOLVES = {
 }
 DUMP_SOLVES["semicircle"] = SOLVES["semicircle"]
 DUMP_SOLVES["octic-x4-t10"] = ([MONO8], [0.0, 0.0, -3.0, 0.0, 1.0], 10.0)
+# An even field with V''(0) > 0 whose global minimizers sit off 0, at
+# +-1.383: xi^6 - 3 xi^4 + 0.5 xi^2, certified as twocut-sym
+DUMP_SOLVES["sextic-side-wells-x4-t-3"] = (
+    [MONO6, {"kind": "monomial", "k": 2, "c": 0.5}], [0.0] * 4 + [1.0], -3.0)
 # name: (vstar, t_from, t_to, steps, log) of V = vstar + t xi^2
 DUMP_SWEEPS = {
     "sweep-quartic-log5": ([MONO4], -10.0, -1e5, 5, True),
