@@ -14,7 +14,8 @@ Chebyshev node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -43,7 +44,6 @@ class AnchoredSolution:
 
     u1: float
     u2: float
-    lagrange_l: float
     converged: bool
     residual_norm: float
     anchor: object = None
@@ -51,6 +51,16 @@ class AnchoredSolution:
     half: float = 0.0
     iterations: int = 0
     message: str = ""
+    _lagrange: Callable = dc_field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def lagrange_l(self):
+        """L(psi) - V at the band midpoint, nan unless converged.
+
+        Computed on first read, from a density sampled in the solve's
+        own local expansion: a sweep row never reads it.
+        """
+        return math.nan if self._lagrange is None else self._lagrange()
 
 
 @dataclass(frozen=True)
@@ -159,13 +169,24 @@ def solve(ansatz, field, guess, tol, max_iter):
                         validate=validate)
     dm, half = float(res.x[0]), float(res.x[1])
     u1, u2 = endpoints_long(anchor, dm, half)
-    lagrange_l = math.nan
+    lagrange = None
     if res.converged:
-        psis = _sample(ansatz, lf, dm, half, _LAGRANGE_GRID)
-        lagrange_l = _lagrange(_table(ansatz, lf, dm, half, psis), field, lf, dm)
-    return ansatz.solution(float(u1), float(u2), lagrange_l, res.converged,
+        lagrange = partial(_solve_lagrange, ansatz, field, lf, dm, half)
+    return ansatz.solution(float(u1), float(u2), res.converged,
                            res.residual_norm, anchor=anchor, dm=dm, half=half,
-                           iterations=res.iterations, message=res.message)
+                           iterations=res.iterations, message=res.message,
+                           _lagrange=lagrange)
+
+
+def _solve_lagrange(ansatz, field, lf, dm, half):
+    """Lagrange constant of a _LAGRANGE_GRID-node density sampled in lf.
+
+    lf is the expansion the solve itself worked in: the one _local()
+    rebuilds is sized from the final (dm, half), not the seed, and
+    moves the last bits.
+    """
+    psis = _sample(ansatz, lf, dm, half, _LAGRANGE_GRID)
+    return _lagrange(_table(ansatz, lf, dm, half, psis), field, lf, dm)
 
 
 def _sample(ansatz, lf, dm, half, n):

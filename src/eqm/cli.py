@@ -35,7 +35,7 @@ from .onecut import density, solve_endpoints, support
 from .oracle import compare, direct_minimize, discretize
 from .twocut import density_symmetric, solve_endpoints_symmetric
 from .verify import check_variational, sign_and_gap_flags
-from .wells import global_minimizer
+from .wells import wells
 
 __all__ = ["main", "ProblemFile", "parse_problem", "emit_problem"]
 
@@ -178,7 +178,7 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
         attempts.append(("twocut-sym", solve_endpoints_symmetric,
                          density_symmetric))
     ranked = list(enumerate(attempts))
-    if len(attempts) > 1 and global_minimizer(field)[0] != 0.0:
+    if len(attempts) > 1 and wells(field)[0] != 0.0:
         ranked.reverse()
 
     def verified(name, sol, build, flags):
@@ -464,7 +464,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = _Parser(prog="eqm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

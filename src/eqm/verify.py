@@ -9,6 +9,11 @@ Checks, on finite probe grids plus a structural tail argument:
 * the pointwise sign condition on the band factor and the strict signs
   of the running integrals of ``R * Phi`` over gaps and exterior rays.
 
+For a polynomial field the band factor Phi is a polynomial, so the
+sign and integral checks read it from its Chebyshev interpolant at
+degree+1 points, one tensor-rule evaluation per check; other fields
+evaluate the tensor rule at every probe.
+
 Large external fields make ``L(psi) - V - l`` a difference of huge,
 nearly equal numbers, so all potential differences are taken relative
 to a reference point on the support, with the field part accumulated
@@ -28,7 +33,7 @@ from .errors import EqmError
 from .field import eval_derivative, potential_difference
 from .quadrature import r_branch
 from .rhp import EndpointVector
-from .wells import global_minimizer
+from .wells import wells
 
 __all__ = [
     "VariationalReport",
@@ -106,11 +111,10 @@ def _probe_grid(density, field, probe_n):
     ufar = max(abs(umax), abs(umin))
     far = np.array([-100.0, -10.0, 10.0, 100.0]) * ufar
     try:
-        well = float(global_minimizer(field)[0])
-        wells = [well, -well] if field.is_even else [well]
+        minimizers = [float(w) for w in wells(field)]
     except EqmError:
-        wells = []
-    pts = np.concatenate([window, far, np.array(wells)])
+        minimizers = []
+    pts = np.concatenate([window, far, np.array(minimizers)])
     buf = 1e-9 * max(1.0, diam)
     keep = np.ones(pts.shape, dtype=bool)
     for b in density.bands:
@@ -239,36 +243,45 @@ def _segment_integrals(f, a, b):
     return half * (f(x.ravel()).reshape(x.shape) @ _SEGMENT_W)
 
 
-def _phi_real_roots(u: EndpointVector, field, phi):
-    """Real roots of the band factor, or None for non-polynomial fields.
+def _phi_interpolant(u: EndpointVector, field, phi):
+    """The band factor as its Chebyshev interpolant, with its real roots.
 
     For a polynomial field of degree M the band factor is a polynomial
     of degree M - g - 2 in the evaluation point, so interpolating it at
-    degree+1 Chebyshev points recovers it exactly.  The running
-    integrals of R*Phi are monotone between consecutive real roots,
-    which turns the strict-sign checks on probe grids into certificates:
-    every interior extremum is probed, and past the largest root the
-    integrand cannot change sign again.
+    degree+1 Chebyshev points recovers it exactly: one call of phi
+    there replaces one per probe.  The running integrals of R*Phi are
+    monotone between consecutive real roots, which turns the
+    strict-sign checks on probe grids into certificates: every interior
+    extremum is probed, and past the largest root the integrand cannot
+    change sign again.
+
+    Returns
+    -------
+    (callable, ndarray) or None
+        The interpolant and the sorted real roots; None for a
+        non-polynomial field.
     """
     if not field.is_polynomial:
         return None
     deg = max(0, int(field.max_degree) - u.g - 2)
-    if deg == 0:
-        return np.empty(0)
     scale = 2.0 * max(1.0, abs(u.u[0]), abs(u.u[-1]), u.u[0] - u.u[-1])
     ys = np.cos(chebyshev_angles(deg + 1))
-    vals = phi(scale * ys)
-    coef = np.polynomial.chebyshev.cheb2poly(
-        np.polynomial.chebyshev.chebfit(ys, vals, deg)
-    )
+    cheb = np.polynomial.chebyshev.chebfit(ys, phi(scale * ys), deg)
+
+    def interpolant(x):
+        return np.polynomial.chebyshev.chebval(x / scale, cheb)
+
+    if deg == 0:
+        return interpolant, np.empty(0)
+    coef = np.polynomial.chebyshev.cheb2poly(cheb)
     floor = 1e-13 * float(np.max(np.abs(coef)))
     while len(coef) > 1 and abs(coef[-1]) < floor:
         coef = coef[:-1]
     if len(coef) <= 1:
-        return np.empty(0)
+        return interpolant, np.empty(0)
     roots = np.polynomial.polynomial.polyroots(coef)
     real = roots[np.abs(roots.imag) < 1e-7 * np.maximum(1.0, np.abs(roots.real))]
-    return np.sort(real.real) * scale
+    return interpolant, np.sort(real.real) * scale
 
 
 def _gap_running_ok(u: EndpointVector, phi, lo, hi, roots):
@@ -361,13 +374,18 @@ def check_sign_and_gaps(u: EndpointVector, field):
     """Sign condition on bands and strict gap/exterior integral signs.
 
     Returns ``(constraint_sign_ok, gap_integral_ok)``.  For polynomial
-    fields the gap and ray checks probe every turning point of the
-    running integrals and certify the tails root-free; non-polynomial
-    fields fall back to a monotone doubling scan for the tail.
+    fields every check reads the band factor from its exact Chebyshev
+    interpolant, and the gap and ray checks probe every turning point
+    of the running integrals and certify the tails root-free;
+    non-polynomial fields evaluate the tensor rule at every probe and
+    fall back to a monotone doubling scan for the tail.
     """
     phi = _phi_factory(u, field)
+    roots = None
+    interpolated = _phi_interpolant(u, field, phi)
+    if interpolated is not None:
+        phi, roots = interpolated
     sign_ok = _band_signs_ok(u, phi)
-    roots = _phi_real_roots(u, field, phi)
 
     diam = u.u[0] - u.u[-1]
     gaps_ok = True

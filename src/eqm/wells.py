@@ -15,7 +15,7 @@ import numpy as np
 
 from .field import LONG
 
-__all__ = ["search_radius", "refine_minimizer", "global_minimizer"]
+__all__ = ["search_radius", "refine_minimizer", "global_minimizer", "wells"]
 
 _GRID_N = 20001
 
@@ -88,6 +88,26 @@ def global_minimizer(field, positive=False):
         V''(x); callers fall back to cruder seed widths when <= 0.
     """
     return _scan(field, bool(positive))
+
+
+def wells(field):
+    """The global minimizers of V: both mirror points for an even field.
+
+    For an even field with V''(0) < 0, 0 is a local maximum, so the
+    minimizers are exactly +-x+, x+ the half-line minimizer that the
+    two-band seed scans for anyway.  Any other field takes the
+    full-line scan.
+
+    Returns
+    -------
+    tuple of longdouble
+        (x, -x) for an even field, else (x,).
+    """
+    if field.is_even and field.eval(0.0, 2) < 0.0:
+        x = global_minimizer(field, positive=True)[0]
+    else:
+        x = global_minimizer(field)[0]
+    return (x, -x) if field.is_even else (x,)
 
 
 @lru_cache(maxsize=64)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism."""
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 import eqm
-from eqm import cli, verify
+from eqm import anchored, cli, verify
+from eqm import wells as wells_module
 from eqm.cli import emit_problem, main, parse_problem
 from eqm.errors import EqmError, NoConvergence, PrecisionLoss
 from eqm.field import FieldSpec, PowerTerm
@@ -346,6 +348,20 @@ def test_main_in_process(tmp_path, capsys):
     assert json.loads(captured.out)["converged"] is True
 
 
+def test_reused_parser_matches_fresh_process(tmp_path, capsys):
+    """The parser is built once per process; a call that fails to parse
+    leaves nothing behind, so a valid solve after it prints what a
+    fresh process prints."""
+    problem = write_problem(tmp_path, QUARTIC)
+    assert main(["solve", "--problem", problem, "--steps", "3"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    code = main(["solve", "--problem", problem])
+    out = capsys.readouterr().out
+    fresh = run_cli(["solve", "--problem", problem], cwd=str(tmp_path))
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize(
     "field_text, reason",
     [
@@ -646,7 +662,7 @@ def test_shallow_double_well_stays_one_band(tmp_path, capsys):
     """xi^4 - 0.1 xi^2 has its wells off 0, so two bands run first, but
     the support is one band: auto prints what --ansatz onecut prints."""
     problem = write_problem(tmp_path, _field_problem([M4], [0.0, 0.0, 1.0], -0.1))
-    assert cli.global_minimizer(_even_field(X4, -0.1))[0] != 0.0
+    assert cli.wells(_even_field(X4, -0.1))[0] != 0.0
     outs = []
     for extra in ([], ["--ansatz", "onecut"]):
         assert main(["solve", "--problem", problem, *extra]) == 0
@@ -655,3 +671,59 @@ def test_shallow_double_well_stays_one_band(tmp_path, capsys):
     report = json.loads(outs[0])
     assert report["ansatz"] == "onecut"
     assert report["verification"]["passed"] is True
+
+
+def _spy(monkeypatch, module, name, record, calls=None):
+    """Replace module.name by a wrapper that appends record(*args) to
+    calls (a new list unless given) before each call; returns calls."""
+    calls, fn = [] if calls is None else calls, getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_two_band_sweep_row_scans_half_line_only(tmp_path, capsys, monkeypatch):
+    """A sweep row of xi^4 - 1e3 xi^2 finds its wells on the half line
+    the two-band seed scans, and never reads the solution's Lagrange
+    constant, so no full-line scan and no 201-node density run."""
+    scans = _spy(monkeypatch, wells_module, "_scan", lambda field, positive: positive)
+    grids = _spy(monkeypatch, anchored, "_sample", lambda ansatz, lf, dm, half, n: n)
+    problem = write_problem(tmp_path, QUARTIC)
+    code = main(["sweep", "--problem", problem, "--t-from=-1e3", "--t-to=-1e3",
+                 "--steps", "1"])
+    row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert code == 0
+    assert (row[1], row[-1]) == ("twocut-sym", "pass")
+    assert scans and all(scans)
+    assert grids and anchored._LAGRANGE_GRID not in grids
+
+
+@pytest.mark.parametrize("problem", [SEMI, _field_problem([M4], [0.0, 0.0, 1.0], -0.1)],
+                         ids=["semicircle", "shallow-double-well"])
+def test_solve_reads_lagrange_constant_once(tmp_path, capsys, monkeypatch, problem):
+    """eqm solve samples the 201-node Lagrange density exactly once: for
+    the reported solution, not for each converged attempt."""
+    grids = _spy(monkeypatch, anchored, "_sample", lambda ansatz, lf, dm, half, n: n)
+    assert main(["solve", "--problem", write_problem(tmp_path, problem)]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["lagrange_l"])
+    assert grids.count(anchored._LAGRANGE_GRID) == 1
+
+
+def test_side_wells_with_convex_origin_try_two_bands_first(monkeypatch):
+    """xi^6 - 3 xi^4 + 0.5 xi^2 has V''(0) = 1 > 0 but its global
+    minimizers at +-1.383: the full-line scan finds them off 0, and the
+    two-band attempt, which passes, runs first."""
+    field = FieldSpec((PowerTerm("monomial", 6, 1.0), PowerTerm("monomial", 2, 0.5)),
+                      (0.0, 0.0, 0.0, 0.0, 1.0), -3.0)
+    scans = _spy(monkeypatch, wells_module, "_scan", lambda field, positive: positive)
+    order = []
+    for name in ("solve_endpoints", "solve_endpoints_symmetric"):
+        _spy(monkeypatch, cli, name, lambda *a, name=name, **k: name, order)
+    assert _outcome(field, "auto") == ("twocut-sym", True)
+    assert order == ["solve_endpoints_symmetric"]
+    assert False in scans
+    assert abs(float(cli.wells(field)[0])) == pytest.approx(1.3830657718, rel=1e-9)

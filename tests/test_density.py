@@ -1,5 +1,6 @@
 """Density tables: masses, potentials, CSV round-trip."""
 
+import importlib
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from scipy import fft, integrate
 
 from eqm import onecut, twocut
-from eqm.density import (Band, DensityTable, _dct3, _dst2, _twiddles,
-                         chebyshev_angles)
+from eqm.density import (Band, DensityTable, _dct3, _dst2, _inverse_powers,
+                         _twiddles, chebyshev_angles)
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
 
@@ -223,3 +224,40 @@ def test_log_potential_array_matches_points_two_bands():
     pts = np.concatenate([on, off[:-2]])
     total = sum(band.log_potential(pts) for band in tab.bands)
     assert tab.log_potential(pts).tolist() == total.tolist()
+
+
+def _full_width_powers(w, n):
+    return np.cumprod(np.broadcast_to(w, (w.size, n)), axis=1)
+
+
+def _off_band_points(rng, size, scale):
+    """size points with |y| drawn around scale (|y| > 1), mixed signs."""
+    y = scale * (1.0 + 1e-3 * rng.uniform(1e-3, 1.0, size))
+    return y * rng.choice([-1.0, 1.0], size)
+
+
+@pytest.mark.parametrize("size", [1, 40, 401])
+@pytest.mark.parametrize("scale", [1.0, 1.2, 1.3, 1e3, 1e6],
+                         ids=["near-1", "w-above-half", "w-below-half", "1e3", "1e6"])
+def test_truncated_powers_match_full_cumprod_bitwise(monkeypatch, size, scale):
+    """The off-band powers multiply out only the columns before
+    underflow; the sums they feed keep every bit of the full-width
+    running product, with and without the full-width fallback."""
+    rng = np.random.default_rng(size)
+    y = _off_band_points(rng, size, scale)
+    w = 1.0 / (y + np.copysign(np.sqrt(y * y - 1.0), y))[:, None]
+    a = rng.standard_normal(801)
+    for n in (1, 401, 801):
+        got, want = _inverse_powers(w, n), _full_width_powers(w, n)
+        assert np.array_equal(got, want)
+        assert (got @ a[:n]).tobytes() == (want @ a[:n]).tobytes()
+    band = _rough_table(400).bands[0]
+    pts = band.mid + band.half * y
+    module = importlib.import_module("eqm.density")
+    got = band.log_potential(pts)
+    # a too-short column estimate forces the check's full-width fallback
+    monkeypatch.setattr(module, "_LOG_TINY", -1.0)
+    fallback = band.log_potential(pts)
+    monkeypatch.setattr(module, "_inverse_powers", _full_width_powers)
+    want = band.log_potential(pts)
+    assert got.tobytes() == want.tobytes() == fallback.tobytes()

@@ -4,9 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqm import onecut, twocut, verify
 from eqm.density import Band, DensityTable
+from eqm.errors import EqmError
+from eqm.field import FieldSpec, PowerTerm
+from eqm.rhp import EndpointVector
 
 from conftest import quartic_field, semicircle_field, sextic_field
 
@@ -145,3 +150,79 @@ def test_three_bands_report_unchecked_signs():
     rep = verify.check_variational(DensityTable(bands), field)
     assert rep.mass_residual < 1e-8
     assert not rep.constraint_sign_ok and not rep.gap_integral_ok
+
+
+def _tensor_sign_and_gaps(u, field):
+    """check_sign_and_gaps with the tensor rule at every probe: the
+    reference the interpolated band factor must match.
+
+    Returns the two booleans, the values at the interpolation nodes and
+    the (points, values) of every other evaluation.
+    """
+    tensor, calls = verify._phi_factory(u, field), []
+
+    def phi(x):
+        vals = tensor(x)
+        calls.append((np.atleast_1d(x), np.atleast_1d(vals)))
+        return vals
+
+    roots = verify._phi_interpolant(u, field, phi)[1]
+    nodes = calls.pop()[1]
+    sign_ok = verify._band_signs_ok(u, phi)
+    diam = u.u[0] - u.u[-1]
+    runs = [verify._gap_running_ok(u, phi, lo, hi, roots) for lo, hi in u.gaps]
+    runs.append(verify._ray_running_ok(u, phi, u.u[0], diam, +1, roots))
+    runs.append(verify._ray_running_ok(u, phi, u.u[-1], diam, -1, roots))
+    return (sign_ok, all(runs)), nodes, calls
+
+
+def _endpoint_vectors(field):
+    """Converged one- and two-band endpoints of field, and each with its
+    edges shifted by a tenth of the support width."""
+    solvers = [onecut.solve_endpoints]
+    if field.is_even:
+        solvers.append(twocut.solve_endpoints_symmetric)
+    out = []
+    for solve in solvers:
+        try:
+            sol = solve(field)
+        except EqmError:
+            continue
+        if sol.converged:
+            out.append(sol.endpoint_vector())
+    for u in list(out):
+        shift = 0.1 * (u.u[0] - u.u[-1])
+        out.append(EndpointVector(u.g, tuple(x + shift for x in u.u)))
+    return out
+
+
+@st.composite
+def _polynomial_fields(draw):
+    """xi^k + t xi^n, k = 4, 6 or 8 and 1 <= n < k, t = +-10^(-1..5)."""
+    k = draw(st.sampled_from([4, 6, 8]))
+    n = draw(st.integers(1, k - 1))
+    t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-1.0, 5.0))
+    return FieldSpec((PowerTerm("monomial", k, 1.0),), (0.0,) * n + (1.0,), t)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(_polynomial_fields())
+@example(quartic_field(-10.0))  # one band in one well of a double well
+@example(sextic_field(-1e4))
+def test_interpolated_band_factor_matches_tensor_rule(field):
+    """For polynomial fields the sign and gap checks read the band
+    factor from its Chebyshev interpolant.  On converged and on wrong
+    endpoints they decide as the tensor rule at every probe does, and
+    the interpolant stays within 1e-9 of max|Phi(nodes)| there."""
+    for u in _endpoint_vectors(field):
+        try:
+            want, nodes, calls = _tensor_sign_and_gaps(u, field)
+        except EqmError as exc:
+            with pytest.raises(type(exc)):
+                verify.check_sign_and_gaps(u, field)
+            continue
+        assert verify.check_sign_and_gaps(u, field) == want, u
+        interpolant = verify._phi_interpolant(u, field, verify._phi_factory(u, field))[0]
+        bound = 1e-9 * np.max(np.abs(nodes))
+        for x, vals in calls:
+            assert np.max(np.abs(interpolant(x) - vals)) <= bound, u
