@@ -34,8 +34,9 @@ _LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
 
 
 def _inverse_powers(w, n):
-    """w^1..w^n by running product for a column w, |w| < 1: the bits of
-    ``np.cumprod`` over the broadcast (rows, n) matrix.
+    """w^1..w^n by running product for a column w, |w| < 1: the values
+    of ``np.cumprod`` over the broadcast (rows, n) matrix, bit for bit
+    but for the sign of zeros.
 
     Under |w| = 1/2 a running product falls to exact zero a column or
     two after |w|^k drops below the smallest subnormal, and stays zero.

@@ -271,8 +271,6 @@ def _phi_interpolant(u: EndpointVector, field, phi):
     def interpolant(x):
         return np.polynomial.chebyshev.chebval(x / scale, cheb)
 
-    if deg == 0:
-        return interpolant, np.empty(0)
     coef = np.polynomial.chebyshev.cheb2poly(cheb)
     floor = 1e-13 * float(np.max(np.abs(coef)))
     while len(coef) > 1 and abs(coef[-1]) < floor:
