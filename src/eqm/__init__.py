@@ -2,7 +2,7 @@
 
 from .asymptotics import AsymptoticPrediction, ScalingStudy, predict, scaling_study
 from .density import Band, DensityTable
-from .epd import EpdSpec, epd2_eval, epd_residual, phi_eval, phi_eval_grad
+from .epd import EpdSpec, epd_residual, phi_eval, phi_eval_grad
 from .errors import (
     DomainError,
     EqmError,
@@ -20,7 +20,6 @@ from .errors import (
 from .field import (
     FieldSpec,
     PowerTerm,
-    eval_derivative,
     field_from_json,
     field_to_json,
     polynomial_field,
@@ -34,14 +33,8 @@ from .oracle import (
     direct_minimize,
     discretize,
 )
-from .rhp import EndpointVector, QPolynomial, hodograph_residual, q_polynomial
+from .rhp import EndpointVector, QPolynomial, q_polynomial
 from .twocut import TwoCutSolution, density_symmetric, solve_endpoints_symmetric
-from .verify import (
-    VariationalReport,
-    check_sign_and_gaps,
-    check_variational,
-    effective_potential,
-    far_field_deviation,
-)
+from .verify import VariationalReport, check_sign_and_gaps, check_variational
 
 __version__ = "0.1.0"

@@ -207,12 +207,11 @@ def _local(sol, field):
     return lf, dm, half
 
 
-def support(ansatz, sol, field):
-    """Descending band edges of the table density() builds for sol,
-    found without sampling it."""
+def support(sol, field):
+    """Descending edges (u1, u2) of the one-band table density() builds
+    for sol, found without sampling it."""
     lf, dm, half = _local(sol, field)
-    u1, u2 = (float(u) for u in endpoints_long(lf.center_long, dm, half))
-    return (u1, u2, -u2, -u1) if ansatz.mirror else (u1, u2)
+    return tuple(float(u) for u in endpoints_long(lf.center_long, dm, half))
 
 
 def _lagrange(table, field, lf, dm):

@@ -36,8 +36,7 @@ The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  Inside a band
 Phi is evaluated only by the principal-value kernels ``phi0_band``
 (g = 0) and ``phi1_symmetric_band`` (reflection-symmetric g = 1), off
-the bands only by the tensor rule; ``phi0_closed`` and
-``phi1_symmetric_closed`` pick between them for one absolute point.
+the bands only by the tensor rule.
 """
 
 from __future__ import annotations
@@ -48,13 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInterval, NotEven
 from .field import FieldSpec, LocalField
-from .quadrature import (
-    field_pv_band_integral_delta,
-    field_symmetric_band_integral_delta,
-    pv_band_integral_delta,
-)
+from .quadrature import field_pv_band_integral_delta, pv_band_integral_delta
 
 __all__ = [
     "EpdSpec",
@@ -64,12 +58,8 @@ __all__ = [
     "phi_slope",
     "phi_slope_anchored",
     "epd_residual",
-    "epd2_eval",
     "phi0_band",
     "phi1_symmetric_band",
-    "phi0_closed",
-    "phi1_symmetric_closed",
-    "psi1_symmetric_sum",
 ]
 
 LONG = np.longdouble
@@ -400,8 +390,7 @@ def phi_slope(spec, xi, u, slot, m=None, dtype=np.float64):
                         dtype=dtype, slot=slot)[0]
 
 
-def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
-                      dtype=np.float64):
+def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
     """Phi/Psi evaluation with the point and endpoints as local offsets.
 
     Parameters
@@ -409,10 +398,10 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
     spec : EpdSpec
     lf : LocalField
         Prebuilt expansion whose center is the caller's anchor; its
-        max_order must cover spec.order (+1 with gradients).
+        max_order must cover spec.order.
     dxi : float or 1-D array of float
         Offset(s) of the evaluation point(s) from the anchor; an array
-        returns an array of values (and of gradients).
+        returns an array of values.
     du : sequence of float
         Endpoint offsets, descending, length 2g+2 (ties allowed).
 
@@ -421,23 +410,18 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, want_grad=False,
     absolute coordinates ever rounding through a float.
     """
     du = _validate_u(spec.g, np.asarray(du, dtype=float))
-    need = spec.order + (1 if want_grad else 0)
-    if lf.mode == "series" and lf.max_order < need:
-        raise ValueError(f"LocalField max_order {lf.max_order} < {need}")
+    if lf.mode == "series" and lf.max_order < spec.order:
+        raise ValueError(f"LocalField max_order {lf.max_order} < {spec.order}")
     out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),
-                       du, spec.nodes(m), want_grad=want_grad, dtype=dtype)
-    if np.ndim(dxi):
-        return out
-    if want_grad:
-        return out[0][0], out[1][0]
-    return out[0]
+                       du, spec.nodes(m), dtype=dtype)
+    return out if np.ndim(dxi) else out[0]
 
 
 def phi_slope_anchored(spec, lf, dxi, du, slot, m=None, dtype=np.float64):
     """``phi_slope`` with the point(s) and endpoints as offsets from the
     center of lf, as in ``phi_eval_anchored``; an array dxi returns an
-    array.  Equal bit for bit to the slot column of
-    ``phi_eval_anchored(..., want_grad=True)``.
+    array.  Equal bit for bit to the slot column of the full gradient
+    from the same offsets.
     """
     du = _validate_u(spec.g, np.asarray(du, dtype=float))
     need = spec.order + 1
@@ -503,25 +487,6 @@ def epd_residual(spec, xi, u, i, j, h):
     return float(2.0 * (u[i - 1] - u[j - 1]) * mixed - di + dj)
 
 
-def epd2_eval(boundary, rho, x1, x2, m=64):
-    """Two-variable mean-value solution with parameter rho > 0.
-
-    Averages the boundary function over the affine pullback
-    (1+s)/2 * x1 + (1-s)/2 * x2 against the Jacobi weight
-    (1-s)^(-1/2) (1+s)^((rho-2)/2); returns boundary(x1) exactly on the
-    diagonal x1 == x2.
-    """
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
-    if x1 == x2:
-        return float(boundary(x1))
-    x, w = _gauss_jacobi(m, -0.5, 0.5 * (rho - 2.0))
-    x, w = x.astype(float), w.astype(float)
-    args = 0.5 * (1.0 + x) * x1 + 0.5 * (1.0 - x) * x2
-    vals = np.asarray([boundary(a) for a in args], dtype=float)
-    return float(np.dot(w, vals) / np.sum(w))
-
-
 def phi0_band(lf, d1, d2, dxi, m=None):
     """Phi_0 = -PV int V'(mu) / ((xi-mu) sqrt((u1-mu)(mu-u2))) / (2 pi).
 
@@ -550,46 +515,3 @@ def phi1_symmetric_band(lf, d1, d2, dxi, m=None):
 
     xi = (anchor + np.asarray(dxi, dtype=float).astype(LONG)).astype(float)
     return -(xi / math.pi) * pv_band_integral_delta(gdelta, d1, d2, dxi, m=m)
-
-
-def phi0_closed(field, xi, u1, u2, m=None):
-    """Phi_0 at one point: in band, the principal value ``phi0_band``
-    (m Chebyshev nodes, adaptive when omitted); off band, ``phi_eval``.
-    """
-    if not u1 > u2:
-        raise InvalidInterval(f"need u1 > u2, got ({u1}, {u2})")
-    if not u2 < xi < u1:
-        return phi_eval(EpdSpec(0, "phi", field), xi, (u1, u2))
-    lf = LocalField(field, u2, u1, max_order=1)
-    d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
-    return phi0_band(lf, d1, d2, dxi, m=m)
-
-
-def phi1_symmetric_closed(field, xi, u1, u2, m=None):
-    """Phi_1 at one point for an even field on endpoints (u1, u2, -u2, -u1)
-    with 0 < u2 < u1, odd in xi: in band, the principal value
-    ``phi1_symmetric_band`` (m Chebyshev nodes, adaptive when omitted);
-    off band, ``phi_eval``.
-    """
-    if not field.is_even:
-        raise NotEven("phi1_symmetric_closed requires an even field")
-    if not 0.0 < u2 < u1:
-        raise InvalidInterval(f"need 0 < u2 < u1, got ({u1}, {u2})")
-    ax = abs(xi)
-    if not u2 < ax < u1:
-        return phi_eval(EpdSpec(1, "phi", field), xi, (u1, u2, -u2, -u1))
-    lf = LocalField(field, u2, u1, max_order=1)
-    d1, d2, dax = (float(lf.to_delta(x)) for x in (u1, u2, ax))
-    phi = phi1_symmetric_band(lf, d1, d2, dax, m=m)
-    return math.copysign(1.0, xi) * float(phi)
-
-
-def psi1_symmetric_sum(field, u1, u2, m=None):
-    """Psi_1(u1) + Psi_1(u2) on symmetric endpoints, via one band integral."""
-    if not field.is_even:
-        raise NotEven("psi1_symmetric_sum requires an even field")
-    if not 0.0 < u2 < u1:
-        raise InvalidInterval(f"need 0 < u2 < u1, got u1={u1}, u2={u2}")
-    lf = LocalField(field, u2, u1, max_order=1)
-    d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
-    return field_symmetric_band_integral_delta(lf, d1, d2, order=1, m=m) / math.pi

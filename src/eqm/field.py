@@ -25,7 +25,6 @@ __all__ = [
     "PowerTerm",
     "FieldSpec",
     "LocalField",
-    "eval_derivative",
     "validate_growth",
     "potential_difference",
     "field_from_json",
@@ -187,32 +186,6 @@ def polynomial_field(coeffs_desc):
         if c != 0.0:
             terms.append(PowerTerm("monomial", float(deg - i), float(c)))
     return FieldSpec(vstar=tuple(terms), p_coeffs=(0.0, 1.0), t=0.0)
-
-
-def eval_derivative(field, xi, order=0):
-    """order-th derivative of the full field V at xi.
-
-    Parameters
-    ----------
-    field : FieldSpec
-    xi : float or array_like
-    order : int
-        Derivative order, 0 to 4.
-
-    Returns
-    -------
-    float or ndarray
-
-    Raises
-    ------
-    DomainError
-        If the derivative does not exist at xi = 0 for a singular
-        absolute-power term, or order is out of range.
-    """
-    out = field.eval(xi, order)
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out)
-    return out
 
 
 def validate_growth(field):

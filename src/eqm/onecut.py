@@ -111,4 +111,4 @@ def density(sol, field, grid_n):
 
 def support(sol, field):
     """Descending edges (u1, u2) of the band density() tabulates."""
-    return anchored.support(_ANSATZ, sol, field)
+    return anchored.support(sol, field)

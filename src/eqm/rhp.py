@@ -7,7 +7,7 @@ whose ratio with R has prescribed growth and zero gap integrals
 (``pgn_poly``), extracts the moments q_{g,k} of the field against 1/R
 (``qgk``), and assembles the degree-(2g+1) polynomial Q(xi, u) whose
 coefficients all vanish exactly at equilibrium endpoint configurations
-(``q_polynomial``, ``hodograph_residual``).
+(``q_polynomial``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "pgn_poly",
     "qgk",
     "q_polynomial",
-    "hodograph_residual",
 ]
 
 
@@ -342,7 +341,6 @@ def _add_pgn_terms(acc, u: EndpointVector, field: FieldSpec):
             )
             pk = pgn_poly(u, k)
             acc[len(acc) - len(pk):] += LONG(ck) * np.asarray(pk, dtype=LONG)
-    return acc
 
 
 def q_polynomial(u: EndpointVector, field: FieldSpec, m=None):
@@ -355,26 +353,3 @@ def q_polynomial(u: EndpointVector, field: FieldSpec, m=None):
         acc -= LONG(psis[i]) * basis
     _add_pgn_terms(acc, u, field)
     return QPolynomial(tuple(float(c) for c in acc))
-
-
-def hodograph_residual(u: EndpointVector, field: FieldSpec, m=None):
-    """Endpoint-equation residuals: -Q(u_i) for each endpoint, as a vector.
-
-    These equal 2 R^2 Phi_g - Q evaluated at the u_i, where the R^2 term
-    drops out because R vanishes there; zero exactly at equilibrium.
-    """
-    pts = u.precise
-    psis = _psi_values(u, field, m)
-    extra = _add_pgn_terms(np.zeros(2 * u.g + 2, dtype=LONG), u, field)
-    out = []
-    for i in range(len(pts)):
-        q_at_ui = LONG(0.0)
-        for c in extra:
-            q_at_ui = q_at_ui * pts[i] + c
-        prod = LONG(1.0)
-        for l in range(len(pts)):
-            if l != i:
-                prod *= pts[i] - pts[l]
-        q_at_ui -= prod * LONG(psis[i])
-        out.append(float(-q_at_ui))
-    return np.array(out)

@@ -30,18 +30,16 @@ import numpy as np
 from .density import chebyshev_angles
 from .epd import EpdSpec, phi_eval
 from .errors import EqmError
-from .field import eval_derivative, potential_difference
+from .field import potential_difference
 from .quadrature import r_branch
 from .rhp import EndpointVector
 from .wells import wells
 
 __all__ = [
     "VariationalReport",
-    "effective_potential",
     "check_variational",
     "check_sign_and_gaps",
     "sign_and_gap_flags",
-    "far_field_deviation",
 ]
 
 _TOL_EQ = 1e-6
@@ -86,12 +84,6 @@ class VariationalReport:
             "gap_integral_ok": self.gap_integral_ok,
             "passed": self.passed(),
         }
-
-
-def effective_potential(density, field, xi):
-    """``L(psi)(xi) - V(xi)``: constant on the support of a minimizer."""
-    lp = density.log_potential(xi)
-    return lp - eval_derivative(field, xi, 0)
 
 
 def _reference_point(density):
@@ -183,31 +175,6 @@ def sign_and_gap_flags(endpoints, field):
         return check_sign_and_gaps(u, field)
     except (EqmError, np.linalg.LinAlgError):
         return False, False
-
-
-def far_field_deviation(density):
-    """Deviation of L(psi) from the recentered mass-1 far field.
-
-    ``L(psi)(xi) - (1/pi) log|xi - m1|`` tends to zero as ``|xi|`` grows
-    (unit mass, first moment ``m1``); recentering on ``m1`` removes the
-    leading ``1/xi`` term, which dominates at affordable probe distances
-    for supports away from the origin.  Returns the larger absolute
-    deviation at the two probes ``+-100 * max|endpoint|``.
-    """
-    m1 = 0.0
-    for b in density.bands:
-        theta = chebyshev_angles(len(b.xs))
-        xs = b.mid + b.half * np.cos(theta)
-        m1 += (np.pi * b.half / len(b.xs)) * float(
-            np.dot(xs * b.psis_by_angle(), np.sin(theta))
-        )
-    u = density.endpoints_desc
-    ufar = float(max(abs(u[0]), abs(u[-1])))
-    out = 0.0
-    for xi in (-100.0 * ufar, 100.0 * ufar):
-        d = density.log_potential(xi) - math.log(abs(xi - m1)) / math.pi
-        out = max(out, abs(d))
-    return out
 
 
 def _phi_factory(u: EndpointVector, field):

@@ -9,18 +9,16 @@ from scipy.special import roots_jacobi
 from eqm import epd
 from eqm.epd import (
     EpdSpec,
-    epd2_eval,
     epd_residual,
-    phi0_closed,
-    phi1_symmetric_closed,
+    phi0_band,
+    phi1_symmetric_band,
     phi_eval,
-    phi_eval_anchored,
     phi_eval_grad,
     phi_slope,
     phi_slope_anchored,
-    psi1_symmetric_sum,
 )
 from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
+from eqm.quadrature import field_symmetric_band_integral_delta
 
 from conftest import quartic_field, semicircle_field, sextic_field
 
@@ -28,6 +26,27 @@ from conftest import quartic_field, semicircle_field, sextic_field
 def monomial(k):
     return FieldSpec(vstar=(PowerTerm("monomial", float(k), 1.0),),
                      p_coeffs=(0.0, 1.0), t=0.0)
+
+
+def phi0_at(field, xi, u1, u2):
+    """Phi_0 at one point: the principal value inside the band, the
+    tensor rule elsewhere (a point that rounds onto an edge included)."""
+    if not u2 < xi < u1:
+        return phi_eval(EpdSpec(0, "phi", field), xi, (u1, u2))
+    lf = LocalField(field, u2, u1, max_order=1)
+    d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
+    return phi0_band(lf, d1, d2, dxi)
+
+
+def phi1_symmetric_at(field, xi, u1, u2):
+    """Phi_1 at one point for an even field on (u1, u2, -u2, -u1), odd
+    in xi, dispatched as phi0_at."""
+    ax = abs(xi)
+    if not u2 < ax < u1:
+        return phi_eval(EpdSpec(1, "phi", field), xi, (u1, u2, -u2, -u1))
+    lf = LocalField(field, u2, u1, max_order=1)
+    d1, d2, dax = (float(lf.to_delta(x)) for x in (u1, u2, ax))
+    return math.copysign(1.0, xi) * float(phi1_symmetric_band(lf, d1, d2, dax))
 
 
 def test_diagonal_boundary_phi():
@@ -65,7 +84,7 @@ def test_cubic_phi_closed_form():
     for xi, u1, u2 in ((1.5, 1.0, -1.0), (3.0, 1.0, -1.0), (0.3, 0.8, -0.2)):
         want = 1.5 * (xi + 0.5 * (u1 + u2))
         assert phi_eval(spec, xi, (u1, u2)) == pytest.approx(want, rel=1e-12)
-        assert phi0_closed(f, xi, u1, u2) == pytest.approx(want, rel=1e-12)
+        assert phi0_at(f, xi, u1, u2) == pytest.approx(want, rel=1e-12)
 
 
 def test_quartic_phi1_closed_form():
@@ -75,64 +94,47 @@ def test_quartic_phi1_closed_form():
     u = (2.3, 2.1, -2.1, -2.3)
     for xi in (3.0, 0.7, -4.2):
         assert phi_eval(spec, xi, u) == pytest.approx(2.0 * xi, rel=1e-11)
-        assert phi1_symmetric_closed(f, xi, 2.3, 2.1) == pytest.approx(
-            2.0 * xi, rel=1e-11
-        )
-
-
-@pytest.mark.parametrize("frac", [2e-6, 1e-5, 1e-4])
-def test_closed_forms_beside_a_band_match_tensor_rule(frac):
-    # frac band widths outside each endpoint the closed forms are the
-    # tensor rule, which is exact for polynomial fields
-    f0 = sextic_field(-100.0)
-    u1, u2 = 4.0, 3.5
-    w = frac * (u1 - u2)
-    spec0 = EpdSpec(0, "phi", f0)
-    for xi in (u1 + w, u2 - w):
-        want = phi_eval(spec0, xi, (u1, u2))
-        assert phi0_closed(f0, xi, u1, u2) == pytest.approx(want, rel=1e-12)
-    f1 = quartic_field(-10.0)
-    u1, u2 = 2.3, 2.1
-    w = frac * (u1 - u2)
-    spec1 = EpdSpec(1, "phi", f1)
-    for xi in (u1 + w, u2 - w, -u2 + w, -u1 - w):
-        want = phi_eval(spec1, xi, (u1, u2, -u2, -u1))
-        assert phi1_symmetric_closed(f1, xi, u1, u2) == pytest.approx(
-            want, rel=1e-12
-        )
 
 
 @pytest.mark.parametrize("frac", [1e-15, 1e-13, 1e-6, 1e-3, 0.5])
 def test_closed_forms_inside_a_band_match_tensor_rule(frac):
-    # frac band widths inside each endpoint the closed forms take the
-    # principal value, whose subtracted integrand stays regular up to
-    # the endpoint; the tensor rule is exact here too
+    # frac band widths inside each endpoint phi0_at and phi1_symmetric_at
+    # take the principal value, whose subtracted integrand stays regular
+    # up to the endpoint; the tensor rule is exact here too.  At 1e-15
+    # the g = 1 points round onto their endpoints and the tensor rule
+    # answers
     f0 = sextic_field(-100.0)
     u1, u2 = 4.0, 3.5
     w = frac * (u1 - u2)
     spec0 = EpdSpec(0, "phi", f0)
     for xi in (u1 - w, u2 + w):
         want = phi_eval(spec0, xi, (u1, u2))
-        assert phi0_closed(f0, xi, u1, u2) == pytest.approx(want, rel=1e-12)
+        assert phi0_at(f0, xi, u1, u2) == pytest.approx(want, rel=1e-12)
     f1 = quartic_field(-10.0)
     u1, u2 = 2.3, 2.1
     w = frac * (u1 - u2)
     for xi in (u1 - w, u2 + w, -u2 - w, -u1 + w):
-        assert phi1_symmetric_closed(f1, xi, u1, u2) == pytest.approx(
+        assert phi1_symmetric_at(f1, xi, u1, u2) == pytest.approx(
             2.0 * xi, rel=1e-12
         )
 
 
-def test_psi1_symmetric_sum_matches_tensor():
-    # Psi1(u1) + Psi1(u2) equals the closed band-integral form; at
-    # equilibrium endpoints this sum is the vanishing hodograph residual
+def test_psi1_endpoint_sum_is_band_integral():
+    # Psi1(u1) + Psi1(u2) on symmetric endpoints is one band integral
+    # over pi, which vanishes at equilibrium endpoints
     f = quartic_field(-10.0)
     spec = EpdSpec(1, "psi", f)
+
+    def band_sum(u1, u2):
+        lf = LocalField(f, u2, u1, max_order=1)
+        d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
+        return field_symmetric_band_integral_delta(lf, d1, d2, order=1) / math.pi
+
     u1, u2 = 2.5, 1.8
     u = (u1, u2, -u2, -u1)
     total = phi_eval(spec, u1, u) + phi_eval(spec, u2, u)
-    assert psi1_symmetric_sum(f, u1, u2) == pytest.approx(total, rel=1e-10)
-    assert abs(psi1_symmetric_sum(f, 2.3235624, 2.1450076)) < 1e-5
+    assert band_sum(u1, u2) == pytest.approx(total, rel=1e-10)
+    assert abs(band_sum(2.3235624, 2.1450076)) < 1e-5
 
 
 def test_pde_residual_decay_g0():
@@ -209,33 +211,14 @@ def test_homogeneity():
             assert scaled == pytest.approx(lam ** (k - drop) * base, rel=1e-10)
 
 
-def test_epd2_diagonal_exact():
-    assert epd2_eval(lambda x: x * x + 1.0, 2.5, 0.7, 0.7) == pytest.approx(
-        0.7 * 0.7 + 1.0, rel=1e-14
-    )
-
-
-def test_epd2_linear_moment():
-    # linear data: value is x2 + (x1 - x2) * rho/(rho + 1)
-    rho = 1.0
-    x1, x2 = 3.0, 1.0
-    assert epd2_eval(lambda x: x, rho, x1, x2) == pytest.approx(2.0, rel=1e-12)
-    rho = 2.5
-    want = x2 + (x1 - x2) * rho / (rho + 1.0)
-    assert epd2_eval(lambda x: x, rho, x1, x2) == pytest.approx(want, rel=1e-12)
-
-
 @pytest.mark.filterwarnings("error")
-def test_epd2_chebyshev_case():
-    # rho = 1 gives alpha + beta = -1, where the general k = 1
-    # off-diagonal of the Jacobi matrix is 0/0
-    assert epd2_eval(lambda x: x, 1.0, 3.0, 1.0) == pytest.approx(2.0, rel=1e-15)
-
-
 @pytest.mark.parametrize(
     "alpha, beta", [(-0.5, -0.5), (-0.5, 0.5), (-0.5, 0.0), (0.3, -0.7), (1.5, 2.0)]
 )
 def test_jacobi_seeds_match_scipy(alpha, beta):
+    # alpha + beta = 0 and -1 make the general k = 0 diagonal and k = 1
+    # off-diagonal entries 0/0; warnings are errors, so their cancelled
+    # forms must hold
     for m in range(1, 65):
         ref, _ = roots_jacobi(m, alpha, beta)
         assert np.max(np.abs(epd._jacobi_seeds(m, alpha, beta) - ref)) < 1e-14
@@ -249,11 +232,6 @@ def test_jacobi_rule_matches_scipy_seeded_rule(monkeypatch):
         assert np.max(np.abs(x - xr)) < 1e-18, (m, k)
         # a one-ulp node move at 1 - x ~ 1e-3 moves a weight by ~1e-16
         assert np.max(np.abs(w - wr) / wr) < 2e-16, (m, k)
-
-
-def test_epd2_validates_rho():
-    with pytest.raises(ValueError):
-        epd2_eval(lambda x: x, 0.0, 1.0, 0.0)
 
 
 def test_gradient_matches_finite_differences():
@@ -362,10 +340,10 @@ def test_slot_gradient_is_bitwise_the_full_gradient_column(field, g, dtype):
         "batch": epd._tensor_eval(field, g, spec.order, xs, u, m, want_grad=True,
                                   dtype=dtype)[1],
         "one": phi_eval_grad(spec, xs[0], u, m=m, dtype=dtype)[1],
-        "anchored batch": phi_eval_anchored(spec, lf, dxs, du, m=m,
-                                            want_grad=True, dtype=dtype)[1],
-        "anchored one": phi_eval_anchored(spec, lf, dxs[0], du, m=m,
-                                          want_grad=True, dtype=dtype)[1],
+        "anchored batch": epd._tensor_core(lf, g, spec.order, dxs, du, m,
+                                           want_grad=True, dtype=dtype)[1],
+        "anchored one": epd._tensor_core(lf, g, spec.order, dxs[:1], du, m,
+                                         want_grad=True, dtype=dtype)[1][0],
     }
     for slot in range(2 * g + 3):
         got = {

@@ -10,7 +10,6 @@ from eqm.errors import DomainError, ParseError
 from eqm.field import (
     FieldSpec,
     PowerTerm,
-    eval_derivative,
     field_from_json,
     field_to_json,
     polynomial_field,
@@ -73,9 +72,8 @@ def test_json_parse_errors():
                          "p": {"coeffs": [0.0, 1.0]}, "t": 0.0})
 
 
-def test_eval_derivative_wrapper():
+def test_eval_rejects_order_out_of_range():
     f = quartic_field(2.0)
-    assert eval_derivative(f, 1.5, 0) == pytest.approx(f.eval(1.5, 0))
     with pytest.raises(DomainError):
         f.eval(1.0, order=99)
 

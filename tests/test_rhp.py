@@ -1,11 +1,10 @@
-"""Endpoint vectors, Q polynomial, hodograph residuals."""
+"""Endpoint vectors and the Q polynomial."""
 
 import math
 
-import numpy as np
 import pytest
 
-from eqm.rhp import EndpointVector, QPolynomial, hodograph_residual, q_polynomial
+from eqm.rhp import EndpointVector, QPolynomial, q_polynomial
 
 from conftest import quartic_field, semicircle_field
 
@@ -46,15 +45,3 @@ def test_q_vanishes_at_quartic_solution():
     u2 = math.sqrt((10.0 - math.sqrt(2.0 / math.pi)) / 2.0)
     q = q_polynomial(EndpointVector.symmetric(u1, u2), field)
     assert q.max_abs_coefficient < 1e-8
-
-
-def test_hodograph_residual_zero_at_solution():
-    field = quartic_field(-10.0)
-    u1 = math.sqrt((10.0 + math.sqrt(2.0 / math.pi)) / 2.0)
-    u2 = math.sqrt((10.0 - math.sqrt(2.0 / math.pi)) / 2.0)
-    res = hodograph_residual(EndpointVector.symmetric(u1, u2), field)
-    assert np.max(np.abs(res)) < 1e-8
-    res_off = hodograph_residual(
-        EndpointVector.symmetric(1.05 * u1, 0.95 * u2), field
-    )
-    assert np.max(np.abs(res_off)) > 1e-2

@@ -85,14 +85,6 @@ def test_solve_from_guess():
     assert sol.u2 == pytest.approx(U2_QUARTIC, abs=1e-10)
 
 
-@pytest.mark.parametrize("t", [-10.0, -1e4, -2.5e6])
-def test_support_matches_table_edges(t):
-    field = quartic_field(t)
-    sol = twocut.solve_endpoints_symmetric(field)
-    edges = twocut.support_symmetric(sol, field)
-    assert edges == tuple(twocut.density_symmetric(sol, field, 101).endpoints_desc)
-
-
 def test_edge_samples_match_fine_principal_value():
     # |xi|^4.5 - 30 xi^2 has a kink at 0 between the bands.  At grid
     # 801 the outermost right-band samples lie 1e-6 band widths from

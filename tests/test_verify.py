@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqm import onecut, twocut, verify
-from eqm.density import Band, DensityTable
+from eqm.density import Band, DensityTable, chebyshev_angles
 from eqm.errors import EqmError
 from eqm.field import FieldSpec, PowerTerm
 from eqm.rhp import EndpointVector
@@ -104,27 +104,48 @@ def test_wrong_ansatz_fails_every_tilt():
         assert rep.inequality_margin < -1.0
 
 
-def test_effective_potential_constant_inside_lower_outside():
+def test_log_potential_minus_field_constant_inside_lower_outside():
     field = semicircle_field(1.0)
     sol = onecut.solve_endpoints(field)
     tab = onecut.density(sol, field, 400)
-    mid = verify.effective_potential(tab, field, 0.0)
-    near = verify.effective_potential(tab, field, 0.3 * sol.u1)
-    outside = verify.effective_potential(tab, field, 2.0 * sol.u1)
-    assert near == pytest.approx(mid, abs=1e-10)
-    assert outside < mid - 0.1
+
+    def gap(xi):  # L(psi) - V, the Lagrange constant on the support
+        return tab.log_potential(xi) - float(field.eval(xi, 0))
+
+    mid = gap(0.0)
+    assert gap(0.3 * sol.u1) == pytest.approx(mid, abs=1e-10)
+    assert gap(2.0 * sol.u1) < mid - 0.1
 
 
-def test_far_field_deviation_small():
+def _far_field_error(tab):
+    """Largest |L(psi)(xi) - log|xi - m1| / pi| at xi = +-100 max|u|.
+
+    With unit mass and first moment m1 the difference tends to 0 as
+    |xi| grows; recentering on m1 removes the leading 1/xi term, which
+    dominates at these distances for supports away from the origin.
+    """
+    m1 = 0.0
+    for b in tab.bands:
+        theta = chebyshev_angles(len(b.xs))
+        xs = b.mid + b.half * np.cos(theta)
+        m1 += (np.pi * b.half / len(b.xs)) * float(
+            np.dot(xs * b.psis_by_angle(), np.sin(theta)))
+    u = tab.endpoints_desc
+    ufar = float(max(abs(u[0]), abs(u[-1])))
+    return max(abs(tab.log_potential(xi) - math.log(abs(xi - m1)) / math.pi)
+               for xi in (-100.0 * ufar, 100.0 * ufar))
+
+
+def test_far_field_is_the_recentered_unit_mass_log():
     field = semicircle_field(1.0)
     sol = onecut.solve_endpoints(field)
     tab = onecut.density(sol, field, 400)
-    assert verify.far_field_deviation(tab) < 1e-4
+    assert _far_field_error(tab) < 1e-4
     # support far from the origin: centroid recentering keeps it small
     f6 = sextic_field(-1e4)
     sol6 = onecut.solve_endpoints(f6)
     tab6 = onecut.density(sol6, f6, 400)
-    assert verify.far_field_deviation(tab6) < 1e-4
+    assert _far_field_error(tab6) < 1e-4
 
 
 def test_report_passes_tolerance_overrides():
