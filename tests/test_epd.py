@@ -224,6 +224,17 @@ def test_jacobi_seeds_match_scipy(alpha, beta):
         assert np.max(np.abs(epd._jacobi_seeds(m, alpha, beta) - ref)) < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+def test_epd2_chebyshev_case():
+    # Jacobi(-1/2, -1/2) has alpha + beta = -1, where the general k = 1
+    # off-diagonal of the Jacobi matrix is 0/0; the rule's weighted mean
+    # of x on the pullback s -> (1+s)/2 * 1 + (1-s)/2 * 3 is exactly 2
+    x, w = epd._gauss_jacobi.__wrapped__(64, -0.5, -0.5)
+    x, w = x.astype(float), w.astype(float)
+    args = 0.5 * (1.0 + x) * 1.0 + 0.5 * (1.0 - x) * 3.0
+    assert float(np.dot(w, args) / np.sum(w)) == pytest.approx(2.0, rel=1e-15)
+
+
 def test_jacobi_rule_matches_scipy_seeded_rule(monkeypatch):
     ours = {(m, k): epd._jacobi_rule(m, k) for k in range(1, 7) for m in range(1, 65)}
     monkeypatch.setattr(epd, "_jacobi_seeds", lambda m, a, b: roots_jacobi(m, a, b)[0])
