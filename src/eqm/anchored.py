@@ -8,14 +8,14 @@ the residuals resolve far below what a single rounded float per
 endpoint allows.  An ``Ansatz`` record supplies what differs between
 the one-band and the mirrored two-band construction; its density
 sampler takes Phi from the principal-value kernels of ``epd`` at every
-Chebyshev node.
+Chebyshev node.  A solution carries no Lagrange constant: the density
+table ``density`` builds holds it, with the edges it was sampled on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,6 @@ from .wells import global_minimizer
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 _COLLAPSE = 1e-12
-_LAGRANGE_GRID = 201
 
 
 @dataclass
@@ -36,31 +35,21 @@ class AnchoredSolution:
     """Band endpoints u2 < u1 with solve diagnostics.
 
     anchor/dm/half record the split-precision form u1 = anchor+dm+half,
-    u2 = anchor+dm-half the solver worked in; density evaluation reuses
-    it so narrow bands keep their full relative resolution.  iterations
-    and message are the Newton step count and stop reason
-    (``NewtonResult``).
+    u2 = anchor+dm-half the solver worked in, anchor in extended
+    precision; density evaluation reuses it so narrow bands keep their
+    full relative resolution.  iterations and message are the Newton
+    step count and stop reason (``NewtonResult``).
     """
 
     u1: float
     u2: float
     converged: bool
     residual_norm: float
-    anchor: object = None
-    dm: float = 0.0
-    half: float = 0.0
+    anchor: object
+    dm: float
+    half: float
     iterations: int = 0
     message: str = ""
-    _lagrange: Callable = dc_field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def lagrange_l(self):
-        """L(psi) - V at the band midpoint, nan unless converged.
-
-        Computed on first read, from a density sampled in the solve's
-        own local expansion: a sweep row never reads it.
-        """
-        return math.nan if self._lagrange is None else self._lagrange()
 
 
 @dataclass(frozen=True)
@@ -98,15 +87,6 @@ def _prepare(field, center, dm, half):
     lf = LocalField(field, cf - r, cf + r, max_order=4, center=center)
     dm2 = float(LONG(center) + LONG(dm) - lf.center_long)
     return lf, dm2
-
-
-def _split(sol):
-    """Anchored coordinates of a solution, reconstructed if absent."""
-    if sol.anchor is not None:
-        return LONG(sol.anchor), float(sol.dm), float(sol.half)
-    mid = 0.5 * (LONG(sol.u1) + LONG(sol.u2))
-    half = float(0.5 * (LONG(sol.u1) - LONG(sol.u2)))
-    return mid, 0.0, half
 
 
 def _seed(ansatz, field, guess):
@@ -169,24 +149,9 @@ def solve(ansatz, field, guess, tol, max_iter):
                         validate=validate)
     dm, half = float(res.x[0]), float(res.x[1])
     u1, u2 = endpoints_long(anchor, dm, half)
-    lagrange = None
-    if res.converged:
-        lagrange = partial(_solve_lagrange, ansatz, field, lf, dm, half)
     return ansatz.solution(float(u1), float(u2), res.converged,
                            res.residual_norm, anchor=anchor, dm=dm, half=half,
-                           iterations=res.iterations, message=res.message,
-                           _lagrange=lagrange)
-
-
-def _solve_lagrange(ansatz, field, lf, dm, half):
-    """Lagrange constant of a _LAGRANGE_GRID-node density sampled in lf.
-
-    lf is the expansion the solve itself worked in: the one _local()
-    rebuilds is sized from the final (dm, half), not the seed, and
-    moves the last bits.
-    """
-    psis = _sample(ansatz, lf, dm, half, _LAGRANGE_GRID)
-    return _lagrange(_table(ansatz, lf, dm, half, psis), field, lf, dm)
+                           iterations=res.iterations, message=res.message)
 
 
 def _sample(ansatz, lf, dm, half, n):
@@ -195,16 +160,10 @@ def _sample(ansatz, lf, dm, half, n):
     return ansatz.psi(lf, dm, half, dxi)
 
 
-def _table(ansatz, lf, dm, half, psis):
-    u1, u2 = endpoints_long(lf.center_long, dm, half)
-    return ansatz.table(float(u2), float(u1), psis)
-
-
 def _local(sol, field):
     """LocalField and anchored (dm, half) that density() samples in."""
-    anchor, dm, half = _split(sol)
-    lf, dm = _prepare(field, anchor, dm, half)
-    return lf, dm, half
+    lf, dm = _prepare(field, sol.anchor, sol.dm, sol.half)
+    return lf, dm, sol.half
 
 
 def support(sol, field):
@@ -214,15 +173,11 @@ def support(sol, field):
     return tuple(float(u) for u in endpoints_long(lf.center_long, dm, half))
 
 
-def _lagrange(table, field, lf, dm):
-    """L(psi) - V at the band midpoint."""
-    mid = float(lf.center_long + LONG(dm))
-    return table.log_potential(mid) - float(field.eval(mid, 0))
-
-
 def density(ansatz, sol, field, grid_n):
     """Sampled density table of a converged solution.
 
+    The table's edges u2, u1 are summed in extended precision and
+    rounded once; its lagrange_l is L(psi) - V at the band midpoint.
     Samples below -1e-6 raise NegativeDensity (wrong-ansatz signal);
     smaller negative roundoff is clamped to zero.  A quadrature mass
     straying from 1 by more than 1e-8 raises PrecisionLoss.
@@ -235,9 +190,11 @@ def density(ansatz, sol, field, grid_n):
     if low < -1e-6:
         raise NegativeDensity(
             f"density reaches {low:.3e}; {ansatz.name} ansatz violated")
-    table = _table(ansatz, lf, dm, half, np.maximum(psis, 0.0))
+    u1, u2 = endpoints_long(lf.center_long, dm, half)
+    table = ansatz.table(float(u2), float(u1), np.maximum(psis, 0.0))
     mass = table.mass()
     if abs(mass - 1.0) > 1e-8:
         raise PrecisionLoss(f"{ansatz.mass_name} mass {mass:.12f} deviates from 1")
-    table.lagrange_l = _lagrange(table, field, lf, dm)
+    mid = float(lf.center_long + LONG(dm))
+    table.lagrange_l = table.log_potential(mid) - float(field.eval(mid, 0))
     return table

@@ -219,11 +219,13 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
     raise max(failed, key=lambda f: f[:2])[2]
 
 
-def _report_obj(name, sol, report):
+def _report_obj(name, sol, tab, report):
+    """The report of a constructed solution.  endpoints and lagrange_l
+    are those of its density table tab, the one density.csv prints."""
     return {
         "ansatz": name,
-        "endpoints": [float(u) for u in sol.endpoint_vector().u],
-        "lagrange_l": sol.lagrange_l,
+        "endpoints": [float(u) for u in tab.endpoints_desc],
+        "lagrange_l": tab.lagrange_l,
         "residual_norm": sol.residual_norm,
         "converged": sol.converged,
         "verification": report.as_dict(),
@@ -267,7 +269,7 @@ def cmd_solve(args):
         os.makedirs(args.out, exist_ok=True)
         report_path = os.path.join(args.out, "report.json")
         density_path = os.path.join(args.out, "density.csv")
-    _emit_json(_report_obj(name, sol, report), report_path)
+    _emit_json(_report_obj(name, sol, tab, report), report_path)
     if density_path is not None:
         with open(density_path, "w") as fh:
             fh.write(tab.to_csv(_fmt))
@@ -317,7 +319,7 @@ def _sweep_row(field, t, tol, max_iter):
         )
     except EqmError:
         return cells
-    u = [float(x) for x in sol.endpoint_vector().u]
+    u = [float(x) for x in tab.endpoints_desc]
     upad = [_fmt(x) for x in u] + [""] * (4 - len(u))
     scaled = [""] * 4
     if t != 0.0:
@@ -391,7 +393,7 @@ def cmd_oracle(args):
             grid_n=_SOLVE_GRID,
         )
         constructed = tab
-        obj["constructed"] = _report_obj(name, sol, report)
+        obj["constructed"] = _report_obj(name, sol, tab, report)
         lo, hi = tab.bands[0].lo, tab.bands[-1].hi
         mid, width = 0.5 * (lo + hi), hi - lo
         a, b = mid - width, mid + width

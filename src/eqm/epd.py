@@ -25,12 +25,12 @@ are the default; fields with absolute-power terms default to m = 32
 array of points and evaluates an array in one tensor contraction.  The
 rule's per-slot vectors are built once per (g, m, dtype).
 
-The endpoint residuals read one slope, dPsi_g/du_2, so ``phi_slope`` and
-``phi_slope_anchored`` contract only that gradient column: one tensor of
-V^(order+1) and one contraction, where ``phi_eval_grad`` builds tensors
-of V^(order) and V^(order+1) and contracts 2g+4 times.  Each contraction
-keeps ``np.tensordot``'s own reshape-and-dot form, so the slope is the
-full gradient's column bit for bit.
+The endpoint residuals read one slope, dPsi_g/du_2, so
+``phi_slope_anchored`` contracts only that gradient column: one tensor
+of V^(order+1) and one contraction, where ``phi_eval_grad`` builds
+tensors of V^(order) and V^(order+1) and contracts 2g+4 times.  Each
+contraction keeps ``np.tensordot``'s own reshape-and-dot form, so the
+slope is the full gradient's column bit for bit.
 
 The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  Inside a band
@@ -55,7 +55,6 @@ __all__ = [
     "phi_eval",
     "phi_eval_grad",
     "phi_eval_anchored",
-    "phi_slope",
     "phi_slope_anchored",
     "epd_residual",
     "phi0_band",
@@ -219,8 +218,7 @@ def _validate_u(g, u):
     return u
 
 
-def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64,
-                 slot=None):
+def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64):
     """Nested-affine tensor quadrature at absolute coordinates.
 
     Builds one local expansion over the hull of the points and the
@@ -230,11 +228,10 @@ def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64,
     xs = np.atleast_1d(np.asarray(xi, dtype=LONG))
     ul = np.asarray(u, dtype=LONG)
     pts = np.concatenate([xs, ul])
-    grad = want_grad or slot is not None
     lf = LocalField(field, float(pts.min()), float(pts.max()),
-                    max_order=order + (1 if grad else 0))
+                    max_order=order + (1 if want_grad else 0))
     return _tensor_core(lf, g, order, xs - lf.center_long, ul - lf.center_long,
-                        m, want_grad=want_grad, dtype=dtype, slot=slot)
+                        m, want_grad=want_grad, dtype=dtype)
 
 
 @lru_cache(maxsize=32)
@@ -377,19 +374,6 @@ def phi_eval_grad(spec, xi, u, m=None, dtype=np.float64):
     return vals[0], grads[0]
 
 
-def phi_slope(spec, xi, u, slot, m=None, dtype=np.float64):
-    """One gradient component of Phi_g/Psi_g at one point: the partial
-    derivative along slot (0 for xi, j for u_j).
-
-    Equal bit for bit to ``phi_eval_grad(spec, xi, u)[1][slot]``, from
-    one derivative tensor and one contraction; Newton residuals that
-    read one slope use it.
-    """
-    u = _validate_u(spec.g, u)
-    return _tensor_eval(spec.field, spec.g, spec.order, xi, u, spec.nodes(m),
-                        dtype=dtype, slot=slot)[0]
-
-
 def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
     """Phi/Psi evaluation with the point and endpoints as local offsets.
 
@@ -418,10 +402,14 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
 
 
 def phi_slope_anchored(spec, lf, dxi, du, slot, m=None, dtype=np.float64):
-    """``phi_slope`` with the point(s) and endpoints as offsets from the
-    center of lf, as in ``phi_eval_anchored``; an array dxi returns an
-    array.  Equal bit for bit to the slot column of the full gradient
-    from the same offsets.
+    """One gradient component of Phi_g/Psi_g: the partial derivative
+    along slot (0 for xi, j for u_j), with the point(s) and endpoints as
+    offsets from the center of lf, as in ``phi_eval_anchored``; an array
+    dxi returns an array.
+
+    Equal bit for bit to the slot column of the full gradient from the
+    same offsets, from one derivative tensor and one contraction; Newton
+    residuals that read one slope use it.
     """
     du = _validate_u(spec.g, np.asarray(du, dtype=float))
     need = spec.order + 1

@@ -27,11 +27,9 @@ class OneCutSolution(AnchoredSolution):
     """Support endpoints u2 < u1 with solve diagnostics."""
 
     def endpoint_vector(self):
-        if self.anchor is not None:
-            return EndpointVector.pair_anchored(
-                self.anchor, self.dm + self.half, self.dm - self.half
-            )
-        return EndpointVector.pair(self.u1, self.u2)
+        return EndpointVector.pair_anchored(
+            self.anchor, self.dm + self.half, self.dm - self.half
+        )
 
 
 def _residual_fun(field, lf):

@@ -15,9 +15,9 @@ import numpy as np
 from . import anchored
 from .anchored import INV_SQRT_PI, AnchoredSolution, endpoints_long
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi1_symmetric_band, phi_slope
+from .epd import EpdSpec, phi1_symmetric_band, phi_slope_anchored
 from .errors import InvalidInterval, NegativeRadicand, NotEven
-from .field import LONG
+from .field import LONG, LocalField
 from .quadrature import field_symmetric_band_integral_delta
 from .rhp import EndpointVector
 
@@ -36,23 +36,24 @@ class TwoCutSolution(AnchoredSolution):
     """
 
     def endpoint_vector(self):
-        if self.anchor is not None:
-            return EndpointVector.symmetric_anchored(
-                self.anchor, self.dm + self.half, self.dm - self.half
-            )
-        return EndpointVector.symmetric(self.u1, self.u2)
+        return EndpointVector.symmetric_anchored(
+            self.anchor, self.dm + self.half, self.dm - self.half
+        )
 
 
 def _residual_fun(field, lf):
     spec = EpdSpec(1, "psi", field)
     anchor = lf.center_long
+    # (u1; u1, u2, -u2, -u1) spans [-u1, u1]: centred at 0 for every iterate
+    mirror_lf = LocalField(field, -1.0, 1.0, max_order=spec.order + 1,
+                           center=0.0)
 
     def pair(dm, half):
         u1, u2 = endpoints_long(anchor, dm, half)
         if not u2 > 0.0:
             raise InvalidInterval("inner endpoint must stay positive")
         uvec = np.array([u1, u2, -u2, -u1], dtype=LONG)
-        g2 = float(phi_slope(spec, u1, uvec, slot=2))
+        g2 = float(phi_slope_anchored(spec, mirror_lf, u1, uvec, slot=2))
         if not g2 > 0.0:
             raise NegativeRadicand("dPsi1/du2 is not positive at the iterate")
         s = 4.0 * float(anchor + LONG(dm))  # 2 (u1 + u2)

@@ -114,15 +114,7 @@ def _probe_grid(density, field, probe_n):
     return pts[keep]
 
 
-def check_variational(
-    density,
-    field,
-    probe_n=120,
-    tol_eq=_TOL_EQ,
-    tol_ineq=_TOL_INEQ,
-    tol_mass=_TOL_MASS,
-    sign_flags=None,
-):
+def check_variational(density, field, probe_n=120, sign_flags=None):
     """Run all variational checks and collect them in a report.
 
     Failures are reported, never raised: a deliberately wrong density

@@ -688,8 +688,8 @@ def _spy(monkeypatch, module, name, record, calls=None):
 
 def test_two_band_sweep_row_scans_half_line_only(tmp_path, capsys, monkeypatch):
     """A sweep row of xi^4 - 1e3 xi^2 finds its wells on the half line
-    the two-band seed scans, and never reads the solution's Lagrange
-    constant, so no full-line scan and no 201-node density run."""
+    the two-band seed scans, so no full-line scan runs, and samples
+    only sweep-grid densities."""
     scans = _spy(monkeypatch, wells_module, "_scan", lambda field, positive: positive)
     grids = _spy(monkeypatch, anchored, "_sample", lambda ansatz, lf, dm, half, n: n)
     problem = write_problem(tmp_path, QUARTIC)
@@ -699,7 +699,7 @@ def test_two_band_sweep_row_scans_half_line_only(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (row[1], row[-1]) == ("twocut-sym", "pass")
     assert scans and all(scans)
-    assert grids and anchored._LAGRANGE_GRID not in grids
+    assert grids and set(grids) == {cli._SWEEP_GRID}
 
 
 @pytest.mark.parametrize("problem, code", [
@@ -707,13 +707,15 @@ def test_two_band_sweep_row_scans_half_line_only(tmp_path, capsys, monkeypatch):
     (_field_problem([M4], [0.0, 0.0, 1.0], -5e6), 3),
 ], ids=["semicircle", "quartic-5e6"])
 def test_solve_reads_lagrange_constant_once(tmp_path, capsys, monkeypatch, problem, code):
-    """eqm solve samples the 201-node Lagrange density exactly once: for
-    the reported solution, not for each converged attempt (at
-    xi^4 - 5e6 xi^2 both ansaetze converge and fail their reports)."""
+    """eqm solve reads the Lagrange constant off the density table it
+    writes: it samples one solve-grid density per attempt that reaches
+    verification and no other (at xi^4 - 5e6 xi^2 both ansaetze
+    converge and fail)."""
     grids = _spy(monkeypatch, anchored, "_sample", lambda ansatz, lf, dm, half, n: n)
+    checks = _spy(monkeypatch, cli, "check_variational", lambda *a, **k: None)
     assert main(["solve", "--problem", write_problem(tmp_path, problem)]) == code
     assert math.isfinite(json.loads(capsys.readouterr().out)["lagrange_l"])
-    assert grids.count(anchored._LAGRANGE_GRID) == 1
+    assert checks and grids == [cli._SOLVE_GRID] * len(checks)
 
 
 def test_side_wells_with_convex_origin_try_two_bands_first(monkeypatch):

@@ -14,7 +14,6 @@ from eqm.epd import (
     phi1_symmetric_band,
     phi_eval,
     phi_eval_grad,
-    phi_slope,
     phi_slope_anchored,
 )
 from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
@@ -270,6 +269,8 @@ def abs_field(t):
 
 
 ENDPOINTS = {0: (1.3, -0.4), 1: (2.1, 1.2, -0.5, -1.7)}
+# the band pair (-u1, -u2) u (u2, u1) and the band (-u1, u1) of an even field
+MIRROR_ENDPOINTS = {0: (1.3, -1.3), 1: (2.1, 0.7, -0.7, -2.1)}
 # inside a band, in the gap or beside the band, outside, and far outside
 POINTS = {0: (0.2, 0.9, 2.6, -40.0), 1: (1.5, 0.3, 2.9, 40.0)}
 
@@ -332,8 +333,11 @@ SLOT_FIELDS = [quartic_field(-3.0), even_sextic_field(-2.0), sextic_field(-2.0),
 @pytest.mark.parametrize("g", [0, 1])
 @pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["float64", "longdouble"])
 def test_slot_gradient_is_bitwise_the_full_gradient_column(field, g, dtype):
-    """phi_slope and phi_slope_anchored return, bit for bit, the column of
-    the full gradient they stand for, for one point and for a batch.
+    """phi_slope_anchored returns, bit for bit, the column of the full
+    gradient it stands for, for one point and for a batch, and, on the
+    expansion at 0, the column of phi_eval_grad at a mirrored endpoint
+    vector, whose hull is centred at 0 too: the two-band residual's
+    slope at xi = u1.
 
     The 24^4 one-point-per-chunk rule of |xi|^4.5 at g = 1 runs in
     float64; in longdouble, where each such tensor costs 0.2 s, the rule
@@ -347,24 +351,23 @@ def test_slot_gradient_is_bitwise_the_full_gradient_column(field, g, dtype):
     lf = LocalField(field, -3.0, 3.0, max_order=4)
     dxs = lf.to_delta(xs)
     du = lf.to_delta(np.array(u))
+    mirror = MIRROR_ENDPOINTS[g]
+    lf0 = LocalField(field, -1.0, 1.0, max_order=spec.order + 1, center=0.0)
     full = {
-        "batch": epd._tensor_eval(field, g, spec.order, xs, u, m, want_grad=True,
-                                  dtype=dtype)[1],
-        "one": phi_eval_grad(spec, xs[0], u, m=m, dtype=dtype)[1],
         "anchored batch": epd._tensor_core(lf, g, spec.order, dxs, du, m,
                                            want_grad=True, dtype=dtype)[1],
         "anchored one": epd._tensor_core(lf, g, spec.order, dxs[:1], du, m,
                                          want_grad=True, dtype=dtype)[1][0],
+        "centre 0": phi_eval_grad(spec, mirror[0], mirror, m=m, dtype=dtype)[1],
     }
     for slot in range(2 * g + 3):
         got = {
-            "batch": epd._tensor_eval(field, g, spec.order, xs, u, m, dtype=dtype,
-                                      slot=slot),
-            "one": phi_slope(spec, xs[0], u, slot, m=m, dtype=dtype),
             "anchored batch": phi_slope_anchored(spec, lf, dxs, du, slot, m=m,
                                                  dtype=dtype),
             "anchored one": phi_slope_anchored(spec, lf, dxs[0], du, slot, m=m,
                                                dtype=dtype),
+            "centre 0": phi_slope_anchored(spec, lf0, mirror[0], mirror, slot,
+                                           m=m, dtype=dtype),
         }
         for key, grad in full.items():
             assert np.array_equal(got[key], grad[..., slot]), (key, slot)

@@ -64,15 +64,15 @@ def test_positive_quartic_endpoints():
 
 
 def test_lagrange_multiplier_semicircle():
-    # l = L(psi)(0) - V(0) for the unit-mass semicircle: (1/pi)(log(r/2)... )
-    # checked indirectly: the stored l matches the density's own potential
-    t = 1.0
-    field = semicircle_field(t)
-    sol = onecut.solve_endpoints(field)
-    tab = onecut.density(sol, field, 400)
-    mid = 0.5 * (sol.u1 + sol.u2)
-    want = tab.log_potential(mid) - field.eval(mid, 0)
-    assert sol.lagrange_l == pytest.approx(want, abs=1e-9)
+    """The table's l = L(psi)(0) - V(0) of the semicircle of radius
+    r = 1/sqrt(pi t) is (log(r/2) - 1/2)/pi; what is left (2-3e-12)
+    comes from the solved endpoints."""
+    for t in (0.5, 1.0, 2.0):
+        field = semicircle_field(t)
+        tab = onecut.density(onecut.solve_endpoints(field), field, 801)
+        r = 1.0 / math.sqrt(math.pi * t)
+        want = (math.log(r / 2.0) - 0.5) / math.pi
+        assert tab.lagrange_l == pytest.approx(want, rel=0.0, abs=1e-11), t
 
 
 def test_iteration_budget_respected():

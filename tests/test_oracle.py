@@ -111,7 +111,7 @@ def test_semicircle_oracle_agreement():
     assert metrics["active_gradient_spread"] < 1e-3
     assert metrics["inactive_gradient_margin"] > -1e-3
     # multiplier approximates -l
-    assert metrics["multiplier"] == pytest.approx(-sol.lagrange_l, abs=5e-3)
+    assert metrics["multiplier"] == pytest.approx(-tab.lagrange_l, abs=5e-3)
 
 
 def test_quartic_oracle_band_detection():

@@ -128,3 +128,26 @@ def test_residual_builds_one_derivative_tensor(monkeypatch):
     monkeypatch.setattr(LocalField, "deriv", spy)
     pair(dm, half)
     assert orders == [3]
+
+
+@pytest.mark.parametrize("field, guess", [
+    (quartic_field(-1e4), None),
+    (FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),),
+               p_coeffs=(0.0, 0.0, 1.0), t=-30.0), None),
+    (quartic_field(-10.0), (4.0, 1.0)),
+], ids=["quartic-1e4", "abs4.5-30", "quartic-10-guess"])
+def test_solve_builds_two_local_fields(monkeypatch, field, guess):
+    """A two-band solve builds two LocalFields, whatever its Newton step
+    count (1, 2 and 5 here): the expansion anchored at the band and the
+    one at 0 that every g = 1 slope of the solve is read from."""
+    centers = []
+    init = LocalField.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        centers.append(self.center)
+
+    monkeypatch.setattr(LocalField, "__init__", spy)
+    sol = twocut.solve_endpoints_symmetric(field, guess=guess)
+    assert sol.converged
+    assert len(centers) == 2 and centers[1] == 0.0

@@ -155,6 +155,9 @@ def test_report_passes_tolerance_overrides():
     rep = verify.check_variational(tab, field)
     assert rep.passed()
     assert not rep.passed(tol_eq=1e-16)
+    # tolerances belong to passed(); the checks themselves take none
+    with pytest.raises(TypeError):
+        verify.check_variational(tab, field, tol_eq=1e-16)
 
 
 def test_three_bands_report_unchecked_signs():
