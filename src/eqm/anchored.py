@@ -166,13 +166,6 @@ def _local(sol, field):
     return lf, dm, sol.half
 
 
-def support(sol, field):
-    """Descending edges (u1, u2) of the one-band table density() builds
-    for sol, found without sampling it."""
-    lf, dm, half = _local(sol, field)
-    return tuple(float(u) for u in endpoints_long(lf.center_long, dm, half))
-
-
 def density(ansatz, sol, field, grid_n):
     """Sampled density table of a converged solution.
 

@@ -30,11 +30,12 @@ from .asymptotics import predict
 from .density import DensityTable
 from .errors import (EqmError, NoConvergence, NotEven, ParseError,
                      UnsupportedRegime)
-from .field import FieldSpec, field_from_json, field_to_json, validate_growth
-from .onecut import density, solve_endpoints, support
+from .field import (FieldSpec, field_from_json, field_to_json, json_number,
+                    validate_growth)
+from .onecut import density, solve_endpoints
 from .oracle import compare, direct_minimize, discretize
 from .twocut import density_symmetric, solve_endpoints_symmetric
-from .verify import check_variational, sign_and_gap_flags
+from .verify import check_variational
 from .wells import wells
 
 __all__ = ["main", "ProblemFile", "parse_problem", "emit_problem"]
@@ -98,19 +99,19 @@ def parse_problem(text):
     solver = obj.get("solver", {})
     if not isinstance(solver, dict) or set(solver) - {"tol", "max_iter"}:
         raise ParseError("solver options are 'tol' and 'max_iter'")
-    try:
-        tol = float(solver.get("tol", 1e-10))
-        max_iter = int(solver.get("max_iter", 100))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad solver options: {exc}") from exc
+    tol = json_number(solver.get("tol", 1e-10), "tol")
+    max_iter = json_number(solver.get("max_iter", 100), "max_iter")
+    if not max_iter.is_integer():
+        raise ParseError(f"max_iter must be an integer, got {max_iter}")
     output = obj.get("output", {})
-    if not isinstance(output, dict) or set(output) - {"report", "density"}:
-        raise ParseError("output paths are 'report' and 'density'")
+    if (not isinstance(output, dict) or set(output) - {"report", "density"}
+            or not all(isinstance(path, str) for path in output.values())):
+        raise ParseError("output paths are 'report' and 'density', as strings")
     return ProblemFile(
         field=field,
         ansatz=ansatz,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=int(max_iter),
         report_path=output.get("report"),
         density_path=output.get("density"),
     )
@@ -163,13 +164,6 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
     of V, so at an even double well (the global minimizer of V off 0)
     the two-band attempt runs first and a pass ends the search before
     any one-band solve; elsewhere the single band runs first.
-
-    A converged one-band attempt with a two-band one beside it runs the
-    sign and gap checks on its endpoints first.  If they fail, its report
-    cannot pass, so its density is built and verified only when no other
-    attempt gets a report; the outcome is the same as building it at
-    once.  The two-band attempt builds its density without that check,
-    whose g=1 kernels can cost far more than a density build that fails.
     """
     attempts = []
     if ansatz in ("auto", "onecut"):
@@ -181,13 +175,7 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
     if len(attempts) > 1 and wells(field)[0] != 0.0:
         ranked.reverse()
 
-    def verified(name, sol, build, flags):
-        tab = build(sol, field, grid_n)
-        report = check_variational(tab, field, probe_n=probe_n, sign_flags=flags)
-        return name, sol, tab, report
-
-    reported = {}  # rank -> verified attempt
-    deferred = None  # (rank, (name, sol, build, flags)) of a failed sign check
+    reported = {}  # rank -> (name, solution, table, report)
     failed = []  # (stage reached, rank, its error)
     for rank, (name, solve, build) in ranked:
         stage = 0  # 0 solving, 1 solved, 2 converged
@@ -197,23 +185,13 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
             if not sol.converged:
                 raise NoConvergence(f"residual {sol.residual_norm:.3e}")
             stage = 2
-            flags = None
-            if name == "onecut" and len(attempts) > 1:
-                flags = sign_and_gap_flags(support(sol, field), field)
-                if not all(flags):
-                    deferred = (rank, (name, sol, build, flags))
-                    continue
-            reported[rank] = verified(name, sol, build, flags)
-            if reported[rank][3].passed():
-                return (*reported[rank], True)
+            tab = build(sol, field, grid_n)
+            report = check_variational(tab, field, probe_n=probe_n)
+            if report.passed():
+                return name, sol, tab, report, True
+            reported[rank] = name, sol, tab, report
         except EqmError as exc:
             failed.append((stage, rank, exc))
-    if not reported and deferred is not None:
-        rank, args = deferred
-        try:
-            reported[rank] = verified(*args)
-        except EqmError as exc:
-            failed.append((2, rank, exc))
     if reported:
         return (*reported[max(reported)], False)
     raise max(failed, key=lambda f: f[:2])[2]
@@ -251,8 +229,6 @@ def _fail(kind, message, code):
 def cmd_solve(args):
     problem = _load_problem(args.problem)
     ansatz = args.ansatz or problem.ansatz
-    if ansatz not in _ANSATZE:
-        raise ParseError(f"ansatz must be one of {_ANSATZE}, got {ansatz!r}")
     if args.tol is not None:
         problem = dataclasses.replace(problem, tol=args.tol)
     name, sol, tab, report, accepted = _construct(

@@ -418,21 +418,34 @@ def field_to_json(field):
     }
 
 
+def json_number(value, name):
+    """A JSON number as a float.  Booleans and strings, which float()
+    would also read, raise ParseError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond float range
+        raise ParseError(f"{name} is out of range: {exc}") from exc
+
+
 def field_from_json(obj):
     """Parse the field JSON schema into a FieldSpec."""
+    if not isinstance(obj, dict):
+        raise ParseError("the field must be a JSON object")
     try:
         terms = []
         for raw in obj.get("vstar", []):
             kind = raw["kind"]
             if kind == "monomial":
-                exp = float(raw["k"])
+                exp = json_number(raw["k"], "k")
             elif kind == "abs_power":
-                exp = float(raw["a"])
+                exp = json_number(raw["a"], "a")
             else:
                 raise ParseError(f"unknown term kind {kind!r}")
-            terms.append(PowerTerm(kind, exp, float(raw["c"])))
-        p = obj["p"]["coeffs"]
-        t = float(obj["t"])
+            terms.append(PowerTerm(kind, exp, json_number(raw["c"], "c")))
+        p = [json_number(c, "a p coefficient") for c in obj["p"]["coeffs"]]
+        t = json_number(obj["t"], "t")
         return FieldSpec(vstar=tuple(terms), p_coeffs=tuple(p), t=t)
     except ParseError:
         raise

@@ -20,7 +20,7 @@ from .field import LONG
 from .quadrature import field_band_integral_delta
 from .rhp import EndpointVector
 
-__all__ = ["OneCutSolution", "solve_endpoints", "density", "support"]
+__all__ = ["OneCutSolution", "solve_endpoints", "density"]
 
 
 class OneCutSolution(AnchoredSolution):
@@ -105,8 +105,3 @@ def density(sol, field, grid_n):
         than 1e-8.
     """
     return anchored.density(_ANSATZ, sol, field, grid_n)
-
-
-def support(sol, field):
-    """Descending edges (u1, u2) of the band density() tabulates."""
-    return anchored.support(sol, field)

@@ -36,11 +36,12 @@ __all__ = [
 class EndpointVector:
     """Strictly decreasing endpoints u_1 > ... > u_{2g+2} for g bands + 1.
 
-    ``u`` always holds plain floats.  Solvers working near a collapse
-    point additionally supply ``base`` (extended-precision anchors) and
-    ``offsets`` (small floats) with u_i = base_i + offsets_i; evaluation
-    then forms every endpoint difference from the offsets exactly, far
-    below the resolution of a single rounded float.
+    ``u`` always holds plain floats.  A solution's ``endpoint_vector()``
+    also supplies ``base`` (extended-precision anchors) and ``offsets``
+    (small floats) with u_i = base_i + offsets_i, so that
+    ``q_polynomial`` sees the solved edges rather than their rounded
+    floats: evaluation forms every endpoint difference from the offsets
+    exactly, far below the resolution of a single rounded float.
     """
 
     g: int

@@ -39,7 +39,6 @@ __all__ = [
     "VariationalReport",
     "check_variational",
     "check_sign_and_gaps",
-    "sign_and_gap_flags",
 ]
 
 _TOL_EQ = 1e-6
@@ -114,15 +113,13 @@ def _probe_grid(density, field, probe_n):
     return pts[keep]
 
 
-def check_variational(density, field, probe_n=120, sign_flags=None):
+def check_variational(density, field, probe_n=120):
     """Run all variational checks and collect them in a report.
 
     Failures are reported, never raised: a deliberately wrong density
     yields a failing report.  The equality check evaluates L(psi) at
     the Chebyshev nodes of every band by
     ``DensityTable.log_potential_at_nodes``, and V there too.
-    ``sign_flags``, when given, is the result of ``sign_and_gap_flags``
-    on the density's endpoints, already computed by the caller.
     """
     mass_residual = abs(density.mass() - 1.0)
 
@@ -143,9 +140,7 @@ def check_variational(density, field, probe_n=120, sign_flags=None):
     )
     inequality_margin = float(np.min(margins))
 
-    if sign_flags is None:
-        sign_flags = sign_and_gap_flags(density.endpoints_desc, field)
-    sign_ok, gaps_ok = sign_flags
+    sign_ok, gaps_ok = _sign_and_gap_flags(density.endpoints_desc, field)
 
     return VariationalReport(
         equality_deviation=equality_deviation,
@@ -156,7 +151,7 @@ def check_variational(density, field, probe_n=120, sign_flags=None):
     )
 
 
-def sign_and_gap_flags(endpoints, field):
+def _sign_and_gap_flags(endpoints, field):
     """``check_sign_and_gaps`` on descending band edges, as the report's
     two booleans: both false when the kernels cannot decide (more than
     two bands, or an error in the band factor)."""

@@ -104,6 +104,18 @@ def test_problem_rejects_unknown_keys():
         parse_problem(json.dumps(bad))
 
 
+def test_integer_literals_parse():
+    """JSON integers are numbers: exponents, coefficients, t and the
+    solver options may be written without a decimal point."""
+    problem = parse_problem(
+        '{"field": {"vstar": [{"kind": "monomial", "k": 4, "c": 1}],'
+        ' "p": {"coeffs": [0, 0, 1]}, "t": -10},'
+        ' "solver": {"max_iter": 50, "tol": 1}}'
+    )
+    assert problem.field == parse_problem(json.dumps(QUARTIC)).field
+    assert (problem.max_iter, problem.tol) == (50, 1.0)
+
+
 def test_solve_semicircle(tmp_path):
     problem = write_problem(tmp_path, SEMI)
     proc = run_cli(["solve", "--problem", problem], tmp_path)
@@ -368,8 +380,21 @@ def test_reused_parser_matches_fresh_process(tmp_path, capsys):
         ('{"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": -1.0}', "confine"),
         ('{"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": NaN}', "finite"),
         ('{"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": Infinity}', "finite"),
+        ('{"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": true}', "number"),
+        ('{"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": "1"}', "number"),
+        ('{"vstar": [], "p": {"coeffs": [0, 0, true]}, "t": 1.0}', "number"),
+        ('{"vstar": [], "p": {"coeffs": [0, 0, "1"]}, "t": 1.0}', "number"),
+        ('{"vstar": [{"kind": "monomial", "k": 4, "c": "1"}], '
+         '"p": {"coeffs": [0.0, 0.0, 1.0]}, "t": 1.0}', "number"),
+        ('{"vstar": [{"kind": "monomial", "k": true, "c": 1.0}], '
+         '"p": {"coeffs": [0.0, 0.0, 1.0]}, "t": 1.0}', "number"),
+        ('{"vstar": [{"kind": "abs_power", "a": "4.5", "c": 1.0}], '
+         '"p": {"coeffs": [0.0, 0.0, 1.0]}, "t": 1.0}', "number"),
+        ("[]", "JSON object"),
     ],
-    ids=["nonconfining", "t-nan", "t-infinity"],
+    ids=["nonconfining", "t-nan", "t-infinity", "t-bool", "t-string",
+         "coeff-bool", "coeff-string", "c-string", "k-bool", "a-string",
+         "field-list"],
 )
 def test_invalid_field_exits_4(tmp_path, capsys, field_text, reason):
     path = tmp_path / "problem.json"
@@ -379,6 +404,20 @@ def test_invalid_field_exits_4(tmp_path, capsys, field_text, reason):
     assert code == 4
     assert err["error"] == "ParseError"
     assert reason in err["message"]
+
+
+@pytest.mark.parametrize("output", ['{"report": 7}', '{"density": null}'],
+                         ids=["report-int", "density-null"])
+def test_output_path_not_a_string_exits_4(tmp_path, capsys, output):
+    """An output path that is not a string is rejected at input, before
+    open() could read an integer as a file descriptor."""
+    path = tmp_path / "problem.json"
+    path.write_text(
+        '{"field": {"vstar": [], "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": 1.0},'
+        ' "output": ' + output + "}"
+    )
+    assert main(["solve", "--problem", str(path)]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
 _ROWS = "-0.3,0.1\n0.0,0.2\n0.15,0.1\n0.3,0.1\n"
@@ -433,8 +472,11 @@ def test_invalid_numeric_option_exits_4(tmp_path, capsys, args):
 @pytest.mark.parametrize(
     "solver",
     ['{"tol": NaN}', '{"tol": 0}', '{"tol": -1e-10}', '{"max_iter": 0}',
-     '{"max_iter": Infinity}'],
-    ids=["tol-nan", "tol-0", "tol-negative", "max-iter-0", "max-iter-inf"],
+     '{"max_iter": Infinity}', '{"tol": true}', '{"tol": "1e-10"}',
+     '{"max_iter": 2.7}', '{"max_iter": true}', '{"max_iter": "100"}'],
+    ids=["tol-nan", "tol-0", "tol-negative", "max-iter-0", "max-iter-inf",
+         "tol-bool", "tol-string", "max-iter-fraction", "max-iter-bool",
+         "max-iter-string"],
 )
 def test_invalid_solver_options_exit_4(tmp_path, capsys, solver):
     path = tmp_path / "problem.json"
@@ -490,8 +532,11 @@ def _field_problem(vstar, coeffs, t):
     (_field_problem([A45], [0.0, 0.0, 1.0], 0.3), 3, "PrecisionLoss", None),
     (_field_problem([M4], [0.0, 0.0, 1.0], 1e12), 2, "NoConvergence", None),
     (_field_problem([M4], [0.0, 0.0, 1.0], -5e6), 3, "VerificationFailure", "twocut-sym"),
+    (_field_problem([A35], [0.0, 0.0, 1.0], -1.0), 3, "PrecisionLoss", None),
+    (_field_problem([A45], [0.0, 0.0, 1.0], -1.6), 3, "VerificationFailure", "onecut"),
+    (_field_problem([A45], [0.0, 0.0, 1.0], -1.0), 3, "PrecisionLoss", None),
 ], ids=["abs3.5+3x2", "abs3.5-5x2", "abs4.5+0.3x2", "quartic+1e12",
-        "quartic-5e6"])
+        "quartic-5e6", "abs3.5-x2", "abs4.5-1.6x2", "abs4.5-x2"])
 def test_auto_fallback_outcomes(tmp_path, capsys, problem, code, error, ansatz):
     """When both attempts fail, the outcome is the one that building
     every table at once gives: exit code, error kind and ansatz."""
@@ -523,10 +568,9 @@ def test_oracle_reports_no_convergence(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("later_fails, want", [(True, "two-band"), (False, "twocut-sym")])
 def test_construct_tie_goes_to_later_attempt(monkeypatch, later_fails, want):
-    """Both ansaetze converge for xi^4 - 10 xi^2 and the one-band sign
-    checks fail.  If both density builds then raise, the later (two-band)
-    error wins the tie; if only the one-band build raises, the two-band
-    report is returned."""
+    """Both ansaetze converge for xi^4 - 10 xi^2.  If both density builds
+    raise, the later (two-band) error wins the tie; if only the one-band
+    build raises, the two-band report is returned."""
 
     def fails(message):
         def build(sol, field, grid_n):
@@ -582,29 +626,13 @@ def test_auto_outcome_independent_of_try_order(k, t_from, t_to):
 
 
 def test_failed_reports_rank_in_canonical_order(monkeypatch):
-    """xi^4 - 5e6 xi^2 fails both certificates.  With the one-band sign
-    pre-check forced through, the one-band report is built after the
-    two-band one, yet the canonically later two-band report is returned."""
-    monkeypatch.setattr(cli, "sign_and_gap_flags", lambda u, field: (True, True))
+    """xi^4 - 5e6 xi^2 fails both certificates.  The one-band table is
+    built and certified after the two-band one, yet the canonically
+    later two-band report is returned."""
+    built = _spy(monkeypatch, cli, "density", lambda sol, field, grid_n: grid_n)
     field = _even_field(X4, -5e6)
     assert _outcome(field, "auto") == ("twocut-sym", False)
-
-
-def test_failed_one_band_sign_check_builds_no_table(monkeypatch):
-    """xi^4 - 5e6 xi^2: the two-band report fails, and the one-band sign
-    checks fail, so the one-band report could not win and its density
-    is never built."""
-    built = []
-    density = cli.density
-
-    def counted_density(*args):
-        built.append(args)
-        return density(*args)
-
-    monkeypatch.setattr(cli, "density", counted_density)
-    field = _even_field(X4, -5e6)
-    assert _outcome(field, "auto") == ("twocut-sym", False)
-    assert built == []
+    assert built == [101]
 
 
 @pytest.mark.parametrize("t", [10.0, -10.0], ids=["single-well", "double-well"])

@@ -107,20 +107,6 @@ def test_density_rejects_double_well():
         onecut.density(sol, field, 400)
 
 
-@pytest.mark.parametrize("field", [
-    quartic_field(100.0),
-    sextic_field(-1e3),
-    FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),), p_coeffs=(0.0, 1.0), t=-30.0),
-    FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),), p_coeffs=(0.0, 1.0), t=300.0),
-    # here the table's inner edge lies 1 ulp from the solution's u2
-    FieldSpec(vstar=(PowerTerm("abs_power", 5.5, 1.0),), p_coeffs=(0.0, 1.0), t=-30.0),
-], ids=["quartic", "sextic", "abs4.5-left", "abs4.5-right", "abs5.5-left"])
-def test_support_matches_table_edges(field):
-    sol = onecut.solve_endpoints(field)
-    edges = onecut.support(sol, field)
-    assert edges == tuple(onecut.density(sol, field, 101).endpoints_desc)
-
-
 def test_edge_samples_match_fine_principal_value():
     # |xi|^4.5 + 30 xi^2 has a kink at 0 inside the band.  At grid 801
     # the outermost samples lie 1e-6 band widths from the endpoints;
