@@ -394,10 +394,10 @@ def cmd_oracle(args):
         obj["comparison"] = metrics
 
     density_path = problem.density_path or "oracle-density.csv"
+    rows = map(",".join, zip(map(_fmt, disc.grid.tolist()),
+                             map(_fmt, result.psi.tolist())))
     with open(density_path, "w") as fh:
-        fh.write("xi,psi\n")
-        for x, p in zip(disc.grid, result.psi):
-            fh.write(f"{_fmt(x)},{_fmt(p)}\n")
+        fh.write("\n".join(["xi,psi", *rows]) + "\n")
     _emit_json(obj)
     return _EXIT_OK
 

@@ -12,11 +12,17 @@ constant plus ``sum a_k T_k(y)`` on the band, and a logarithm plus
 ``v = y + sign(y) sqrt(y^2 - 1)``.  At the band's own nodes the sum is
 one type-III DCT (Trefethen, *Approximation Theory and Approximation
 Practice*, ch. 3 and 19).
+
+The folded series is cut after its last coefficient with
+|a_k| > eps * max|a| (eps = ``np.finfo(float).eps``): for a smooth density
+the a_k decay to a roundoff plateau, and only the K terms above it are
+summed (Trefethen, ch. 8; Aurentz & Trefethen, "Chopping a Chebyshev
+series", ACM TOMS 2017).  Since |T_k| <= 1 on the band and |v^-k| < 1 off
+it, the cut moves any value by at most (n + 2 - K) * eps * max|a| * half^2.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -31,6 +37,7 @@ __all__ = ["Band", "DensityTable", "chebyshev_angles"]
 # holds (128 KiB of float64), so memory stays flat in the number of points.
 _BLOCK = 2**14
 _LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
+_EPS = np.finfo(float).eps
 
 
 def _inverse_powers(w, n):
@@ -167,9 +174,17 @@ class Band:
         return self._coeffs
 
     def _log_series(self):
-        """Coefficients a_k, k = 0..n+1 (a_0 = 0), of the non-constant
+        """Coefficients a_k, k = 0..K-1 (a_0 = 0), of the non-constant
         part of the band's log potential in T_k(y) on the band and in
-        v^-k off it, folded once from the sine coefficients."""
+        v^-k off it, folded once from the sine coefficients.
+
+        The fold has n + 2 terms; it is cut after the last one with
+        |a_k| > eps * max|a|, so the K <= n + 2 kept terms drop only
+        coefficients below one ulp of the largest, and a sum moves by at
+        most (n + 2 - K) * eps * max|a| * half^2.  A fold with a
+        non-finite coefficient is kept whole, so the nan or inf reaches
+        every sum.
+        """
         if self._series is None:
             b = self.sine_coeffs()
             n = len(b)
@@ -178,6 +193,10 @@ class Band:
             a[2] = 0.25 * b[0]
             a[1:n] -= b[1:] / (2.0 * m)
             a[3:] += b[1:] / (2.0 * (m + 2.0))
+            mag = np.abs(a)
+            top = mag.max()
+            if np.isfinite(top):
+                a = a[:np.flatnonzero(mag > _EPS * top).max(initial=0) + 1]
             self._series = a
         return self._series
 
@@ -195,8 +214,10 @@ class Band:
         A point on the band sums a_k cos(k phi) with y = cos(phi); a
         point off it sums a_k v^-k, the powers taken by a running
         product of 1/v (``_inverse_powers``), so terms past underflow
-        are exact zeros.  Points go in blocks of at most _BLOCK matrix
-        entries.
+        are exact zeros.  Both sums run over the K terms ``_log_series``
+        keeps above the eps floor, which moves them by at most
+        (n + 2 - K) * eps * max|a| * half^2.  Points go in blocks of at
+        most _BLOCK matrix entries.
         """
         a = self._log_series()
         y = np.atleast_1d((np.asarray(xi, dtype=float) - self.mid) / self.half)
@@ -221,12 +242,15 @@ class Band:
     def log_potential_at_nodes(self):
         """log_potential at the band's own nodes(), in the order of xs.
 
-        At theta_j the series is one type-III DCT of a_0..a_{n-1}; the
-        k = n term vanishes and the k = n+1 term is (-1)^(j+1) a_{n+1}
-        sin(theta_j), with j counted from 0 by ascending angle.
+        At theta_j the series, padded with zeros back to n + 2 terms, is
+        one type-III DCT of a_0..a_{n-1}; the k = n term vanishes and the
+        k = n+1 term is (-1)^(j+1) a_{n+1} sin(theta_j), with j counted
+        from 0 by ascending angle.
         """
-        a = self._log_series()
         n = len(self.xs)
+        series = self._log_series()
+        a = np.zeros(n + 2)
+        a[:len(series)] = series
         theta = self.angles()
         sign = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
         sums = 0.5 * _dct3(a[:n]) + a[n + 1] * sign * np.sin(theta)
@@ -301,23 +325,23 @@ class DensityTable:
 
     def to_csv(self, fmt):
         """Render as CSV text with columns xi,psi plus support headers."""
-        buf = io.StringIO()
         supp = ";".join(f"{fmt(b.lo)},{fmt(b.hi)}" for b in self.bands)
-        buf.write(f"# support: {supp}\n")
+        lines = [f"# support: {supp}"]
         if self.lagrange_l is not None:
-            buf.write(f"# lagrange-l: {fmt(self.lagrange_l)}\n")
-        buf.write("xi,psi\n")
+            lines.append(f"# lagrange-l: {fmt(self.lagrange_l)}")
+        lines.append("xi,psi")
         for b in self.bands:
-            for x, p in zip(b.xs, b.psis):
-                buf.write(f"{fmt(x)},{fmt(p)}\n")
-        return buf.getvalue()
+            lines += map(",".join, zip(map(fmt, b.xs.tolist()),
+                                       map(fmt, b.psis.tolist())))
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text):
         """Parse CSV produced by ``to_csv`` (support headers optional).
 
-        A malformed or non-finite line, an empty or overlapping band and
-        a sample outside every declared band are each a ParseError.
+        A malformed or non-finite line (row, support edge or
+        lagrange-l), an empty or overlapping band and a sample outside
+        every declared band are each a ParseError.
         """
         support = None
         lagrange = None
@@ -328,16 +352,21 @@ class DensityTable:
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
+                values = []
                 try:
                     if body.startswith("support:"):
                         support = []
                         for piece in body[len("support:"):].split(";"):
                             lo, hi = piece.split(",")
                             support.append((float(lo), float(hi)))
+                            values += support[-1]
                     elif body.startswith("lagrange-l:"):
                         lagrange = float(body[len("lagrange-l:"):])
+                        values.append(lagrange)
                 except ValueError as exc:
                     raise ParseError(f"bad density header {line!r}") from exc
+                if not all(map(math.isfinite, values)):
+                    raise ParseError(f"non-finite density header {line!r}")
                 continue
             if line.lower().startswith("xi"):
                 continue

@@ -436,10 +436,13 @@ _ROWS = "-0.3,0.1\n0.0,0.2\n0.15,0.1\n0.3,0.1\n"
         ("# support: -0.5,0.5", _ROWS.replace("0.0,0.2", "0.0,nan")),
         ("# support: -0.5,0.5", _ROWS.replace("0.15,0.1", "inf,0.1")),
         ("", _ROWS.replace("0.0,0.2", "0.0,-inf")),
+        ("# support: -inf,inf", _ROWS),
+        ("# support: -0.5,0.5\n# lagrange-l: nan", _ROWS),
     ],
     ids=["empty-band", "reversed-band", "two-commas", "no-comma",
          "bad-lagrange", "overlapping-bands", "row-outside-support",
-         "psi-nan", "xi-inf", "psi-inf-no-header"],
+         "psi-nan", "xi-inf", "psi-inf-no-header", "support-inf",
+         "lagrange-nan"],
 )
 def test_verify_malformed_density_exits_4(tmp_path, capsys, header, rows):
     problem = write_problem(tmp_path, SEMI)

@@ -10,6 +10,7 @@ from scipy import fft, integrate
 from eqm import onecut, twocut
 from eqm.density import (Band, DensityTable, _dct3, _dst2, _inverse_powers,
                          _twiddles, chebyshev_angles)
+from eqm.field import FieldSpec, PowerTerm
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
 
@@ -174,6 +175,110 @@ def _rough_table(n):
     rng = np.random.default_rng(n)
     return DensityTable([Band.from_angles(lo, hi, rng.uniform(0.0, 1.0, n))
                          for lo, hi in ((-3.0, -1.0), (0.5, 1.5))])
+
+
+def _full_fold(band):
+    """All n + 2 folded coefficients a_k, before the eps cut."""
+    b = band.sine_coeffs()
+    n = len(b)
+    m = np.arange(1.0, n)
+    a = np.zeros(n + 2)
+    a[2] = 0.25 * b[0]
+    a[1:n] -= b[1:] / (2.0 * m)
+    a[3:] += b[1:] / (2.0 * (m + 2.0))
+    return a
+
+
+def _even_field(kind, power, t):
+    """V = c xi^power (c|xi|^power for abs_power) + t xi^2."""
+    return FieldSpec(vstar=(PowerTerm(kind, power, 1.0),),
+                     p_coeffs=(0.0, 0.0, 1.0), t=float(t))
+
+
+@pytest.fixture(scope="module")
+def solved_tables():
+    """801-node tables, the grid of eqm solve: the quartic two-band at
+    -10 and -1e5, the sextic two-band near its transition, and the kinked
+    one-band |xi|^4.5 + 30 xi^2, whose band holds xi = 0."""
+    tables = {}
+    for name, field in (("quartic-t-10", quartic_field(-10.0)),
+                        ("quartic-t-1e5", quartic_field(-1e5)),
+                        ("sextic-t-0.65", _even_field("monomial", 6.0, -0.65))):
+        sol = twocut.solve_endpoints_symmetric(field)
+        tables[name] = twocut.density_symmetric(sol, field, 801)
+    field = _even_field("abs_power", 4.5, 30.0)
+    tables["abs4.5-t30"] = onecut.density(onecut.solve_endpoints(field), field, 801)
+    return tables
+
+
+def test_semicircle_series_keeps_three_terms():
+    band = _semicircle_table(1.0, 300).bands[0]
+    assert len(band._log_series()) == 3
+
+
+def test_series_cut_drops_only_coefficients_under_eps(solved_tables):
+    eps = np.finfo(float).eps
+    for tab in solved_tables.values():
+        for band in tab.bands:
+            full, kept = _full_fold(band), band._log_series()
+            k, floor = len(kept), eps * np.max(np.abs(full))
+            assert k < len(full)
+            assert np.array_equal(kept, full[:k])
+            assert abs(kept[-1]) > floor
+            assert np.all(np.abs(full[k:]) <= floor)
+
+
+def test_cut_series_within_stated_bound_of_full_sum(solved_tables):
+    """On the bands, in the gap (on the band for one band), outside and
+    1e-9 from every edge, the cut series stays within
+    (n + 2 - K) eps max|a| half^2 (plus 1e-15 rounding) of the full
+    term-by-term sum."""
+    eps = np.finfo(float).eps
+    for tab in solved_tables.values():
+        lo, hi = tab.bands[0].lo, tab.bands[-1].hi
+        width = hi - lo
+        steps = width * np.geomspace(1e-3, 10.0, 20)
+        probes = [
+            np.concatenate([b.xs for b in tab.bands]),
+            np.linspace(tab.bands[0].hi, tab.bands[-1].lo, 41)[1:-1],
+            np.concatenate([lo - steps, hi + steps]),
+            np.array([e + s for b in tab.bands for e in (b.lo, b.hi)
+                      for s in (-1e-9, 1e-9)]),
+        ]
+        for band in tab.bands:
+            full = _full_fold(band)
+            bound = ((len(full) - len(band._log_series())) * eps
+                     * np.max(np.abs(full)) * band.half**2)
+            for pts in probes:
+                got = band.log_potential(pts)
+                ref = np.array([_log_potential_reference(band, x) for x in pts])
+                assert np.all(np.abs(got - ref)
+                              <= bound + 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_rough_and_csv_series_keep_every_term():
+    fmt = lambda x: f"{x:.12g}"
+    field = quartic_field(-10.0)
+    sol = twocut.solve_endpoints_symmetric(field)
+    read = DensityTable.from_csv(twocut.density_symmetric(sol, field, 401).to_csv(fmt))
+    for tab in (_rough_table(9), _rough_table(64), read):
+        for band in tab.bands:
+            assert np.array_equal(band._log_series(), _full_fold(band))
+
+
+def test_series_of_zero_or_nan_density():
+    """A zero density keeps only a_0 = 0; a nan sample keeps the whole
+    fold, so the nan reaches every sum."""
+    pts = np.array([-1.0, 0.0, 3.0])
+    zero = Band.from_angles(-0.5, 0.5, np.zeros(8))
+    assert zero._log_series().tolist() == [0.0]
+    assert np.all(zero.log_potential(pts) == 0.0)
+    samples = np.ones(8)
+    samples[3] = np.nan
+    bad = Band.from_angles(-0.5, 0.5, samples)
+    assert len(bad._log_series()) == 10
+    assert np.all(np.isnan(bad.log_potential(pts)))
+    assert np.all(np.isnan(bad.log_potential_at_nodes()))
 
 
 def test_sine_coeffs_match_explicit_sum():
