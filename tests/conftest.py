@@ -64,8 +64,7 @@ def _solve(name, field, kind, grid_n=600):
     return Solved(name, field, kind, sol, tab, rep)
 
 
-@pytest.fixture(scope="session")
-def solved_configs():
+def solve_configs():
     """Every configuration appearing in the acceptance criteria."""
     configs = {}
     for t in (0.5, 1.0, 2.0):
@@ -81,6 +80,11 @@ def solved_configs():
         "quartic_t1e4", quartic_field(1e4), "onecut"
     )
     return configs
+
+
+@pytest.fixture(scope="session")
+def solved_configs():
+    return solve_configs()
 
 
 def semicircle_radius(t):

@@ -19,7 +19,12 @@ DUMP_SOLVES problems and DUMP_SWEEPS sweeps below.  Run
 on each tree, then ``diff -r`` the two directories.  Every case gets a
 directory holding its exit code, stdout and stderr (a sweep's CSV is
 its stdout); a solve adds the ``problem.json``, ``report.json`` and
-``density.csv`` of ``eqm solve --out``.
+``density.csv`` of ``eqm solve --out``.  No CLI output reads a
+solution's split-precision endpoint vector, so the dump also writes
+``criterion-7/<config>`` for each ``conftest.solve_configs``
+configuration: the ``endpoint_vector()`` fields, the ``q_polynomial``
+coefficients there and at the 1.01x perturbation criterion 7 uses, and
+the ``check_sign_and_gaps`` flags.
 """
 
 import contextlib
@@ -31,6 +36,7 @@ import tempfile
 
 import pytest
 
+from eqm import rhp, verify
 from eqm.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
@@ -172,6 +178,27 @@ def dump(root):
         argv = ["sweep", "--problem", path, f"--t-from={t_from!r}",
                 f"--t-to={t_to!r}", "--steps", str(steps)]
         _run_captured(argv + (["--log"] if log else []), case)
+    _dump_criterion_7(os.path.join(root, "criterion-7"))
+
+
+def _dump_criterion_7(root):
+    from conftest import solve_configs
+
+    os.makedirs(root)
+    for name, cfg in solve_configs().items():
+        u = cfg.solution.endpoint_vector()
+        perturbed = rhp.EndpointVector(u.g, tuple(1.01 * x for x in u.u))
+        lines = [
+            f"g: {u.g!r}",
+            f"base: {u.base!r}",
+            f"offsets: {u.offsets!r}",
+            f"u: {u.u!r}",
+            f"q: {rhp.q_polynomial(u, cfg.field).coefficients!r}",
+            f"q_perturbed: {rhp.q_polynomial(perturbed, cfg.field).coefficients!r}",
+            f"sign_and_gaps: {verify.check_sign_and_gaps(u, cfg.field)!r}",
+        ]
+        with open(os.path.join(root, name), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 if __name__ == "__main__":
