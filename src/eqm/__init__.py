@@ -1,5 +1,6 @@
 """Equilibrium measures for logarithmic-potential energy minimization."""
 
+from .anchored import AnchoredSolution
 from .asymptotics import AsymptoticPrediction, ScalingStudy, predict, scaling_study
 from .density import Band, DensityTable
 from .epd import EpdSpec, epd_residual, phi_eval, phi_eval_grad
@@ -25,7 +26,7 @@ from .field import (
     polynomial_field,
     validate_growth,
 )
-from .onecut import OneCutSolution, density, solve_endpoints
+from .onecut import density, solve_endpoints
 from .oracle import (
     DiscreteProblem,
     OracleResult,
@@ -34,7 +35,7 @@ from .oracle import (
     discretize,
 )
 from .rhp import EndpointVector, QPolynomial, q_polynomial
-from .twocut import TwoCutSolution, density_symmetric, solve_endpoints_symmetric
+from .twocut import density_symmetric, solve_endpoints_symmetric
 from .verify import VariationalReport, check_sign_and_gaps, check_variational
 
 __version__ = "0.1.0"

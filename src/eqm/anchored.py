@@ -24,6 +24,7 @@ from .density import chebyshev_angles
 from .errors import InvalidInterval, NegativeDensity, PrecisionLoss
 from .field import LONG, LocalField
 from .newton import damped_newton
+from .rhp import EndpointVector
 from .wells import global_minimizer
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -37,7 +38,8 @@ class AnchoredSolution:
     anchor/dm/half record the split-precision form u1 = anchor+dm+half,
     u2 = anchor+dm-half the solver worked in, anchor in extended
     precision; density evaluation reuses it so narrow bands keep their
-    full relative resolution.  iterations and message are the Newton
+    full relative resolution.  mirror marks the right band of the mirror
+    pair [-u1, -u2] u [u2, u1].  iterations and message are the Newton
     step count and stop reason (``NewtonResult``).
     """
 
@@ -48,8 +50,17 @@ class AnchoredSolution:
     anchor: object
     dm: float
     half: float
+    mirror: bool
     iterations: int = 0
     message: str = ""
+
+    def endpoint_vector(self):
+        """The support's edges u1, u2 (and -u2, -u1 for a mirror pair),
+        in the split precision of the solve."""
+        a, o1, o2 = LONG(self.anchor), self.dm + self.half, self.dm - self.half
+        if self.mirror:
+            return EndpointVector(1, (), (a, a, -a, -a), (o1, o2, -o2, -o1))
+        return EndpointVector(0, (), (a, a), (o1, o2))
 
 
 @dataclass(frozen=True)
@@ -57,8 +68,7 @@ class Ansatz:
     """What a band shape supplies: residual(field, lf) -> pair(dm, half)
     of endpoint residuals; psi(lf, dm, half, dxi) -> density at offsets
     dxi inside the band; table(lo, hi, psis); mirror, for the positive
-    band of a mirror pair (u2 > 0); the words of its density errors; the
-    AnchoredSolution subclass it returns."""
+    band of a mirror pair (u2 > 0); the words of its density errors."""
 
     residual: Callable
     psi: Callable
@@ -66,7 +76,6 @@ class Ansatz:
     mirror: bool
     name: str
     mass_name: str
-    solution: type
 
 
 def endpoints_long(anchor, dm, half):
@@ -84,7 +93,7 @@ def _prepare(field, center, dm, half):
     """
     cf = float(center)
     r = max(8.0 * (abs(dm) + half), 1e-3 * max(1.0, abs(cf)))
-    lf = LocalField(field, cf - r, cf + r, max_order=4, center=center)
+    lf = LocalField(field, cf - r, cf + r, center=center)
     dm2 = float(LONG(center) + LONG(dm) - lf.center_long)
     return lf, dm2
 
@@ -149,9 +158,10 @@ def solve(ansatz, field, guess, tol, max_iter):
                         validate=validate)
     dm, half = float(res.x[0]), float(res.x[1])
     u1, u2 = endpoints_long(anchor, dm, half)
-    return ansatz.solution(float(u1), float(u2), res.converged,
-                           res.residual_norm, anchor=anchor, dm=dm, half=half,
-                           iterations=res.iterations, message=res.message)
+    return AnchoredSolution(float(u1), float(u2), res.converged,
+                            res.residual_norm, anchor=anchor, dm=dm, half=half,
+                            mirror=ansatz.mirror, iterations=res.iterations,
+                            message=res.message)
 
 
 def _sample(ansatz, lf, dm, half, n):

@@ -28,6 +28,7 @@ import numpy as np
 
 from .asymptotics import predict
 from .density import DensityTable
+from .epd import _TENSOR_CAP, EpdSpec
 from .errors import (EqmError, NoConvergence, NotEven, ParseError,
                      UnsupportedRegime)
 from .field import (FieldSpec, field_from_json, field_to_json, json_number,
@@ -118,13 +119,18 @@ def parse_problem(text):
 
 
 def _check_field(field):
-    """Reject non-finite numbers and fields that do not confine, which
-    would otherwise fail deep in the solver under a misleading error."""
+    """Reject non-finite numbers, fields that do not confine, and fields
+    whose two-band tensor rule would not fit in memory, which would
+    otherwise fail deep in the solver under a misleading error."""
     numbers = [field.t, *field.p_coeffs]
     for term in field.vstar:
         numbers += [term.exponent, term.coefficient]
     if not all(math.isfinite(x) for x in numbers):
         raise ParseError("t, coefficients and exponents must be finite")
+    tilted = dataclasses.replace(field, t=1.0)  # a sweep may tilt a t = 0 file
+    if EpdSpec(1, "psi", tilted).nodes() ** 4 > _TENSOR_CAP:
+        raise ParseError(f"degree {tilted.max_degree:g} exceeds 49, the most "
+                         f"the two-band tensor cap of {_TENSOR_CAP} nodes allows")
     ok, diagnostic = validate_growth(field)
     if not ok:
         raise ParseError(f"field does not confine: {diagnostic}")

@@ -228,8 +228,7 @@ def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64):
     xs = np.atleast_1d(np.asarray(xi, dtype=LONG))
     ul = np.asarray(u, dtype=LONG)
     pts = np.concatenate([xs, ul])
-    lf = LocalField(field, float(pts.min()), float(pts.max()),
-                    max_order=order + (1 if want_grad else 0))
+    lf = LocalField(field, float(pts.min()), float(pts.max()))
     return _tensor_core(lf, g, order, xs - lf.center_long, ul - lf.center_long,
                         m, want_grad=want_grad, dtype=dtype)
 
@@ -381,8 +380,7 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
     ----------
     spec : EpdSpec
     lf : LocalField
-        Prebuilt expansion whose center is the caller's anchor; its
-        max_order must cover spec.order.
+        Prebuilt expansion whose center is the caller's anchor.
     dxi : float or 1-D array of float
         Offset(s) of the evaluation point(s) from the anchor; an array
         returns an array of values.
@@ -394,8 +392,6 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
     absolute coordinates ever rounding through a float.
     """
     du = _validate_u(spec.g, np.asarray(du, dtype=float))
-    if lf.mode == "series" and lf.max_order < spec.order:
-        raise ValueError(f"LocalField max_order {lf.max_order} < {spec.order}")
     out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),
                        du, spec.nodes(m), dtype=dtype)
     return out if np.ndim(dxi) else out[0]
@@ -412,9 +408,6 @@ def phi_slope_anchored(spec, lf, dxi, du, slot, m=None, dtype=np.float64):
     residuals that read one slope use it.
     """
     du = _validate_u(spec.g, np.asarray(du, dtype=float))
-    need = spec.order + 1
-    if lf.mode == "series" and lf.max_order < need:
-        raise ValueError(f"LocalField max_order {lf.max_order} < {need}")
     out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),
                        du, spec.nodes(m), dtype=dtype, slot=slot)
     return out if np.ndim(dxi) else out[0]
@@ -475,22 +468,22 @@ def epd_residual(spec, xi, u, i, j, h):
     return float(2.0 * (u[i - 1] - u[j - 1]) * mixed - di + dj)
 
 
-def phi0_band(lf, d1, d2, dxi, m=None):
+def phi0_band(lf, d1, d2, dxi):
     """Phi_0 = -PV int V'(mu) / ((xi-mu) sqrt((u1-mu)(mu-u2))) / (2 pi).
 
     The band (center + d2, center + d1) and the points dxi inside it (a
-    float or a 1-D array) are offsets from the center of lf.  m fixes
-    the node count (adaptive when omitted).
+    float or a 1-D array) are offsets from the center of lf; each point
+    doubles its node count on its own.
     """
-    pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=m)
+    pv = field_pv_band_integral_delta(lf, d1, d2, dxi)
     return -pv / (2.0 * math.pi)
 
 
-def phi1_symmetric_band(lf, d1, d2, dxi, m=None):
+def phi1_symmetric_band(lf, d1, d2, dxi):
     """Phi_1 = -(xi/pi) PV int V'(mu) / ((xi^2-mu^2) sqrt((u1^2-mu^2)
     (mu^2-u2^2))) on the band (u2, u1) > 0 of an even field's mirror pair.
 
-    Offsets and m as in ``phi0_band``.  The factors (u1-mu)(mu-u2) are
+    Offsets as in ``phi0_band``.  The factors (u1-mu)(mu-u2) are
     the band rule's weight; (u1+mu)(mu+u2) and xi+mu are formed from the
     center in a plain float sum.
     """
@@ -502,4 +495,4 @@ def phi1_symmetric_band(lf, d1, d2, dxi, m=None):
         return lf.deriv(d, 1) / ((twoc + d + x) * np.sqrt(plus))
 
     xi = (anchor + np.asarray(dxi, dtype=float).astype(LONG)).astype(float)
-    return -(xi / math.pi) * pv_band_integral_delta(gdelta, d1, d2, dxi, m=m)
+    return -(xi / math.pi) * pv_band_integral_delta(gdelta, d1, d2, dxi)

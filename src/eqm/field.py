@@ -262,8 +262,6 @@ class LocalField:
     field : FieldSpec
     lo, hi : float
         Hull of the evaluation points.
-    max_order : int
-        Highest derivative order that will be requested.
     center : float or longdouble, optional
         Expansion point; defaults to the hull midpoint.  Callers that
         track endpoints as anchor-plus-offset pass their anchor here so
@@ -279,11 +277,10 @@ class LocalField:
 
     _SERIES_RATIO = 0.5
 
-    def __init__(self, field, lo, hi, max_order=_MAX_ORDER, center=None):
+    def __init__(self, field, lo, hi, center=None):
         if not hi >= lo:
             raise ValueError("hull must satisfy hi >= lo")
         self.field = field
-        self.max_order = max_order
         abs_terms = [t for t in field.terms() if t[0] == "abs_power"]
         if center is None:
             center = LONG(0.5) * (LONG(lo) + LONG(hi))

@@ -86,7 +86,8 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
     -------
     NewtonResult
         converged is False when the budget or the line search is
-        exhausted; the best iterate seen is returned either way.
+        exhausted.  A step is accepted only if it lowers the residual
+        norm (or reaches tol), so the last iterate is also the best.
         iterations counts the Newton steps taken: ``max_iter`` when the
         budget ran out, fewer when the Jacobian or the line search
         stopped the solve early.
@@ -94,7 +95,6 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(fun(x), dtype=float)
     fnorm = _norm(f)
-    best_x, best_f, best_norm = x.copy(), f.copy(), fnorm
     message = "iteration budget exhausted"
 
     for it in range(max_iter):
@@ -134,11 +134,9 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
         if not accepted:
             message = "line search stalled"
             break
-        if fnorm < best_norm:
-            best_x, best_f, best_norm = x.copy(), f.copy(), fnorm
     else:
         it = max_iter
 
     if fnorm <= tol:
         return NewtonResult(x, f, fnorm, True, it, "converged")
-    return NewtonResult(best_x, best_f, best_norm, False, it, message)
+    return NewtonResult(x, f, fnorm, False, it, message)

@@ -12,24 +12,14 @@ import math
 import numpy as np
 
 from . import anchored
-from .anchored import INV_SQRT_PI, AnchoredSolution
+from .anchored import INV_SQRT_PI
 from .density import Band, DensityTable
 from .epd import EpdSpec, phi0_band, phi_slope_anchored
 from .errors import NegativeRadicand
 from .field import LONG
 from .quadrature import field_band_integral_delta
-from .rhp import EndpointVector
 
-__all__ = ["OneCutSolution", "solve_endpoints", "density"]
-
-
-class OneCutSolution(AnchoredSolution):
-    """Support endpoints u2 < u1 with solve diagnostics."""
-
-    def endpoint_vector(self):
-        return EndpointVector.pair_anchored(
-            self.anchor, self.dm + self.half, self.dm - self.half
-        )
+__all__ = ["solve_endpoints", "density"]
 
 
 def _residual_fun(field, lf):
@@ -42,7 +32,7 @@ def _residual_fun(field, lf):
         if not g2 > 0.0:
             raise NegativeRadicand("dPsi0/du2 is not positive at the iterate")
         f1 = 2.0 * half * math.sqrt(g2) - INV_SQRT_PI
-        f2 = float(field_band_integral_delta(lf, d1, d2, order=1, dtype=LONG))
+        f2 = float(field_band_integral_delta(lf, d1, d2, dtype=LONG))
         return f1, f2
 
     return pair
@@ -62,8 +52,7 @@ def _table(lo, hi, psis):
 
 
 _ANSATZ = anchored.Ansatz(_residual_fun, _psi_values, _table, mirror=False,
-                          name="one-band", mass_name="band",
-                          solution=OneCutSolution)
+                          name="one-band", mass_name="band")
 
 
 def solve_endpoints(field, guess=None, tol=1e-10, max_iter=100):
@@ -81,9 +70,9 @@ def solve_endpoints(field, guess=None, tol=1e-10, max_iter=100):
 
     Returns
     -------
-    OneCutSolution
-        converged False (with the best iterate) when Newton stalls or
-        the band collapses below 1e-12 relative width.
+    AnchoredSolution
+        u2 < u1, mirror False; converged False (with the best iterate)
+        when Newton stalls or the band collapses below 1e-12 relative width.
     """
     return anchored.solve(_ANSATZ, field, guess, tol, max_iter)
 

@@ -13,12 +13,12 @@ once per node count for every pole.
 ``band_integral`` is the one band rule and ``_pv_core`` the one
 principal-value rule; every other entry point hands them an integrand.
 Principal values are taken in offsets only: ``pv_band_integral_delta``
-for a caller's integrand, ``field_pv_band_integral_delta`` for a
-derivative of V.  The field forms (``field_band_integral_delta`` and
-friends) integrate a derivative of a prebuilt ``LocalField`` with the
-band and poles as offsets from its center, so they never round through
-one absolute float: bands many orders of magnitude narrower than their
-distance from the origin keep full accuracy.
+for a caller's integrand, ``field_pv_band_integral_delta`` for V'.  The
+field forms (``field_band_integral_delta`` and friends) integrate V' of
+a prebuilt ``LocalField`` with the band and poles as offsets from its
+center, so they never round through one absolute float: bands many
+orders of magnitude narrower than their distance from the origin keep
+full accuracy.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ def _adaptive(evaluate, m, size=1):
     return out
 
 
-def band_integral(f, u1, u2, m=None):
-    """Integral of f(mu)/sqrt((u1-mu)(mu-u2)) over (u2, u1).
+def band_integral(f, u1, u2):
+    """Integral of f(mu)/sqrt((u1-mu)(mu-u2)) over (u2, u1), by
+    adaptive node doubling from 64 nodes.
 
     Parameters
     ----------
@@ -90,8 +91,6 @@ def band_integral(f, u1, u2, m=None):
         Smooth function of a float array.
     u1, u2 : float
         Band endpoints, u1 > u2.
-    m : int, optional
-        Number of nodes; adaptive doubling from 64 when omitted.
 
     Returns
     -------
@@ -105,7 +104,7 @@ def band_integral(f, u1, u2, m=None):
         x, w = chebyshev_rule(mm)
         return w * float(np.sum(f(mid + half * x)))
 
-    return float(_adaptive(evaluate, m)[0])
+    return float(_adaptive(evaluate, None)[0])
 
 
 def _pv_core(f, d1, d2, dxi, m):
@@ -164,19 +163,17 @@ def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None):
     return _pv_core(fdelta, d1, d2, dxi, m)
 
 
-def field_band_integral_delta(lf, d1, d2, order=1, m=None, dtype=np.float64):
-    """Integral of V^(order)/sqrt weight with the band given as offsets.
+def field_band_integral_delta(lf, d1, d2, dtype=np.float64):
+    """Integral of V'/sqrt weight with the band given as offsets.
 
     The band is (center + d2, center + d1) for the LocalField's center;
     nodes are formed directly in the offset coordinate.
     """
-    return band_integral(lambda d: lf.deriv(d, order, dtype=dtype), d1, d2, m)
+    return band_integral(lambda d: lf.deriv(d, 1, dtype=dtype), d1, d2)
 
 
-def field_symmetric_band_integral_delta(
-    lf, d1, d2, order=1, m=None, dtype=np.float64
-):
-    """Integral of V^(order)/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets.
+def field_symmetric_band_integral_delta(lf, d1, d2, dtype=np.float64):
+    """Integral of V'/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets.
 
     Requires the band (center + d2, center + d1) to sit strictly in the
     positive half line.  The vanishing factors (u1-mu)(mu-u2) are the
@@ -188,20 +185,21 @@ def field_symmetric_band_integral_delta(
 
     def f(d):
         plus = (twoc + d + d1) * (twoc + d + d2)
-        return lf.deriv(d, order, dtype=dtype) / np.sqrt(plus)
+        return lf.deriv(d, 1, dtype=dtype) / np.sqrt(plus)
 
-    return band_integral(f, d1, d2, m)
+    return band_integral(f, d1, d2)
 
 
-def field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=None, dtype=np.float64):
-    """PV of V^(order)/((xi-mu) sqrt weight) with band and poles as offsets.
+def field_pv_band_integral_delta(lf, d1, d2, dxi, m=None):
+    """PV of V'/((xi-mu) sqrt weight) with band and poles as offsets.
 
     dxi is one pole offset or a 1-D array of them (an array returns an
-    array).  V^(order) at the quadrature nodes is evaluated once per
-    node count and shared by all poles; each pole stops doubling at its
-    own node count, so the values equal those of one call per pole.
+    array).  V' at the quadrature nodes is evaluated once per node count
+    and shared by all poles; each pole stops doubling at its own node
+    count, so the values equal those of one call per pole.  m fixes the
+    node count (adaptive when omitted).
     """
-    return _pv_core(lambda d, x: lf.deriv(d, order, dtype=dtype), d1, d2, dxi, m)
+    return _pv_core(lambda d, x: lf.deriv(d, 1), d1, d2, dxi, m)
 
 
 def r_branch(xi, u):

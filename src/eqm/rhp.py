@@ -36,12 +36,12 @@ __all__ = [
 class EndpointVector:
     """Strictly decreasing endpoints u_1 > ... > u_{2g+2} for g bands + 1.
 
-    ``u`` always holds plain floats.  A solution's ``endpoint_vector()``
-    also supplies ``base`` (extended-precision anchors) and ``offsets``
-    (small floats) with u_i = base_i + offsets_i, so that
-    ``q_polynomial`` sees the solved edges rather than their rounded
-    floats: evaluation forms every endpoint difference from the offsets
-    exactly, far below the resolution of a single rounded float.
+    u_i = base_i + offsets_i, base in extended precision; ``u`` holds
+    the rounded floats, and a plain ``u`` is its own base.  A solution's
+    ``endpoint_vector()`` bases its edges at its anchor (and its mirror)
+    so that ``q_polynomial`` sees the solved edges rather than their
+    rounded floats; with one shared anchor it forms every endpoint
+    difference from the offsets exactly.
     """
 
     g: int
@@ -52,41 +52,30 @@ class EndpointVector:
     def __post_init__(self):
         if self.g not in (0, 1):
             raise ValueError("only g in {0, 1} is supported")
-        n = 2 * self.g + 2
         if (self.base is None) != (self.offsets is None):
             raise ValueError("base and offsets must be given together")
-        if self.base is not None:
+        if self.base is None:
+            base = tuple(LONG(float(x)) for x in self.u)
+            offsets = (0.0,) * len(base)
+        else:
             base = tuple(LONG(b) for b in self.base)
             offsets = tuple(float(o) for o in self.offsets)
-            if len(base) != n or len(offsets) != n:
-                raise InvalidInterval(
-                    f"g = {self.g} needs {n} anchored endpoints"
-                )
-            object.__setattr__(self, "base", base)
-            object.__setattr__(self, "offsets", offsets)
-            u = tuple(float(b + LONG(o)) for b, o in zip(base, offsets))
-            object.__setattr__(self, "u", u)
-            prec = [b + LONG(o) for b, o in zip(base, offsets)]
-            if any(prec[i] <= prec[i + 1] for i in range(n - 1)):
-                raise InvalidInterval(f"endpoints must strictly decrease: {u}")
-            return
-        u = tuple(float(x) for x in self.u)
-        object.__setattr__(self, "u", u)
-        if len(u) != n:
+        n = 2 * self.g + 2
+        if len(base) != n or len(offsets) != n:
             raise InvalidInterval(
-                f"g = {self.g} needs {n} endpoints, got {len(u)}"
+                f"g = {self.g} needs {n} endpoints, got {len(base)}"
             )
-        if any(u[i] <= u[i + 1] for i in range(len(u) - 1)):
+        prec = [b + LONG(o) for b, o in zip(base, offsets)]
+        u = tuple(float(x) for x in prec)
+        if any(prec[i] <= prec[i + 1] for i in range(n - 1)):
             raise InvalidInterval(f"endpoints must strictly decrease: {u}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "offsets", offsets)
 
     @classmethod
     def pair(cls, u1, u2):
         return cls(0, (u1, u2))
-
-    @classmethod
-    def pair_anchored(cls, anchor, o1, o2):
-        """g = 0 endpoints anchor+o1 > anchor+o2 kept in split precision."""
-        return cls(0, (), base=(anchor, anchor), offsets=(o1, o2))
 
     @classmethod
     def symmetric(cls, u1, u2):
@@ -95,29 +84,16 @@ class EndpointVector:
             raise InvalidInterval(f"need 0 < u2 < u1, got u1={u1}, u2={u2}")
         return cls(1, (u1, u2, -u2, -u1))
 
-    @classmethod
-    def symmetric_anchored(cls, anchor, o1, o2):
-        """Mirrored bands with the right band endpoints anchor+o1 > anchor+o2."""
-        a = LONG(anchor)
-        return cls(
-            1, (), base=(a, a, -a, -a), offsets=(o1, o2, -o2, -o1)
-        )
-
     @property
     def precise(self):
-        """Endpoint values as a longdouble array (exact for anchored vectors)."""
-        if self.base is not None:
-            return np.array(
-                [b + LONG(o) for b, o in zip(self.base, self.offsets)],
-                dtype=LONG,
-            )
-        return np.array(self.u, dtype=LONG)
+        """Endpoint values base + offsets as a longdouble array."""
+        return np.array(
+            [b + LONG(o) for b, o in zip(self.base, self.offsets)], dtype=LONG
+        )
 
     @property
     def shared_anchor(self):
         """The common anchor when every endpoint uses one, else None."""
-        if self.base is None:
-            return None
         first = self.base[0]
         if all(b == first for b in self.base):
             return first
@@ -197,7 +173,7 @@ def _outside_product(mu, u: EndpointVector, lo, hi):
     return rest
 
 
-def _gap_moments(u: EndpointVector, max_power, m=None):
+def _gap_moments(u: EndpointVector, max_power):
     """Integrals of xi^p/|R| over each gap, p = 0..max_power; rows per gap."""
     rows = []
     for gap_lo, gap_hi in u.gaps:
@@ -206,7 +182,7 @@ def _gap_moments(u: EndpointVector, max_power, m=None):
 
         rows.append(
             [
-                band_integral(lambda mu, p=p: f(mu, p), gap_hi, gap_lo, m=m)
+                band_integral(lambda mu, p=p: f(mu, p), gap_hi, gap_lo)
                 for p in range(max_power + 1)
             ]
         )
@@ -259,20 +235,20 @@ def _qgk_monomial(u: EndpointVector, k, power, coefficient, gt):
     return coefficient * float(gt[idx])
 
 
-def _qgk_band_quadrature(u: EndpointVector, k, term, m=None):
+def _qgk_band_quadrature(u: EndpointVector, k, term):
     """Real band-integral route for terms without a Laurent expansion."""
     g = u.g
     total = 0.0
     for j, (lo, hi) in enumerate(u.bands):
         lf = LocalField(
-            FieldSpec(vstar=(term,), p_coeffs=(0.0, 1.0), t=0.0), lo, hi, 0
+            FieldSpec(vstar=(term,), p_coeffs=(0.0, 1.0), t=0.0), lo, hi
         )
 
         def f(mu):
             rest = _outside_product(mu, u, lo, hi)
             return lf.deriv(lf.to_delta(mu), 0) * mu ** (g - k) / np.sqrt(rest)
 
-        total += (-1.0) ** j * band_integral(f, hi, lo, m=m)
+        total += (-1.0) ** j * band_integral(f, hi, lo)
     return total / math.pi
 
 
@@ -306,7 +282,7 @@ def _poly_from_roots(roots):
     return coeffs
 
 
-def _psi_values(u: EndpointVector, field: FieldSpec, m):
+def _psi_values(u: EndpointVector, field: FieldSpec):
     """Psi_g at each endpoint, evaluated at the vector's full precision.
 
     With a shared anchor the tensor arguments are formed from the small
@@ -319,10 +295,10 @@ def _psi_values(u: EndpointVector, field: FieldSpec, m):
         off = np.asarray(u.offsets, dtype=float)
         lo = float(anchor + LONG(min(off)))
         hi = float(anchor + LONG(max(off)))
-        lf = LocalField(field, lo, hi, max_order=spec.order, center=anchor)
-        return phi_eval_anchored(spec, lf, off, off, m=m, dtype=LONG)
+        lf = LocalField(field, lo, hi, center=anchor)
+        return phi_eval_anchored(spec, lf, off, off, dtype=LONG)
     pts = u.precise
-    return phi_eval(spec, pts, pts, m=m, dtype=LONG)
+    return phi_eval(spec, pts, pts, dtype=LONG)
 
 
 def _add_pgn_terms(acc, u: EndpointVector, field: FieldSpec):
@@ -344,10 +320,10 @@ def _add_pgn_terms(acc, u: EndpointVector, field: FieldSpec):
             acc[len(acc) - len(pk):] += LONG(ck) * np.asarray(pk, dtype=LONG)
 
 
-def q_polynomial(u: EndpointVector, field: FieldSpec, m=None):
+def q_polynomial(u: EndpointVector, field: FieldSpec):
     """Assemble Q(xi, u); all 2g+2 coefficients vanish at equilibrium."""
     pts = u.precise
-    psis = _psi_values(u, field, m)
+    psis = _psi_values(u, field)
     acc = np.zeros(2 * u.g + 2, dtype=LONG)
     for i in range(len(pts)):
         basis = _poly_from_roots([pts[l] for l in range(len(pts)) if l != i])

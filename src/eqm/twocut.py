@@ -13,40 +13,21 @@ import math
 import numpy as np
 
 from . import anchored
-from .anchored import INV_SQRT_PI, AnchoredSolution, endpoints_long
+from .anchored import INV_SQRT_PI, endpoints_long
 from .density import Band, DensityTable
 from .epd import EpdSpec, phi1_symmetric_band, phi_slope_anchored
 from .errors import InvalidInterval, NegativeRadicand, NotEven
 from .field import LONG, LocalField
 from .quadrature import field_symmetric_band_integral_delta
-from .rhp import EndpointVector
 
-__all__ = [
-    "TwoCutSolution",
-    "solve_endpoints_symmetric",
-    "density_symmetric",
-]
-
-
-class TwoCutSolution(AnchoredSolution):
-    """Positive-band endpoints 0 < u2 < u1 with solve diagnostics.
-
-    The support is the mirror pair [-u1, -u2] u [u2, u1]; anchor/dm/half
-    describe the right band.
-    """
-
-    def endpoint_vector(self):
-        return EndpointVector.symmetric_anchored(
-            self.anchor, self.dm + self.half, self.dm - self.half
-        )
+__all__ = ["solve_endpoints_symmetric", "density_symmetric"]
 
 
 def _residual_fun(field, lf):
     spec = EpdSpec(1, "psi", field)
     anchor = lf.center_long
     # (u1; u1, u2, -u2, -u1) spans [-u1, u1]: centred at 0 for every iterate
-    mirror_lf = LocalField(field, -1.0, 1.0, max_order=spec.order + 1,
-                           center=0.0)
+    mirror_lf = LocalField(field, -1.0, 1.0, center=0.0)
 
     def pair(dm, half):
         u1, u2 = endpoints_long(anchor, dm, half)
@@ -59,7 +40,7 @@ def _residual_fun(field, lf):
         s = 4.0 * float(anchor + LONG(dm))  # 2 (u1 + u2)
         f1 = 2.0 * half * math.sqrt(s) * math.sqrt(g2) - INV_SQRT_PI
         f2 = float(field_symmetric_band_integral_delta(
-            lf, dm + half, dm - half, order=1, dtype=LONG))
+            lf, dm + half, dm - half, dtype=LONG))
         return f1, f2
 
     return pair
@@ -84,8 +65,7 @@ def _mirrored_table(lo, hi, psis):
 
 
 _ANSATZ = anchored.Ansatz(_residual_fun, _psi_values_right, _mirrored_table,
-                          mirror=True, name="two-band", mass_name="total",
-                          solution=TwoCutSolution)
+                          mirror=True, name="two-band", mass_name="total")
 
 
 def solve_endpoints_symmetric(field, guess=None, tol=1e-10, max_iter=100):
@@ -103,7 +83,9 @@ def solve_endpoints_symmetric(field, guess=None, tol=1e-10, max_iter=100):
 
     Returns
     -------
-    TwoCutSolution
+    AnchoredSolution
+        Positive-band endpoints 0 < u2 < u1, mirror True: the support is
+        [-u1, -u2] u [u2, u1] and anchor/dm/half describe the right band.
 
     Raises
     ------

@@ -14,7 +14,7 @@ import eqm
 from eqm import anchored, cli, verify
 from eqm import wells as wells_module
 from eqm.cli import emit_problem, main, parse_problem
-from eqm.errors import EqmError, NoConvergence, PrecisionLoss
+from eqm.errors import EqmError, NoConvergence, ParseError, PrecisionLoss
 from eqm.field import FieldSpec, PowerTerm
 
 # the directory holding the eqm package under test, for child processes
@@ -404,6 +404,40 @@ def test_invalid_field_exits_4(tmp_path, capsys, field_text, reason):
     assert code == 4
     assert err["error"] == "ParseError"
     assert reason in err["message"]
+
+
+def _monomial_field(k, p, t):
+    return {"vstar": [{"kind": "monomial", "k": k, "c": 1.0}],
+            "p": {"coeffs": p}, "t": t}
+
+
+def test_field_at_tensor_cap_parses():
+    """xi^48 - xi^2 takes 24 nodes per slot of the two-band rule, the
+    count the tensor cap is sized for."""
+    parse_problem(json.dumps({"field": _monomial_field(48, [0.0, 0.0, 1.0], -1.0)}))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [_monomial_field(50, [0.0, 0.0, 1.0], -1.0),
+     _monomial_field(400, [0.0, 0.0, 1.0], -1.0),
+     _monomial_field(4, [0.0] * 50 + [1.0], 0.0)],
+    ids=["x50", "x400", "p-x50-at-t0"],
+)
+def test_field_over_tensor_cap_exits_4(tmp_path, capsys, field):
+    """A degree above 49 in V* or p (p at any t, as a sweep changes t)
+    would need more than 24^4 tensor nodes per point; at degree 400 one
+    point asks for 12 GiB.  Such fields are rejected at parse time; the
+    parser is checked first, so no solve starts if it lets one through."""
+    text = json.dumps({"field": field})
+    with pytest.raises(ParseError, match="degree"):
+        parse_problem(text)
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    sweep = ["sweep", "--t-from=-1", "--t-to=-10", "--steps", "2"]
+    for argv in (["solve"], sweep):
+        assert main([*argv, "--problem", str(path)]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
 @pytest.mark.parametrize("output", ['{"report": 7}', '{"density": null}'],

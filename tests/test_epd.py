@@ -32,7 +32,7 @@ def phi0_at(field, xi, u1, u2):
     tensor rule elsewhere (a point that rounds onto an edge included)."""
     if not u2 < xi < u1:
         return phi_eval(EpdSpec(0, "phi", field), xi, (u1, u2))
-    lf = LocalField(field, u2, u1, max_order=1)
+    lf = LocalField(field, u2, u1)
     d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
     return phi0_band(lf, d1, d2, dxi)
 
@@ -43,7 +43,7 @@ def phi1_symmetric_at(field, xi, u1, u2):
     ax = abs(xi)
     if not u2 < ax < u1:
         return phi_eval(EpdSpec(1, "phi", field), xi, (u1, u2, -u2, -u1))
-    lf = LocalField(field, u2, u1, max_order=1)
+    lf = LocalField(field, u2, u1)
     d1, d2, dax = (float(lf.to_delta(x)) for x in (u1, u2, ax))
     return math.copysign(1.0, xi) * float(phi1_symmetric_band(lf, d1, d2, dax))
 
@@ -125,9 +125,9 @@ def test_psi1_endpoint_sum_is_band_integral():
     spec = EpdSpec(1, "psi", f)
 
     def band_sum(u1, u2):
-        lf = LocalField(f, u2, u1, max_order=1)
+        lf = LocalField(f, u2, u1)
         d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
-        return field_symmetric_band_integral_delta(lf, d1, d2, order=1) / math.pi
+        return field_symmetric_band_integral_delta(lf, d1, d2) / math.pi
 
     u1, u2 = 2.5, 1.8
     u = (u1, u2, -u2, -u1)
@@ -348,11 +348,11 @@ def test_slot_gradient_is_bitwise_the_full_gradient_column(field, g, dtype):
     m = spec.nodes(6 if slow else None)
     u = ENDPOINTS[g]
     xs = np.array(POINTS[g][:2])
-    lf = LocalField(field, -3.0, 3.0, max_order=4)
+    lf = LocalField(field, -3.0, 3.0)
     dxs = lf.to_delta(xs)
     du = lf.to_delta(np.array(u))
     mirror = MIRROR_ENDPOINTS[g]
-    lf0 = LocalField(field, -1.0, 1.0, max_order=spec.order + 1, center=0.0)
+    lf0 = LocalField(field, -1.0, 1.0, center=0.0)
     full = {
         "anchored batch": epd._tensor_core(lf, g, spec.order, dxs, du, m,
                                            want_grad=True, dtype=dtype)[1],

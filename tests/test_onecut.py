@@ -118,7 +118,7 @@ def test_edge_samples_match_fine_principal_value():
     lf, dm, half = anchored._local(sol, field)
     d1, d2 = dm + half, dm - half
     dxi = dm + half * np.cos(chebyshev_angles(801)[[0, -1]])
-    pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1, m=2**16)
+    pv = field_pv_band_integral_delta(lf, d1, d2, dxi, m=2**16)
     want = 2.0 * np.sqrt((d1 - dxi) * (dxi - d2)) * (-pv / (2.0 * math.pi))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 

@@ -44,7 +44,7 @@ def test_symmetric_band_integral_weight():
     u1, u2 = 2.1, 0.7
     lf = LocalField(polynomial_field([0.06, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]), u2, u1)
     d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
-    val = field_symmetric_band_integral_delta(lf, d1, d2, order=1)
+    val = field_symmetric_band_integral_delta(lf, d1, d2)
     f = lambda mu: mu**2 + 0.3 * mu**4
     smooth = lambda mu: f(mu) / math.sqrt((u1 + mu) * (mu + u2))
     ref, _ = integrate.quad(smooth, u2, u1, weight="alg", wvar=(-0.5, -0.5))
@@ -92,13 +92,13 @@ def test_pv_singular_point_validation():
 def test_field_band_integrals_match_generic():
     f = quartic_field(-10.0)
     u1, u2, xi = 2.3, 2.1, 2.2
-    lf = LocalField(f, u2, u1, max_order=1)
+    lf = LocalField(f, u2, u1)
     d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
     direct = band_integral(lambda mu: f.eval(mu, 1), u1, u2)
-    via_field = field_band_integral_delta(lf, d1, d2, order=1)
+    via_field = field_band_integral_delta(lf, d1, d2)
     assert via_field == pytest.approx(direct, rel=1e-12)
     direct_pv = pv_band_integral_delta(lambda d, x: f.eval(d, 1), u1, u2, xi)
-    via_field_pv = field_pv_band_integral_delta(lf, d1, d2, dxi, order=1)
+    via_field_pv = field_pv_band_integral_delta(lf, d1, d2, dxi)
     assert via_field_pv == pytest.approx(direct_pv, rel=1e-9, abs=1e-9)
 
 
@@ -113,7 +113,7 @@ def test_field_band_integrals_match_generic():
     ids=["band", "symmetric", "field_pv", "pv"],
 )
 def test_delta_forms_reject_reversed_offsets(call):
-    lf = LocalField(quartic_field(-10.0), 2.1, 2.3, max_order=1)
+    lf = LocalField(quartic_field(-10.0), 2.1, 2.3)
     with pytest.raises(InvalidInterval):
         call(lf)
 
@@ -205,7 +205,7 @@ def test_array_pv_poles_stop_at_their_own_node_count():
 
 def test_field_pv_array_matches_scalar():
     f = quartic_field(-10.0)
-    lf = LocalField(f, 2.0, 2.4, max_order=1)
+    lf = LocalField(f, 2.0, 2.4)
     d1, d2 = float(lf.to_delta(2.3)), float(lf.to_delta(2.1))
     poles = np.linspace(d2 - 0.05, d1 + 0.05, 23)
     batched = field_pv_band_integral_delta(lf, d1, d2, poles)

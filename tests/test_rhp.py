@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from eqm import onecut, twocut
+from eqm.errors import InvalidInterval
+from eqm.field import LONG, FieldSpec, PowerTerm
 from eqm.rhp import EndpointVector, QPolynomial, q_polynomial
 
 from conftest import quartic_field, semicircle_field
@@ -45,3 +49,59 @@ def test_q_vanishes_at_quartic_solution():
     u2 = math.sqrt((10.0 - math.sqrt(2.0 / math.pi)) / 2.0)
     q = q_polynomial(EndpointVector.symmetric(u1, u2), field)
     assert q.max_abs_coefficient < 1e-8
+
+
+@pytest.mark.parametrize(
+    "solve, t, mirror",
+    [(onecut.solve_endpoints, 1e4, False),
+     (twocut.solve_endpoints_symmetric, -10.0, True)],
+    ids=["onecut", "twocut"],
+)
+def test_solution_endpoint_vector_layout(solve, t, mirror):
+    """A solution's endpoint vector anchors every edge at the solve's
+    well: u1, u2 for one band, u1, u2, -u2, -u1 for a mirror pair."""
+    sol = solve(quartic_field(t))
+    assert sol.converged and sol.mirror is mirror
+    u = sol.endpoint_vector()
+    a = LONG(sol.anchor)
+    o1, o2 = sol.dm + sol.half, sol.dm - sol.half
+    if mirror:
+        assert u.g == 1
+        assert u.base == (a, a, -a, -a)
+        assert u.offsets == (o1, o2, -o2, -o1)
+        assert u.u == (sol.u1, sol.u2, -sol.u2, -sol.u1)
+        assert u.shared_anchor is None
+    else:
+        assert u.g == 0
+        assert u.base == (a, a)
+        assert u.offsets == (o1, o2)
+        assert u.u == (sol.u1, sol.u2)
+        assert u.shared_anchor == a
+
+
+def test_plain_endpoint_vector_has_zero_offsets():
+    u = EndpointVector(1, (2.0, 1.0, -1.0, -2.0))
+    assert u.u == (2.0, 1.0, -1.0, -2.0)
+    assert u.offsets == (0.0, 0.0, 0.0, 0.0)
+    assert np.array_equal(u.precise, np.array(u.u, dtype=LONG))
+    assert u.shared_anchor is None
+    with pytest.raises(InvalidInterval):
+        EndpointVector(1, (2.0, 1.0, -1.0))
+    with pytest.raises(InvalidInterval):
+        EndpointVector(0, (1.0, 1.0))
+    with pytest.raises(InvalidInterval):
+        EndpointVector(0, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("t", [-10.0, -1000.0])
+def test_q_polynomial_abs_power_route_matches_monomial(t):
+    """Written as |xi|^4, the quartic's moments take the band-quadrature
+    route instead of the Laurent coefficients; at the 1% perturbed
+    two-band edges of criterion 7 both give the same Q."""
+    u = twocut.solve_endpoints_symmetric(quartic_field(t)).endpoint_vector()
+    perturbed = EndpointVector(1, tuple(1.01 * x for x in u.u))
+    absolute = FieldSpec(vstar=(PowerTerm("abs_power", 4.0, 1.0),),
+                         p_coeffs=(0.0, 0.0, 1.0), t=t)
+    mono = np.array(q_polynomial(perturbed, quartic_field(t)).coefficients)
+    via_abs = np.array(q_polynomial(perturbed, absolute).coefficients)
+    assert np.max(np.abs(mono - via_abs)) <= 1e-12 * np.max(np.abs(mono))
