@@ -98,17 +98,9 @@ def _prepare(field, center, dm, half):
     return lf, dm2
 
 
-def _seed(ansatz, field, guess):
-    """Well, starting midpoint and half width."""
+def _seed(ansatz, field):
+    """Well and starting half width: the band starts centred on the well."""
     well, vpp = global_minimizer(field, positive=ansatz.mirror)
-    if guess is not None:
-        u1g, u2g = float(guess[0]), float(guess[1])
-        if ansatz.mirror and not 0.0 < u2g < u1g:
-            raise InvalidInterval("guess must satisfy 0 < u2 < u1")
-        if not u1g > u2g:
-            raise InvalidInterval("guess must be ordered with u1 > u2")
-        mid = 0.5 * (LONG(u1g) + LONG(u2g))
-        return well, mid, float(0.5 * (LONG(u1g) - LONG(u2g)))
     if vpp > 0.0:
         half0 = 1.0 / math.sqrt(math.pi * vpp)
     elif ansatz.mirror:
@@ -117,19 +109,19 @@ def _seed(ansatz, field, guess):
         half0 = 0.5 * max(1.0, abs(float(well)))
     if ansatz.mirror:
         half0 = min(half0, 0.9 * float(well))
-    return well, well, half0
+    return well, half0
 
 
-def solve(ansatz, field, guess, tol, max_iter):
+def solve(ansatz, field, tol, max_iter):
     """Solve the ansatz's endpoint pair by damped Newton in (dm, half).
 
-    Without a guess the seed brackets the well of V (the positive one
-    for a mirror pair) with the local harmonic width.  converged is
-    False, with the best iterate, when Newton stalls or the band
-    collapses below 1e-12 relative width.
+    The seed brackets the well of V (the positive one for a mirror pair)
+    with the local harmonic width.  converged is False, with the best
+    iterate, when Newton stalls or the band collapses below 1e-12
+    relative width.
     """
-    well, mid, half0 = _seed(ansatz, field, guess)
-    lf, dm0 = _prepare(field, well, float(mid - well), half0)
+    well, half0 = _seed(ansatz, field)
+    lf, dm0 = _prepare(field, well, 0.0, half0)
     anchor = lf.center_long
     af = abs(float(anchor))
     pair = ansatz.residual(field, lf)

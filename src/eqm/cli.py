@@ -280,10 +280,10 @@ def _sweep_values(t_from, t_to, steps, log_scale):
     return list(sign * mags)
 
 
-def _sweep_row(field, t, tol, max_iter):
-    tilted = dataclasses.replace(field, t=float(t))
+def _sweep_row(tilted, tol, max_iter):
+    t = tilted.t
     cells = {
-        "t": float(t),
+        "t": t,
         "ansatz": "unresolved",
         "gaps": "",
         "u": ("", "", "", ""),
@@ -307,7 +307,7 @@ def _sweep_row(field, t, tol, max_iter):
     if t != 0.0:
         try:
             pred = predict(tilted, 1 if t > 0 else -1)
-            s = abs(float(t)) ** pred.scaling_exponent
+            s = abs(t) ** pred.scaling_exponent
             scaled = [_fmt(x / s) for x in u] + [""] * (4 - len(u))
         except UnsupportedRegime:
             pass
@@ -323,10 +323,14 @@ def _sweep_row(field, t, tol, max_iter):
 
 def cmd_sweep(args):
     problem = _load_problem(args.problem)
-    ts = _sweep_values(args.t_from, args.t_to, args.steps, args.log)
-    rows = [
-        _sweep_row(problem.field, t, problem.tol, problem.max_iter) for t in ts
-    ]
+    fields = [dataclasses.replace(problem.field, t=float(t))
+              for t in _sweep_values(args.t_from, args.t_to, args.steps, args.log)]
+    for tilted in fields:
+        ok, diagnostic = validate_growth(tilted)
+        if not ok:
+            raise ParseError(f"field does not confine at t = {_fmt(tilted.t)}: "
+                             f"{diagnostic}")
+    rows = [_sweep_row(tilted, problem.tol, problem.max_iter) for tilted in fields]
     header = (
         "t,ansatz,gaps,u1,u2,u3,u4,"
         "scaled_u1,scaled_u2,scaled_u3,scaled_u4,verify"
@@ -352,11 +356,7 @@ def cmd_sweep(args):
 def cmd_predict(args):
     problem = _load_problem(args.problem)
     sign = 1 if args.sign == "+" else -1
-    try:
-        prediction = predict(problem.field, sign)
-    except UnsupportedRegime as exc:
-        return _fail("UnsupportedRegime", str(exc), _EXIT_REGIME)
-    _emit_json(prediction.as_dict())
+    _emit_json(predict(problem.field, sign).as_dict())
     return _EXIT_OK
 
 

@@ -337,11 +337,13 @@ class DensityTable:
 
     @classmethod
     def from_csv(cls, text):
-        """Parse CSV produced by ``to_csv`` (support headers optional).
+        """Parse CSV produced by ``to_csv``.
 
-        A malformed or non-finite line (row, support edge or
-        lagrange-l), an empty or overlapping band and a sample outside
-        every declared band are each a ParseError.
+        The ``# support:`` header is required; ``# lagrange-l:`` is
+        optional.  A missing support header, a malformed or non-finite
+        line (row, support edge or lagrange-l), an empty or overlapping
+        band and a sample outside every declared band are each a
+        ParseError.
         """
         support = None
         lagrange = None
@@ -386,7 +388,7 @@ class DensityTable:
         order = np.argsort(xs)
         xs, ps = xs[order], ps[order]
         if support is None:
-            support = _infer_support(xs)
+            raise ParseError("density CSV needs a '# support:' header")
         covered = np.zeros(xs.shape, dtype=bool)
         bands = []
         for lo, hi in support:
@@ -407,25 +409,3 @@ class DensityTable:
         except ValueError as exc:
             raise ParseError(f"declared support: {exc}") from exc
 
-
-def _infer_support(xs):
-    """Split sorted samples into bands at spacing outliers, then invert
-    the first-kind Chebyshev layout to recover band edges."""
-    gaps = np.diff(xs)
-    groups = [[0]]
-    for i, g in enumerate(gaps):
-        window = gaps[max(0, i - 3): i + 4]
-        if g > 6.0 * np.median(window) and g > 0:
-            groups.append([])
-        groups[-1].append(i + 1)
-    support = []
-    for idx in groups:
-        seg = xs[idx]
-        n = len(seg)
-        if n < 2:
-            raise ParseError("cannot infer support from a single sample")
-        c = math.cos(math.pi / (2 * n))
-        half = (seg[-1] - seg[0]) / (2.0 * c)
-        mid = 0.5 * (seg[0] + seg[-1])
-        support.append((mid - half, mid + half))
-    return support

@@ -167,9 +167,6 @@ class FieldSpec:
             acc += PowerTerm(kind, a, c).deriv(xi, order, dtype=dtype)
         return acc
 
-    def __call__(self, xi, order=0):
-        return self.eval(xi, order)
-
     @property
     def max_degree(self):
         degs = [t.exponent for t in self.vstar]

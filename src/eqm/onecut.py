@@ -55,16 +55,16 @@ _ANSATZ = anchored.Ansatz(_residual_fun, _psi_values, _table, mirror=False,
                           name="one-band", mass_name="band")
 
 
-def solve_endpoints(field, guess=None, tol=1e-10, max_iter=100):
+def solve_endpoints(field, tol=1e-10, max_iter=100):
     """Solve the two one-band endpoint equations by damped Newton.
+
+    The seed brackets the global minimizer of V with the local harmonic
+    width.
 
     Parameters
     ----------
     field : FieldSpec
         Must satisfy the growth condition (see validate_growth).
-    guess : (u1, u2), optional
-        Ordered starting endpoints; without it the seed brackets the
-        global minimizer of V with the local harmonic width.
     tol : float
         Convergence threshold on the max-norm of the residual pair.
 
@@ -74,7 +74,7 @@ def solve_endpoints(field, guess=None, tol=1e-10, max_iter=100):
         u2 < u1, mirror False; converged False (with the best iterate)
         when Newton stalls or the band collapses below 1e-12 relative width.
     """
-    return anchored.solve(_ANSATZ, field, guess, tol, max_iter)
+    return anchored.solve(_ANSATZ, field, tol, max_iter)
 
 
 def density(sol, field, grid_n):

@@ -356,26 +356,23 @@ def _directed_hausdorff(p, q):
     return float(np.max(best))
 
 
-def compare(constructed, oracle: OracleResult, threshold=_DETECT_THRESHOLD):
+def compare(constructed, oracle: OracleResult):
     """Metrics between a constructed density and the oracle minimizer.
 
-    ``constructed`` is a DensityTable (interpolated onto the oracle
-    grid) or a raw vector of grid samples.  The constructed density is
-    projected onto the feasible simplex before the energy comparison so
-    optimality is judged inside the constraint set.
+    ``constructed`` is a DensityTable, interpolated onto the oracle
+    grid; its bands are the reference for the oracle's detected bands.
+    The constructed density is projected onto the feasible simplex
+    before the energy comparison so optimality is judged inside the
+    constraint set.
     """
     problem = oracle.problem
     grid, h = problem.grid, problem.h
-    if isinstance(constructed, np.ndarray):
-        values = constructed
-        true_bands = _detect_bands(grid, values, threshold)
-    else:
-        values = constructed.interp(grid)
-        true_bands = [(b.lo, b.hi) for b in constructed.bands]
+    values = constructed.interp(grid)
+    true_bands = [(b.lo, b.hi) for b in constructed.bands]
 
     l1 = h * float(np.sum(np.abs(values - oracle.psi)))
 
-    bands = _detect_bands(grid, oracle.psi, threshold)
+    bands = _detect_bands(grid, oracle.psi, _DETECT_THRESHOLD)
     if len(bands) == len(true_bands):
         edge_error = max(
             max(abs(lo - tl), abs(hi - th))

@@ -73,17 +73,6 @@ class EndpointVector:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "offsets", offsets)
 
-    @classmethod
-    def pair(cls, u1, u2):
-        return cls(0, (u1, u2))
-
-    @classmethod
-    def symmetric(cls, u1, u2):
-        """Two mirrored bands (-u1, -u2) and (u2, u1) with 0 < u2 < u1."""
-        if not 0.0 < u2 < u1:
-            raise InvalidInterval(f"need 0 < u2 < u1, got u1={u1}, u2={u2}")
-        return cls(1, (u1, u2, -u2, -u1))
-
     @property
     def precise(self):
         """Endpoint values base + offsets as a longdouble array."""

@@ -68,16 +68,16 @@ _ANSATZ = anchored.Ansatz(_residual_fun, _psi_values_right, _mirrored_table,
                           mirror=True, name="two-band", mass_name="total")
 
 
-def solve_endpoints_symmetric(field, guess=None, tol=1e-10, max_iter=100):
+def solve_endpoints_symmetric(field, tol=1e-10, max_iter=100):
     """Solve the symmetric two-band endpoint equations by damped Newton.
+
+    The seed brackets the positive well of V with the local harmonic
+    width.
 
     Parameters
     ----------
     field : FieldSpec
         Must be even (structurally) and satisfy the growth condition.
-    guess : (u1, u2), optional
-        Ordered positive starting endpoints; without it the seed
-        brackets the positive well of V with the local harmonic width.
     tol : float
         Convergence threshold on the max-norm of the residual pair.
 
@@ -94,7 +94,7 @@ def solve_endpoints_symmetric(field, guess=None, tol=1e-10, max_iter=100):
     """
     if not field.is_even:
         raise NotEven("symmetric two-band solve requires an even field")
-    return anchored.solve(_ANSATZ, field, guess, tol, max_iter)
+    return anchored.solve(_ANSATZ, field, tol, max_iter)
 
 
 def density_symmetric(sol, field, grid_n):

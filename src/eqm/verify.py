@@ -54,9 +54,9 @@ _SEGMENT_X, _SEGMENT_W = np.polynomial.legendre.leggauss(12)
 class VariationalReport:
     """Outcome of the variational checks on one density.
 
-    A passing report has ``equality_deviation < tol_eq``,
-    ``inequality_margin > -tol_ineq``, ``mass_residual < tol_mass`` and
-    both booleans true.
+    A passing report has ``equality_deviation < 1e-6``,
+    ``inequality_margin > -1e-8``, ``mass_residual < 1e-8`` and both
+    booleans true.
     """
 
     equality_deviation: float
@@ -65,11 +65,11 @@ class VariationalReport:
     constraint_sign_ok: bool
     gap_integral_ok: bool
 
-    def passed(self, tol_eq=_TOL_EQ, tol_ineq=_TOL_INEQ, tol_mass=_TOL_MASS):
+    def passed(self):
         return (
-            self.equality_deviation < tol_eq
-            and self.inequality_margin > -tol_ineq
-            and self.mass_residual < tol_mass
+            self.equality_deviation < _TOL_EQ
+            and self.inequality_margin > -_TOL_INEQ
+            and self.mass_residual < _TOL_MASS
             and self.constraint_sign_ok
             and self.gap_integral_ok
         )

@@ -90,10 +90,20 @@ def test_scaling_study_sextic():
     assert devs == sorted(devs, reverse=True)
     assert all(row["gaps"] == 0 for row in study.rows)
     assert all(row["well_inside"] for row in study.rows)
-    csv_text = study.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert len(lines) == 4
-    assert lines[0].startswith("t,")
+    assert [row["t"] for row in study.rows] == [-10.0, -100.0, -1000.0]
+
+
+def test_scaling_study_quartic_two_bands():
+    # xi^4 + t xi^2 as t -> -inf: two mirror bands whose scaled
+    # endpoints approach 1/sqrt(2) from 2.9e-2 at t = -10 to 2.8e-4
+    study = asymptotics.scaling_study(quartic_field(0.0), -1, 3)
+    assert study.prediction.regime == "even-n-neg-t"
+    assert all(row["error"] is None for row in study.rows)
+    assert all(row["gaps"] == 1 for row in study.rows)
+    assert all(row["well_inside"] for row in study.rows)
+    devs = [row["deviation"] for row in study.rows]
+    assert devs == sorted(devs, reverse=True)
+    assert 2e-2 < devs[0] < 4e-2 and devs[-1] < 4e-4
 
 
 def test_scaling_study_validates_decades():

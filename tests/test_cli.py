@@ -293,6 +293,35 @@ def test_sweep_accepts_exponent_negative_values(tmp_path, capsys):
     assert [row.split(",")[0] for row in rows] == ["-1000000", "-0.0025"]
 
 
+def test_sweep_rejects_non_confining_tilt(tmp_path, capsys):
+    """xi^2 + t xi^4 confines at t = 1 and 0 but not at -1: the range is
+    rejected before any row is solved, naming the first failing t."""
+    problem = write_problem(tmp_path, {"field": {
+        "vstar": [{"kind": "monomial", "k": 2, "c": 1.0}],
+        "p": {"coeffs": [0.0, 0.0, 0.0, 0.0, 1.0]}, "t": 1.0}})
+    code = main(["sweep", "--problem", problem, "--t-from", "1",
+                 "--t-to", "-1", "--steps", "3"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith("field does not confine at t = -1:")
+
+
+def test_twocut_on_uneven_field_exits_4(tmp_path, capsys):
+    problem = write_problem(tmp_path, {"field": {
+        "vstar": [{"kind": "monomial", "k": 4, "c": 1.0}],
+        "p": {"coeffs": [0.0, 1.0]}, "t": -10.0}})
+    code = main(["solve", "--problem", problem, "--ansatz", "twocut-sym"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "NotEven",
+        "message": "symmetric two-band solve requires an even field"}
+
+
 @pytest.mark.parametrize("log", [False, True])
 @pytest.mark.parametrize("bound", ["t-from", "t-to"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -472,11 +501,12 @@ _ROWS = "-0.3,0.1\n0.0,0.2\n0.15,0.1\n0.3,0.1\n"
         ("", _ROWS.replace("0.0,0.2", "0.0,-inf")),
         ("# support: -inf,inf", _ROWS),
         ("# support: -0.5,0.5\n# lagrange-l: nan", _ROWS),
+        ("", _ROWS),
     ],
     ids=["empty-band", "reversed-band", "two-commas", "no-comma",
          "bad-lagrange", "overlapping-bands", "row-outside-support",
          "psi-nan", "xi-inf", "psi-inf-no-header", "support-inf",
-         "lagrange-nan"],
+         "lagrange-nan", "no-support-header"],
 )
 def test_verify_malformed_density_exits_4(tmp_path, capsys, header, rows):
     problem = write_problem(tmp_path, SEMI)

@@ -25,9 +25,24 @@ solution's split-precision endpoint vector, so the dump also writes
 configuration: the ``endpoint_vector()`` fields, the ``q_polynomial``
 coefficients there and at the 1.01x perturbation criterion 7 uses, and
 the ``check_sign_and_gaps`` flags.
+
+To see which library lines that traffic runs, for instance to show that
+code a change deletes is never reached from the CLI, run
+
+    PYTHONPATH=src python tests/test_golden.py --dump DIR --lines FILE
+
+``--lines`` runs the dump under ``sys.settrace`` and writes FILE with
+one line per module of the eqm package, ``name.py: n1 n2 ...``, listing
+the line numbers executed in process (empty for a module never entered;
+``def`` lines and module-level code run at import are not counted).
+Without ``--dump`` the dump goes to a temporary directory.  Tracing
+makes the run several times slower but leaves the dump's files as they
+are.
 """
 
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -36,8 +51,10 @@ import tempfile
 
 import pytest
 
+import eqm
 from eqm import rhp, verify
 from eqm.cli import main
+from eqm.field import polynomial_field, validate_growth
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden")
 
@@ -201,15 +218,66 @@ def _dump_criterion_7(root):
             fh.write("\n".join(lines) + "\n")
 
 
+def executed_lines(run):
+    """Call run() under sys.settrace; return {module file name: sorted
+    line numbers executed} for every module of the eqm package."""
+    package = os.path.dirname(eqm.__file__)
+    hits = {name: set() for name in sorted(os.listdir(package))
+            if name.endswith(".py")}
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            hits[os.path.basename(frame.f_code.co_filename)].add(frame.f_lineno)
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        if os.path.dirname(frame.f_code.co_filename) == package:
+            return trace_lines
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return {name: sorted(lines) for name, lines in hits.items()}
+
+
+def test_executed_lines_cover_only_what_runs():
+    source, first = inspect.getsourcelines(validate_growth)
+    field = polynomial_field([1.0, 0.0, 0.0])
+    lines = executed_lines(lambda: validate_growth(field))
+    assert {name for name, hit in lines.items() if hit} == {"field.py"}
+    assert "cli.py" in lines and "__init__.py" in lines
+    assert first + len(source) - 1 in lines["field.py"]  # its return line
+    assert first not in lines["field.py"]  # a def line is not an event
+
+
+def _write_lines(path, root):
+    with open(path, "w") as fh:
+        for name, lines in executed_lines(lambda: dump(root)).items():
+            fh.write(f"{name}: {' '.join(map(str, lines))}\n")
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
+    parser = argparse.ArgumentParser(
+        usage="test_golden.py --write | --dump DIR [--lines FILE] | --lines FILE")
+    parser.add_argument("--write", action="store_true")
+    parser.add_argument("--dump", metavar="DIR")
+    parser.add_argument("--lines", metavar="FILE")
+    args = parser.parse_args()
+    if args.write == bool(args.dump or args.lines):
+        parser.error("give --write, or --dump DIR and/or --lines FILE")
+    if args.write:
         os.makedirs(GOLDEN, exist_ok=True)
         with tempfile.TemporaryDirectory() as tmp:
             for name in [*SOLVES, *SWEEPS]:
                 for fname, text in _outputs(tmp, name).items():
                     with open(os.path.join(GOLDEN, fname), "w") as fh:
                         fh.write(text)
-    elif len(sys.argv) == 3 and sys.argv[1] == "--dump":
-        dump(sys.argv[2])
+    elif args.lines is None:
+        dump(args.dump)
     else:
-        sys.exit("usage: test_golden.py --write | --dump DIR")
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_lines(args.lines, args.dump or os.path.join(tmp, "dump"))

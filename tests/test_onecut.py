@@ -7,7 +7,7 @@ import pytest
 
 from eqm import anchored, onecut
 from eqm.density import chebyshev_angles
-from eqm.errors import InvalidInterval, NegativeDensity
+from eqm.errors import NegativeDensity
 from eqm.field import FieldSpec, LocalField, PowerTerm
 from eqm.quadrature import field_pv_band_integral_delta
 
@@ -76,9 +76,11 @@ def test_lagrange_multiplier_semicircle():
 
 
 def test_iteration_budget_respected():
+    # xi^6 - 1e6 xi^3 takes two Newton steps from the seed at its well
     field = sextic_field(-1e6)
-    sol = onecut.solve_endpoints(field, guess=(100.0, 50.0), max_iter=1)
+    sol = onecut.solve_endpoints(field, max_iter=1)
     assert not sol.converged
+    assert sol.message == "iteration budget exhausted"
 
 
 def test_solution_carries_newton_diagnostics():
@@ -91,11 +93,6 @@ def test_solution_carries_newton_diagnostics():
     assert not sol.converged
     assert sol.message == "line search stalled"
     assert 1 <= sol.iterations < 100
-
-
-def test_guess_must_be_ordered():
-    with pytest.raises(InvalidInterval):
-        onecut.solve_endpoints(semicircle_field(1.0), guess=(1.0, 2.0))
 
 
 def test_density_rejects_double_well():

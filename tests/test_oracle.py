@@ -128,15 +128,6 @@ def test_quartic_oracle_band_detection():
     assert metrics["inactive_gradient_margin"] > -1e-3
 
 
-def test_self_comparison_is_exact():
-    field = semicircle_field(1.0)
-    prob = oracle.discretize(field, -1.0, 1.0, 301)
-    res = oracle.direct_minimize(prob, iters=5000)
-    metrics = oracle.compare(res.psi, res)
-    assert metrics["l1_distance"] == 0.0
-    assert abs(metrics["optimality_gap"]) < 1e-12
-
-
 def test_energy_shift_invariance_of_minimizer():
     # adding a constant to V shifts energies, not the minimizer
     f0 = semicircle_field(1.0)

@@ -32,14 +32,14 @@ def test_q_vanishes_at_semicircle_solution():
     t = 1.0
     r = 1.0 / math.sqrt(math.pi * t)
     field = semicircle_field(t)
-    q = q_polynomial(EndpointVector.pair(r, -r), field)
+    q = q_polynomial(EndpointVector(0, (r, -r)), field)
     assert q.max_abs_coefficient < 1e-10
 
 
 def test_q_detects_wrong_endpoints():
     field = semicircle_field(1.0)
     r = 1.01 / math.sqrt(math.pi)
-    q = q_polynomial(EndpointVector.pair(r, -r), field)
+    q = q_polynomial(EndpointVector(0, (r, -r)), field)
     assert q.max_abs_coefficient > 1e-3
 
 
@@ -47,7 +47,7 @@ def test_q_vanishes_at_quartic_solution():
     field = quartic_field(-10.0)
     u1 = math.sqrt((10.0 + math.sqrt(2.0 / math.pi)) / 2.0)
     u2 = math.sqrt((10.0 - math.sqrt(2.0 / math.pi)) / 2.0)
-    q = q_polynomial(EndpointVector.symmetric(u1, u2), field)
+    q = q_polynomial(EndpointVector(1, (u1, u2, -u2, -u1)), field)
     assert q.max_abs_coefficient < 1e-8
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from eqm import anchored, twocut
 from eqm.density import chebyshev_angles
-from eqm.errors import InvalidInterval, NotEven
+from eqm.errors import NotEven
 from eqm.field import FieldSpec, LocalField, PowerTerm
 from eqm.quadrature import pv_band_integral_delta
 
@@ -73,18 +73,6 @@ def test_rejects_odd_field():
         twocut.solve_endpoints_symmetric(sextic_field(-10.0))
 
 
-def test_guess_must_be_positive_and_ordered():
-    with pytest.raises(InvalidInterval):
-        twocut.solve_endpoints_symmetric(quartic_field(-10.0), guess=(2.0, -1.0))
-
-
-def test_solve_from_guess():
-    sol = twocut.solve_endpoints_symmetric(quartic_field(-10.0), guess=(2.4, 2.1))
-    assert sol.converged
-    assert sol.u1 == pytest.approx(U1_QUARTIC, abs=1e-10)
-    assert sol.u2 == pytest.approx(U2_QUARTIC, abs=1e-10)
-
-
 def test_edge_samples_match_fine_principal_value():
     # |xi|^4.5 - 30 xi^2 has a kink at 0 between the bands.  At grid
     # 801 the outermost right-band samples lie 1e-6 band widths from
@@ -130,16 +118,16 @@ def test_residual_builds_one_derivative_tensor(monkeypatch):
     assert orders == [3]
 
 
-@pytest.mark.parametrize("field, guess", [
-    (quartic_field(-1e4), None),
+@pytest.mark.parametrize("field, steps", [
+    (quartic_field(-1e4), 1),
     (FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),),
-               p_coeffs=(0.0, 0.0, 1.0), t=-30.0), None),
-    (quartic_field(-10.0), (4.0, 1.0)),
-], ids=["quartic-1e4", "abs4.5-30", "quartic-10-guess"])
-def test_solve_builds_two_local_fields(monkeypatch, field, guess):
+               p_coeffs=(0.0, 0.0, 1.0), t=-30.0), 2),
+    (quartic_field(-0.8), 7),
+], ids=["quartic-1e4", "abs4.5-30", "quartic-0.8"])
+def test_solve_builds_two_local_fields(monkeypatch, field, steps):
     """A two-band solve builds two LocalFields, whatever its Newton step
-    count (1, 2 and 5 here): the expansion anchored at the band and the
-    one at 0 that every g = 1 slope of the solve is read from."""
+    count: the expansion anchored at the band and the one at 0 that
+    every g = 1 slope of the solve is read from."""
     centers = []
     init = LocalField.__init__
 
@@ -148,6 +136,6 @@ def test_solve_builds_two_local_fields(monkeypatch, field, guess):
         centers.append(self.center)
 
     monkeypatch.setattr(LocalField, "__init__", spy)
-    sol = twocut.solve_endpoints_symmetric(field, guess=guess)
-    assert sol.converged
+    sol = twocut.solve_endpoints_symmetric(field)
+    assert sol.converged and sol.iterations == steps
     assert len(centers) == 2 and centers[1] == 0.0

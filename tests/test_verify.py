@@ -1,5 +1,6 @@
 """Variational certification: passing reports and counter-tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -148,16 +149,21 @@ def test_far_field_is_the_recentered_unit_mass_log():
     assert _far_field_error(tab6) < 1e-4
 
 
-def test_report_passes_tolerance_overrides():
+def test_report_passes_at_fixed_tolerances():
     field = semicircle_field(1.0)
     sol = onecut.solve_endpoints(field)
     tab = onecut.density(sol, field, 400)
     rep = verify.check_variational(tab, field)
     assert rep.passed()
-    assert not rep.passed(tol_eq=1e-16)
-    # tolerances belong to passed(); the checks themselves take none
+    # each figure fails at its module tolerance, which nothing overrides
+    for name, value in (("equality_deviation", verify._TOL_EQ),
+                        ("inequality_margin", -verify._TOL_INEQ),
+                        ("mass_residual", verify._TOL_MASS)):
+        assert not dataclasses.replace(rep, **{name: value}).passed(), name
     with pytest.raises(TypeError):
-        verify.check_variational(tab, field, tol_eq=1e-16)
+        rep.passed(tol_eq=1.0)
+    with pytest.raises(TypeError):
+        verify.check_variational(tab, field, tol_eq=1.0)
 
 
 def test_three_bands_report_unchecked_signs():
