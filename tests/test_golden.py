@@ -19,7 +19,12 @@ DUMP_SOLVES problems and DUMP_SWEEPS sweeps below.  Run
 on each tree, then ``diff -r`` the two directories.  Every case gets a
 directory holding its exit code, stdout and stderr (a sweep's CSV is
 its stdout); a solve adds the ``problem.json``, ``report.json`` and
-``density.csv`` of ``eqm solve --out``.  No CLI output reads a
+``density.csv`` of ``eqm solve --out``.  Each solve case also gets a
+``predict+`` and a ``predict-`` directory with the output of
+``eqm predict --sign +`` and ``--sign -`` on its problem, and, when the
+solve wrote ``density.csv``, a ``verify`` directory with the output of
+``eqm verify`` reading that file back.  ``eqm oracle`` is left out: it
+takes about 0.06 s a case at a small grid.  No CLI output reads a
 solution's split-precision endpoint vector, so the dump also writes
 ``criterion-7/<config>`` for each ``conftest.solve_configs``
 configuration: the ``endpoint_vector()`` fields, the ``q_polynomial``
@@ -182,12 +187,23 @@ def _run_captured(argv, case_dir):
 
 
 def dump(root):
-    """Write the outputs of every DUMP_SOLVES and DUMP_SWEEPS case under root."""
+    """Write the outputs of every DUMP_SOLVES and DUMP_SWEEPS case under
+    root, with each solve case's predict runs and density read-back."""
     for name, (vstar, p, t) in DUMP_SOLVES.items():
         case = os.path.join(root, name)
         os.makedirs(case)
         path = _problem(case, "problem", vstar, p, t)
         _run_captured(["solve", "--problem", path, "--out", case], case)
+        for sign in "+-":
+            sub = os.path.join(case, f"predict{sign}")
+            os.makedirs(sub)
+            _run_captured(["predict", "--problem", path, "--sign", sign], sub)
+        density_csv = os.path.join(case, "density.csv")
+        if os.path.exists(density_csv):
+            sub = os.path.join(case, "verify")
+            os.makedirs(sub)
+            _run_captured(["verify", "--problem", path, "--density", density_csv],
+                          sub)
     for name, (vstar, t_from, t_to, steps, log) in DUMP_SWEEPS.items():
         case = os.path.join(root, name)
         os.makedirs(case)
