@@ -128,17 +128,9 @@ def solve(ansatz, field, tol, max_iter):
 
     def fun(x):
         dm, half = float(x[0]), float(x[1])
-        if not half > 0.0:
-            raise InvalidInterval("half width must be positive")
+        if not 2.0 * half >= _COLLAPSE * max(1.0, af + abs(dm) + half):
+            raise InvalidInterval("band width must be at least 1e-12 relative")
         return np.array(pair(dm, half))
-
-    def validate(x):
-        dm, half = float(x[0]), float(x[1])
-        if not half > 0.0:
-            return False
-        if ansatz.mirror and not float(anchor + LONG(dm) - LONG(half)) > 0.0:
-            return False
-        return 2.0 * half >= _COLLAPSE * max(1.0, af + abs(dm) + half)
 
     def step_scale(x):
         dm, half = float(x[0]), float(x[1])
@@ -146,8 +138,7 @@ def solve(ansatz, field, tol, max_iter):
         return 1e-6 * max(2.0 * abs(half), 1e-6 * max(1.0, umax))
 
     res = damped_newton(fun, np.array([dm0, half0]), tol=tol,
-                        max_iter=max_iter, step_scale=step_scale,
-                        validate=validate)
+                        max_iter=max_iter, step_scale=step_scale)
     dm, half = float(res.x[0]), float(res.x[1])
     u1, u2 = endpoints_long(anchor, dm, half)
     return AnchoredSolution(float(u1), float(u2), res.converged,

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import EqmError, UnsupportedRegime
 from .onecut import density, solve_endpoints
@@ -103,20 +104,19 @@ def _side_dominant(field, side):
 
 
 def _p_convex(p_coeffs):
-    """Convexity of the tilt polynomial: p'' >= 0 on a sample grid."""
-    n = len(p_coeffs) - 1
-    if n < 2:
+    """Convexity of the tilt polynomial, decided exactly: p'' has even
+    degree and a positive leading coefficient, and is >= 0, up to 1e-12
+    of the size of its terms, at the real parts of all roots of p'''.
+    Those include every real root, where p'' takes its minimum, so no
+    imaginary-part threshold is needed."""
+    if len(p_coeffs) < 3 or len(p_coeffs) % 2 == 0:
         return False
-    dd = [j * (j - 1) * c for j, c in enumerate(p_coeffs) if j >= 2]
-    lead = dd[-1]
-    if not lead > 0.0:
+    dd = P.polyder(p_coeffs, 2)
+    if not dd[-1] > 0.0:
         return False
-    bound = 1.0 + sum(abs(c) for c in dd[:-1]) / lead
-    xs = np.linspace(-bound, bound, 401)
-    vals = np.zeros_like(xs)
-    for j, c in enumerate(dd):
-        vals += c * xs**j
-    return bool(np.all(vals >= 0.0))
+    xs = P.polyroots(P.polyder(dd)).real
+    tol = 1e-12 * P.polyval(np.abs(xs), np.abs(dd))
+    return bool(np.all(P.polyval(xs, dd) >= -tol))
 
 
 def predict(field, sign_of_t):
@@ -131,25 +131,16 @@ def predict(field, sign_of_t):
     if n < 1:
         raise UnsupportedRegime("constant tilt polynomials have no regime")
 
-    if n % 2 == 1:
-        side = 1 if sign < 0 else -1
-        c, m = _side_dominant(field, side)
+    if n % 2 == 1 or sign < 0:
+        # t p falls toward side * infinity (both sides for even n)
+        c, m = _side_dominant(field, 1 if sign < 0 else -1)
         if not m > n:
             raise UnsupportedRegime(
                 f"fixed-field growth {m} does not dominate the tilt degree {n}"
             )
         exponent = 1.0 / (m - n)
         constant = (n / (c * m)) ** (1.0 / (m - n))
-        regime = "odd-n-neg-t" if sign < 0 else "odd-n-pos-t"
-    elif sign < 0:
-        c, m = _side_dominant(field, 1)
-        if not m > n:
-            raise UnsupportedRegime(
-                f"fixed-field growth {m} does not dominate the tilt degree {n}"
-            )
-        exponent = 1.0 / (m - n)
-        constant = (n / (c * m)) ** (1.0 / (m - n))
-        regime = "even-n-neg-t"
+        regime = f"{'odd' if n % 2 else 'even'}-n-{'neg' if sign < 0 else 'pos'}-t"
     else:
         if not _p_convex(field.p_coeffs):
             raise UnsupportedRegime(

@@ -36,35 +36,9 @@ __all__ = ["Band", "DensityTable", "chebyshev_angles"]
 # Entries of the largest point-by-term matrix one log-potential block
 # holds (128 KiB of float64), so memory stays flat in the number of points.
 _BLOCK = 2**14
-_LOG_TINY = math.log(np.finfo(float).smallest_subnormal)
 _EPS = np.finfo(float).eps
-
-
-def _inverse_powers(w, n):
-    """w^1..w^n by running product for a column w, |w| < 1: the values
-    of ``np.cumprod`` over the broadcast (rows, n) matrix, bit for bit
-    but for the sign of zeros.
-
-    Under |w| = 1/2 a running product falls to exact zero a column or
-    two after |w|^k drops below the smallest subnormal, and stays zero.
-    So only the columns up to that estimate are multiplied out and the
-    rest are zero-filled, unless the last column multiplied out is not
-    yet zero in every row.  From 1/2 up the product can stick at the
-    smallest subnormal, and every column is multiplied out.
-    """
-    rows = np.broadcast_to(w, (w.size, n))
-    powers = np.empty(rows.shape)
-    wmax = float(np.max(np.abs(w)))
-    cols = n
-    if 0.0 < wmax < 0.5:
-        cols = min(n, int(_LOG_TINY / math.log(wmax)) + 3)
-    np.cumprod(rows[:, :cols], axis=1, out=powers[:, :cols])
-    if cols < n:
-        if powers[:, cols - 1].any():
-            np.cumprod(rows, axis=1, out=powers)
-        else:
-            powers[:, cols:] = 0.0
-    return powers
+# -log2 of the smallest subnormal float
+_TINY_BITS = 1074
 
 
 @lru_cache(maxsize=16)
@@ -212,12 +186,15 @@ class Band:
         """(1/pi) * integral of log|xi - mu| psi(mu) dmu over this band.
 
         A point on the band sums a_k cos(k phi) with y = cos(phi); a
-        point off it sums a_k v^-k, the powers taken by a running
-        product of 1/v (``_inverse_powers``), so terms past underflow
-        are exact zeros.  Both sums run over the K terms ``_log_series``
-        keeps above the eps floor, which moves them by at most
-        (n + 2 - K) * eps * max|a| * half^2.  Points go in blocks of at
-        most _BLOCK matrix entries.
+        point off it sums a_k w^k, w = 1/v, the powers taken by a
+        running product (``np.cumprod``).  Under |w| = 1/2 that product
+        is exactly zero two factors after |w|^k drops below the smallest
+        subnormal (it then holds at most two subnormal steps, and each
+        factor under 1/2 rounds that down by at least one), so only the
+        columns up to there are multiplied out and the rest stay zero.
+        Both sums run over the K terms ``_log_series`` keeps above the
+        eps floor, which moves them by at most (n + 2 - K) * eps * max|a|
+        * half^2.  Points go in blocks of at most _BLOCK matrix entries.
         """
         a = self._log_series()
         y = np.atleast_1d((np.asarray(xi, dtype=float) - self.mid) / self.half)
@@ -231,7 +208,14 @@ class Band:
             sums[i] = np.cos(np.multiply.outer(np.arccos(y[i]), ks)) @ a
         v = y[off] + np.copysign(np.sqrt(y[off] * y[off] - 1.0), y[off])
         for start in range(0, off.size, step):
-            powers = _inverse_powers(1.0 / v[start:start + step, None], len(a) - 1)
+            w = 1.0 / v[start:start + step, None]
+            powers = np.zeros((w.size, len(a) - 1))
+            cols = len(a) - 1
+            wmax = float(np.max(np.abs(w)))
+            if 0.0 < wmax < 0.5:
+                cols = min(cols, int(_TINY_BITS / -math.log2(wmax)) + 3)
+            np.cumprod(np.broadcast_to(w, (w.size, cols)), axis=1,
+                       out=powers[:, :cols])
             sums[off[start:start + step]] = powers @ a[1:]
         c0 = np.full(y.shape, -math.log(2.0))
         c0[off] = np.log(np.abs(v) / 2.0)

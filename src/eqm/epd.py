@@ -26,11 +26,11 @@ array of points and evaluates an array in one tensor contraction.  The
 rule's per-slot vectors are built once per (g, m, dtype).
 
 The endpoint residuals read one slope, dPsi_g/du_2, so
-``phi_slope_anchored`` contracts only that gradient column: one tensor
-of V^(order+1) and one contraction, where ``phi_eval_grad`` builds
-tensors of V^(order) and V^(order+1) and contracts 2g+4 times.  Each
-contraction keeps ``np.tensordot``'s own reshape-and-dot form, so the
-slope is the full gradient's column bit for bit.
+``phi_eval_anchored`` with a slot contracts only that gradient column:
+one tensor of V^(order+1) and one contraction, where ``phi_eval_grad``
+builds tensors of V^(order) and V^(order+1) and contracts 2g+4 times.
+Each contraction keeps ``np.tensordot``'s own reshape-and-dot form, so
+the slope is the full gradient's column bit for bit.
 
 The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  Inside a band
@@ -55,7 +55,6 @@ __all__ = [
     "phi_eval",
     "phi_eval_grad",
     "phi_eval_anchored",
-    "phi_slope_anchored",
     "epd_residual",
     "phi0_band",
     "phi1_symmetric_band",
@@ -373,8 +372,9 @@ def phi_eval_grad(spec, xi, u, m=None, dtype=np.float64):
     return vals[0], grads[0]
 
 
-def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
-    """Phi/Psi evaluation with the point and endpoints as local offsets.
+def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64, slot=None):
+    """Phi/Psi, or one of its partial derivatives, with the point and
+    endpoints as local offsets.
 
     Parameters
     ----------
@@ -386,26 +386,15 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
         returns an array of values.
     du : sequence of float
         Endpoint offsets, descending, length 2g+2 (ties allowed).
+    slot : int, optional
+        Return the partial derivative along slot (0 for xi, j for u_j)
+        instead of the value: bit for bit the slot column of the full
+        gradient from the same offsets, from one derivative tensor and
+        one contraction.  Newton residuals that read one slope use it.
 
     Solvers that keep endpoints as anchor-plus-offset use this entry so
     the tensor arguments are formed from offsets exactly, without the
     absolute coordinates ever rounding through a float.
-    """
-    du = _validate_u(spec.g, np.asarray(du, dtype=float))
-    out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),
-                       du, spec.nodes(m), dtype=dtype)
-    return out if np.ndim(dxi) else out[0]
-
-
-def phi_slope_anchored(spec, lf, dxi, du, slot, m=None, dtype=np.float64):
-    """One gradient component of Phi_g/Psi_g: the partial derivative
-    along slot (0 for xi, j for u_j), with the point(s) and endpoints as
-    offsets from the center of lf, as in ``phi_eval_anchored``; an array
-    dxi returns an array.
-
-    Equal bit for bit to the slot column of the full gradient from the
-    same offsets, from one derivative tensor and one contraction; Newton
-    residuals that read one slope use it.
     """
     du = _validate_u(spec.g, np.asarray(du, dtype=float))
     out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),

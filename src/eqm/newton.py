@@ -2,9 +2,10 @@
 
 The residual callables may raise a feasibility error (NegativeRadicand,
 InvalidInterval, DomainError) at points outside the domain of the
-square-root equations; the line search treats that exactly like a
-residual increase and halves the step.  An infeasible starting point
-propagates the error to the caller.
+square-root equations; that is the only way a point is rejected.  The
+line search treats it exactly like a residual increase and halves the
+step, and the Jacobian falls back to a one-sided difference.  An
+infeasible starting point propagates the error to the caller.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ def _jacobian(fun, x, f0, h):
     return jac
 
 
-def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
-                  validate=None):
+def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None):
     """Minimize ||fun(x)||_inf to below tol by damped Newton steps.
 
     Parameters
@@ -79,8 +79,6 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
         Newton iteration budget.
     step_scale : callable, optional
         x -> finite-difference step h for the Jacobian (default 1e-6).
-    validate : callable, optional
-        x -> bool; False marks a trial point infeasible before fun runs.
 
     Returns
     -------
@@ -114,9 +112,6 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None,
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial = x + lam * step
-            if validate is not None and not validate(trial):
-                lam *= 0.5
-                continue
             try:
                 ftrial = np.asarray(fun(trial), dtype=float)
             except _FEASIBILITY_ERRORS:

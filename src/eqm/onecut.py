@@ -14,9 +14,8 @@ import numpy as np
 from . import anchored
 from .anchored import INV_SQRT_PI
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi0_band, phi_slope_anchored
+from .epd import EpdSpec, phi0_band, phi_eval_anchored
 from .errors import NegativeRadicand
-from .field import LONG
 from .quadrature import field_band_integral_delta
 
 __all__ = ["solve_endpoints", "density"]
@@ -28,11 +27,11 @@ def _residual_fun(field, lf):
     def pair(dm, half):
         d1 = dm + half
         d2 = dm - half
-        g2 = float(phi_slope_anchored(spec, lf, d1, (d1, d2), slot=2))
+        g2 = float(phi_eval_anchored(spec, lf, d1, (d1, d2), slot=2))
         if not g2 > 0.0:
             raise NegativeRadicand("dPsi0/du2 is not positive at the iterate")
         f1 = 2.0 * half * math.sqrt(g2) - INV_SQRT_PI
-        f2 = float(field_band_integral_delta(lf, d1, d2, dtype=LONG))
+        f2 = float(field_band_integral_delta(lf, d1, d2))
         return f1, f2
 
     return pair

@@ -29,6 +29,7 @@ import numpy as np
 
 from .density import chebyshev_angles
 from .errors import InvalidInterval, SingularPoint
+from .field import LONG
 
 __all__ = [
     "band_integral",
@@ -163,17 +164,19 @@ def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None):
     return _pv_core(fdelta, d1, d2, dxi, m)
 
 
-def field_band_integral_delta(lf, d1, d2, dtype=np.float64):
+def field_band_integral_delta(lf, d1, d2):
     """Integral of V'/sqrt weight with the band given as offsets.
 
     The band is (center + d2, center + d1) for the LocalField's center;
-    nodes are formed directly in the offset coordinate.
+    nodes are formed directly in the offset coordinate, and V' is
+    accumulated in longdouble, as the one-band endpoint residual needs.
     """
-    return band_integral(lambda d: lf.deriv(d, 1, dtype=dtype), d1, d2)
+    return band_integral(lambda d: lf.deriv(d, 1, dtype=LONG), d1, d2)
 
 
-def field_symmetric_band_integral_delta(lf, d1, d2, dtype=np.float64):
-    """Integral of V'/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets.
+def field_symmetric_band_integral_delta(lf, d1, d2):
+    """Integral of V'/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets, with V'
+    accumulated in longdouble, as the two-band endpoint residual needs.
 
     Requires the band (center + d2, center + d1) to sit strictly in the
     positive half line.  The vanishing factors (u1-mu)(mu-u2) are the
@@ -185,7 +188,7 @@ def field_symmetric_band_integral_delta(lf, d1, d2, dtype=np.float64):
 
     def f(d):
         plus = (twoc + d + d1) * (twoc + d + d2)
-        return lf.deriv(d, 1, dtype=dtype) / np.sqrt(plus)
+        return lf.deriv(d, 1, dtype=LONG) / np.sqrt(plus)
 
     return band_integral(f, d1, d2)
 

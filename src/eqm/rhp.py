@@ -263,14 +263,6 @@ def qgk(u: EndpointVector, k, field: FieldSpec):
     return total
 
 
-def _poly_from_roots(roots):
-    """Monic polynomial with the given roots, longdouble, descending."""
-    coeffs = np.array([1.0], dtype=LONG)
-    for r in roots:
-        coeffs = np.convolve(coeffs, np.array([1.0, -r], dtype=LONG))
-    return coeffs
-
-
 def _psi_values(u: EndpointVector, field: FieldSpec):
     """Psi_g at each endpoint, evaluated at the vector's full precision.
 
@@ -315,7 +307,6 @@ def q_polynomial(u: EndpointVector, field: FieldSpec):
     psis = _psi_values(u, field)
     acc = np.zeros(2 * u.g + 2, dtype=LONG)
     for i in range(len(pts)):
-        basis = _poly_from_roots([pts[l] for l in range(len(pts)) if l != i])
-        acc -= LONG(psis[i]) * basis
+        acc -= LONG(psis[i]) * np.poly(np.delete(pts, i))  # longdouble, monic
     _add_pgn_terms(acc, u, field)
     return QPolynomial(tuple(float(c) for c in acc))

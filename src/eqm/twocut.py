@@ -15,7 +15,7 @@ import numpy as np
 from . import anchored
 from .anchored import INV_SQRT_PI, endpoints_long
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi1_symmetric_band, phi_slope_anchored
+from .epd import EpdSpec, phi1_symmetric_band, phi_eval_anchored
 from .errors import InvalidInterval, NegativeRadicand, NotEven
 from .field import LONG, LocalField
 from .quadrature import field_symmetric_band_integral_delta
@@ -34,13 +34,12 @@ def _residual_fun(field, lf):
         if not u2 > 0.0:
             raise InvalidInterval("inner endpoint must stay positive")
         uvec = np.array([u1, u2, -u2, -u1], dtype=LONG)
-        g2 = float(phi_slope_anchored(spec, mirror_lf, u1, uvec, slot=2))
+        g2 = float(phi_eval_anchored(spec, mirror_lf, u1, uvec, slot=2))
         if not g2 > 0.0:
             raise NegativeRadicand("dPsi1/du2 is not positive at the iterate")
         s = 4.0 * float(anchor + LONG(dm))  # 2 (u1 + u2)
         f1 = 2.0 * half * math.sqrt(s) * math.sqrt(g2) - INV_SQRT_PI
-        f2 = float(field_symmetric_band_integral_delta(
-            lf, dm + half, dm - half, dtype=LONG))
+        f2 = float(field_symmetric_band_integral_delta(lf, dm + half, dm - half))
         return f1, f2
 
     return pair

@@ -64,6 +64,28 @@ def test_nonconvex_positive_unsupported():
         asymptotics.predict(field, +1)
 
 
+def _sextic_tilted(p_coeffs):
+    return FieldSpec(vstar=(PowerTerm("monomial", 6.0, 1.0),),
+                     p_coeffs=tuple(p_coeffs), t=0.0)
+
+
+def test_convexity_is_decided_between_samples():
+    # p'' = 12 (xi - 0.0025)^2 - 1e-6 is negative only within 3e-4 of
+    # 0.0025, which a 401-point sample grid over [-1, 1] steps over
+    with pytest.raises(UnsupportedRegime):
+        asymptotics.predict(_sextic_tilted([0.0, 0.0, 3.7e-5, -0.01, 1.0]), +1)
+
+
+@pytest.mark.parametrize("p_coeffs", [
+    (0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.0, 0.0, 1.0),  # p'' = 12 xi^2, minimum exactly 0
+    (1.0, -4.0, 6.0, -4.0, 1.0),  # (xi - 1)^4 expanded
+], ids=["xi^2", "xi^4", "(xi-1)^4"])
+def test_convex_tilts_predict_the_shrinking_regime(p_coeffs):
+    pred = asymptotics.predict(_sextic_tilted(p_coeffs), +1)
+    assert pred.regime == "even-n-pos-t-convex"
+
+
 def test_dominated_field_unsupported():
     # fixed part must dominate the tilt degree
     field = FieldSpec(

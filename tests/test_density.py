@@ -8,8 +8,8 @@ import pytest
 from scipy import fft, integrate
 
 from eqm import onecut, twocut
-from eqm.density import (Band, DensityTable, _dct3, _dst2, _inverse_powers,
-                         _twiddles, chebyshev_angles)
+from eqm.density import (Band, DensityTable, _dct3, _dst2, _twiddles,
+                         chebyshev_angles)
 from eqm.field import FieldSpec, PowerTerm
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
@@ -308,6 +308,12 @@ def test_node_evaluation_matches_reference():
                                    rtol=1e-15, atol=1e-15)
 
 
+def _off_band_points(rng, size, scale):
+    """size points with |y| drawn around scale (|y| > 1), mixed signs."""
+    y = scale * (1.0 + 1e-3 * rng.uniform(1e-3, 1.0, size))
+    return y * rng.choice([-1.0, 1.0], size)
+
+
 def test_log_potential_array_matches_points_two_bands():
     _, tab, sol = _tables()
     on = np.concatenate([b.xs for b in tab.bands])
@@ -318,8 +324,13 @@ def test_log_potential_array_matches_points_two_bands():
         -np.linspace(u1, 3.0 * u1, 40)[1:],
         [-1e4 * u1, 1e4 * u1, -np.inf, np.inf],
     ])
-    for band in tab.bands + _rough_table(64).bands:
-        for pts in (on, off):
+    rng = np.random.default_rng(401)
+    for band in tab.bands + _rough_table(64).bands + _rough_table(400).bands:
+        # |1/v| above and below 1/2, and 1e3 and 1e6 half-widths out, where
+        # the 402-term series of the rough 400-sample bands underflows
+        far = band.mid + band.half * np.concatenate(
+            [_off_band_points(rng, 40, scale) for scale in (1.2, 1.3, 1e3, 1e6)])
+        for pts in (on, off, far):
             batched = band.log_potential(pts)
             single = np.array([band.log_potential(x) for x in pts])
             ref = np.array([_log_potential_reference(band, x) for x in pts])
@@ -331,38 +342,17 @@ def test_log_potential_array_matches_points_two_bands():
     assert tab.log_potential(pts).tolist() == total.tolist()
 
 
-def _full_width_powers(w, n):
-    return np.cumprod(np.broadcast_to(w, (w.size, n)), axis=1)
-
-
-def _off_band_points(rng, size, scale):
-    """size points with |y| drawn around scale (|y| > 1), mixed signs."""
-    y = scale * (1.0 + 1e-3 * rng.uniform(1e-3, 1.0, size))
-    return y * rng.choice([-1.0, 1.0], size)
-
-
 @pytest.mark.parametrize("size", [1, 40, 401])
 @pytest.mark.parametrize("scale", [1.0, 1.2, 1.3, 1e3, 1e6],
                          ids=["near-1", "w-above-half", "w-below-half", "1e3", "1e6"])
 def test_truncated_powers_match_full_cumprod_bitwise(monkeypatch, size, scale):
-    """The off-band powers multiply out only the columns before
-    underflow; the sums they feed keep every bit of the full-width
-    running product, with and without the full-width fallback."""
+    """Off the band, the powers of w = 1/v are multiplied out only up to
+    where they underflow; the log potential keeps every bit of the
+    full-width running product."""
     rng = np.random.default_rng(size)
-    y = _off_band_points(rng, size, scale)
-    w = 1.0 / (y + np.copysign(np.sqrt(y * y - 1.0), y))[:, None]
-    a = rng.standard_normal(801)
-    for n in (1, 401, 801):
-        got, want = _inverse_powers(w, n), _full_width_powers(w, n)
-        assert np.array_equal(got, want)
-        assert (got @ a[:n]).tobytes() == (want @ a[:n]).tobytes()
     band = _rough_table(400).bands[0]
-    pts = band.mid + band.half * y
-    module = importlib.import_module("eqm.density")
+    pts = band.mid + band.half * _off_band_points(rng, size, scale)
     got = band.log_potential(pts)
-    # a too-short column estimate forces the check's full-width fallback
-    monkeypatch.setattr(module, "_LOG_TINY", -1.0)
-    fallback = band.log_potential(pts)
-    monkeypatch.setattr(module, "_inverse_powers", _full_width_powers)
-    want = band.log_potential(pts)
-    assert got.tobytes() == want.tobytes() == fallback.tobytes()
+    # a stop estimate past the last column multiplies every power out
+    monkeypatch.setattr(importlib.import_module("eqm.density"), "_TINY_BITS", 10**6)
+    assert got.tobytes() == band.log_potential(pts).tobytes()

@@ -13,8 +13,8 @@ from eqm.epd import (
     phi0_band,
     phi1_symmetric_band,
     phi_eval,
+    phi_eval_anchored,
     phi_eval_grad,
-    phi_slope_anchored,
 )
 from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
 from eqm.quadrature import field_symmetric_band_integral_delta
@@ -333,11 +333,11 @@ SLOT_FIELDS = [quartic_field(-3.0), even_sextic_field(-2.0), sextic_field(-2.0),
 @pytest.mark.parametrize("g", [0, 1])
 @pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["float64", "longdouble"])
 def test_slot_gradient_is_bitwise_the_full_gradient_column(field, g, dtype):
-    """phi_slope_anchored returns, bit for bit, the column of the full
-    gradient it stands for, for one point and for a batch, and, on the
-    expansion at 0, the column of phi_eval_grad at a mirrored endpoint
-    vector, whose hull is centred at 0 too: the two-band residual's
-    slope at xi = u1.
+    """phi_eval_anchored with a slot returns, bit for bit, the column of
+    the full gradient it stands for, for one point and for a batch, and,
+    on the expansion at 0, the column of phi_eval_grad at a mirrored
+    endpoint vector, whose hull is centred at 0 too: the two-band
+    residual's slope at xi = u1.
 
     The 24^4 one-point-per-chunk rule of |xi|^4.5 at g = 1 runs in
     float64; in longdouble, where each such tensor costs 0.2 s, the rule
@@ -362,12 +362,12 @@ def test_slot_gradient_is_bitwise_the_full_gradient_column(field, g, dtype):
     }
     for slot in range(2 * g + 3):
         got = {
-            "anchored batch": phi_slope_anchored(spec, lf, dxs, du, slot, m=m,
-                                                 dtype=dtype),
-            "anchored one": phi_slope_anchored(spec, lf, dxs[0], du, slot, m=m,
-                                               dtype=dtype),
-            "centre 0": phi_slope_anchored(spec, lf0, mirror[0], mirror, slot,
-                                           m=m, dtype=dtype),
+            "anchored batch": phi_eval_anchored(spec, lf, dxs, du, m=m,
+                                                dtype=dtype, slot=slot),
+            "anchored one": phi_eval_anchored(spec, lf, dxs[0], du, m=m,
+                                              dtype=dtype, slot=slot),
+            "centre 0": phi_eval_anchored(spec, lf0, mirror[0], mirror, m=m,
+                                          dtype=dtype, slot=slot),
         }
         for key, grad in full.items():
             assert np.array_equal(got[key], grad[..., slot]), (key, slot)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from eqm.errors import InvalidInterval
 from eqm.newton import damped_newton
 
 
@@ -33,9 +34,12 @@ def test_singular_jacobian_reports_no_step():
 def test_stalled_line_search_reports_steps_taken():
     # residual x, exact unit Jacobian; every point below 1 is infeasible,
     # so the first step lands on 1 and no step from there is accepted
-    res = damped_newton(lambda x: x.copy(), [2.0],
-                        step_scale=lambda x: 0.5,
-                        validate=lambda x: x[0] >= 1.0)
+    def fun(x):
+        if x[0] < 1.0:
+            raise InvalidInterval("below 1")
+        return x.copy()
+
+    res = damped_newton(fun, [2.0], step_scale=lambda x: 0.5)
     assert not res.converged
     assert res.message == "line search stalled"
     assert res.iterations == 1

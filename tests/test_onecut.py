@@ -137,3 +137,15 @@ def test_residual_builds_one_derivative_tensor(monkeypatch):
     monkeypatch.setattr(LocalField, "deriv", spy)
     pair(dm, half)
     assert orders == [2]
+
+
+def test_band_collapse_stops_short_of_the_guard():
+    """A residual pair whose root, half = 1e-16, lies below the 1e-12
+    relative collapse guard: the solve stops unconverged with its best
+    iterate at or above the guard."""
+    stub = anchored.Ansatz(lambda field, lf: lambda dm, half: (dm, half - 1e-16),
+                           psi=None, table=None, mirror=False, name="stub",
+                           mass_name="stub")
+    sol = anchored.solve(stub, semicircle_field(1.0), tol=1e-14, max_iter=100)
+    assert not sol.converged
+    assert 2.0 * sol.half >= anchored._COLLAPSE

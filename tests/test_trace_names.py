@@ -1,10 +1,14 @@
-"""The benchmark tracer finds eqm's layers by name; every name must resolve."""
+"""The benchmark tracer finds eqm's layers by name; every name must
+resolve, and the CLI's commands must record a span under each."""
 
 import importlib
 import importlib.util
+import json
 import os
 
 import pytest
+
+from eqm import cli
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -13,14 +17,14 @@ TRACING = os.path.join(
 )
 
 
-def _span_names():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # stdlib only, no eqm import
-    return module.SPAN_NAMES
+    return module
 
 
-@pytest.mark.parametrize("name", _span_names())
+@pytest.mark.parametrize("name", _tracing().SPAN_NAMES)
 def test_span_name_resolves_in_eqm(name):
     mod, attr, *method = name.split(".")
     obj = getattr(importlib.import_module(f"eqm.{mod}"), attr)
@@ -28,3 +32,40 @@ def test_span_name_resolves_in_eqm(name):
         # the tracer patches the class's own method, or its constructor
         obj = vars(obj)[method[0] if method else "__init__"]
     assert callable(obj)
+
+
+def _problem(tmp_path, name, vstar, t, output=None):
+    obj = {"field": {"vstar": vstar, "p": {"coeffs": [0.0, 0.0, 1.0]}, "t": t}}
+    if output:
+        obj["output"] = output
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_every_span_name_records_a_span(tmp_path):
+    """solve, sweep, predict and oracle, run in process, pass through
+    every traced layer at least once."""
+    quartic = [{"kind": "monomial", "k": 4, "c": 1.0}]
+    semicircle = _problem(tmp_path, "semicircle", [], 1.0)
+    quartic_path = _problem(tmp_path, "quartic", quartic, -10.0)
+    oracle_path = _problem(tmp_path, "oracle", quartic, -10.0,
+                           {"density": str(tmp_path / "oracle.csv")})
+    runs = [
+        ["solve", "--problem", semicircle, "--out", str(tmp_path / "semi")],
+        ["solve", "--problem", quartic_path, "--out", str(tmp_path / "quartic")],
+        ["sweep", "--problem", quartic_path, "--t-from", "-10", "--t-to", "-10",
+         "--steps", "1"],
+        ["predict", "--problem", quartic_path, "--sign", "-"],
+        ["oracle", "--problem", oracle_path, "--grid-n", "201", "--iters", "2000"],
+    ]
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for argv in runs:
+            assert cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    recorded = {span[3] for span in tracer.spans}
+    assert [n for n in tracing.SPAN_NAMES if n not in recorded] == []
