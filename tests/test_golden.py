@@ -31,6 +31,15 @@ configuration: the ``endpoint_vector()`` fields, the ``q_polynomial``
 coefficients there and at the 1.01x perturbation criterion 7 uses, and
 the ``check_sign_and_gaps`` flags.
 
+For the semicircle and every xi^4 + t xi^2 solve that wrote
+``report.json``, the dump also writes ``reference``: each reported
+endpoint against its closed form, evaluated by mpmath at 30 digits,
+with the error in ulps of the reference.  The forms are r = 1/sqrt(pi t)
+for the semicircle, b^2 = (-t + sqrt(t^2 + 6/pi))/3 for the quartic's
+one band [-b, b], and u1^2 + u2^2 = -t, u1^2 - u2^2 = sqrt(2/pi) for its
+two bands; the report's ansatz picks the form.  A change that moves
+endpoints compares these errors between the two dumps.
+
 To see which library lines that traffic runs, for instance to show that
 code a change deletes is never reached from the CLI, run
 
@@ -54,6 +63,7 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 
 import eqm
@@ -186,6 +196,42 @@ def _run_captured(argv, case_dir):
             fh.write(text)
 
 
+def _reference_endpoints(name, ansatz, t):
+    """Closed-form endpoints, descending, as 30-digit mpmath numbers."""
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    t = mp.mpf(t)
+    if name == "semicircle":
+        r = 1 / mp.sqrt(mp.pi * t)
+        return [r, -r]
+    if ansatz == "onecut":
+        b = mp.sqrt((-t + mp.sqrt(t * t + 6 / mp.pi)) / 3)
+        return [b, -b]
+    split = mp.sqrt(2 / mp.pi)
+    u1, u2 = mp.sqrt((-t + split) / 2), mp.sqrt((-t - split) / 2)
+    return [u1, u2, -u2, -u1]
+
+
+def _write_reference(case, name, t):
+    """The reference file of a semicircle or xi^4 + t xi^2 case: one
+    line per report endpoint with its value, the closed form and the
+    error in ulps of the closed form."""
+    path = os.path.join(case, "report.json")
+    if not os.path.exists(path):
+        return
+    report = json.loads(_read(path))
+    lines = [f"ansatz: {report['ansatz']}", f"converged: {report['converged']}",
+             "endpoint value reference error_ulps"]
+    exact = _reference_endpoints(name, report["ansatz"], t)
+    for k, (value, ref) in enumerate(zip(report["endpoints"], exact), 1):
+        ulps = float((value - ref) / np.spacing(abs(float(ref))))
+        lines.append(f"u{k} {value!r} {ref} {ulps:+.3g}")
+    with open(os.path.join(case, "reference"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def dump(root):
     """Write the outputs of every DUMP_SOLVES and DUMP_SWEEPS case under
     root, with each solve case's predict runs and density read-back."""
@@ -198,6 +244,8 @@ def dump(root):
             sub = os.path.join(case, f"predict{sign}")
             os.makedirs(sub)
             _run_captured(["predict", "--problem", path, "--sign", sign], sub)
+        if name == "semicircle" or name.startswith("quartic-x2-"):
+            _write_reference(case, name, t)
         density_csv = os.path.join(case, "density.csv")
         if os.path.exists(density_csv):
             sub = os.path.join(case, "verify")
