@@ -72,7 +72,10 @@ def global_minimizer(field, positive=False):
     """Global minimizer of V, refined to extended precision.
 
     Memoised per (field, positive): the attempt order, the solver seed
-    and the verifier's well probes of one field share one scan.
+    and the verifier's well probes of one field share one scan.  An
+    even field is scanned on [0, L] only, so of two mirror minimizers
+    the right-hand one is returned, never the one that argmin rounding
+    happens to favour.
 
     Parameters
     ----------
@@ -117,6 +120,8 @@ def _scan(field, positive):
         xs = np.linspace(L / _GRID_N, L, _GRID_N)
     else:
         xs = np.linspace(-L, L, _GRID_N)
+        if field.is_even:
+            xs = xs[_GRID_N // 2:]  # the right half of the same grid, 0 included
     vals = field.eval(xs, 0)
     x0 = float(xs[int(np.argmin(vals))])
     return refine_minimizer(field, x0, keep_positive=positive)

@@ -827,3 +827,18 @@ def test_side_wells_with_convex_origin_try_two_bands_first(monkeypatch):
     assert order == ["solve_endpoints_symmetric"]
     assert False in scans
     assert abs(float(cli.wells(field)[0])) == pytest.approx(1.3830657718, rel=1e-9)
+
+
+def test_one_band_rows_of_a_symmetric_double_well_take_the_right_well(
+        tmp_path, capsys):
+    """|xi|^4.5 + t xi^2 for t in -1.5..-1.75 has mirror wells; every
+    one-band row seeds at the right-hand one, so u1 > 0 on all of them
+    (argmin rounding on the full line used to pick either image)."""
+    problem = write_problem(tmp_path, _field_problem(
+        [{"kind": "abs_power", "a": 4.5, "c": 1.0}], [0.0, 0.0, 1.0], -1.5))
+    assert main(["sweep", "--problem", problem, "--t-from=-1.5",
+                 "--t-to=-1.75", "--steps", "6"]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[1:]]
+    one_band = [r for r in rows if r[1] == "onecut"]
+    assert len(one_band) >= 5
+    assert all(float(r[3]) > 0.0 for r in one_band)
