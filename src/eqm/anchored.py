@@ -6,8 +6,10 @@ Deep wells push the support width many orders of magnitude below its
 location; keeping the Newton unknowns (dm, half) as small offsets lets
 the residuals resolve far below what a single rounded float per
 endpoint allows.  An ``Ansatz`` record supplies what differs between
-the one-band and the mirrored two-band construction; its density
-sampler takes Phi from the principal-value kernels of ``epd`` at every
+the one-band and the mirrored two-band construction: the residual pair
+with its analytic Jacobian, and a density sampler that takes Phi in
+closed form for a polynomial field (``rhp.band_factor_coeffs``) and
+from the principal-value kernels of ``epd`` otherwise, at every
 Chebyshev node.  A solution carries no Lagrange constant: the density
 table ``density`` builds holds it, with the edges it was sampled on.
 """
@@ -65,10 +67,13 @@ class AnchoredSolution:
 
 @dataclass(frozen=True)
 class Ansatz:
-    """What a band shape supplies: residual(field, lf) -> pair(dm, half)
-    of endpoint residuals; psi(lf, dm, half, dxi) -> density at offsets
-    dxi inside the band; table(lo, hi, psis); mirror, for the positive
-    band of a mirror pair (u2 > 0); the words of its density errors."""
+    """What a band shape supplies: residual(field, lf) -> (pair,
+    jacobian), pair(dm, half) the two endpoint residuals and
+    jacobian(dm, half) their 2x2 partials, row per residual and column
+    per unknown (dm, half); psi(lf, dm, half, dxi) -> density at
+    offsets dxi inside the band; table(lo, hi, psis); mirror, for the
+    positive band of a mirror pair (u2 > 0); the words of its density
+    errors."""
 
     residual: Callable
     psi: Callable
@@ -124,7 +129,7 @@ def solve(ansatz, field, tol, max_iter):
     lf, dm0 = _prepare(field, well, 0.0, half0)
     anchor = lf.center_long
     af = abs(float(anchor))
-    pair = ansatz.residual(field, lf)
+    pair, jacobian = ansatz.residual(field, lf)
 
     def fun(x):
         dm, half = float(x[0]), float(x[1])
@@ -132,13 +137,10 @@ def solve(ansatz, field, tol, max_iter):
             raise InvalidInterval("band width must be at least 1e-12 relative")
         return np.array(pair(dm, half))
 
-    def step_scale(x):
-        dm, half = float(x[0]), float(x[1])
-        umax = af + abs(dm) + abs(half)
-        return 1e-6 * max(2.0 * abs(half), 1e-6 * max(1.0, umax))
+    def jac(x):
+        return np.array(jacobian(float(x[0]), float(x[1])), dtype=float)
 
-    res = damped_newton(fun, np.array([dm0, half0]), tol=tol,
-                        max_iter=max_iter, step_scale=step_scale)
+    res = damped_newton(fun, np.array([dm0, half0]), tol, max_iter, jac)
     dm, half = float(res.x[0]), float(res.x[1])
     u1, u2 = endpoints_long(anchor, dm, half)
     return AnchoredSolution(float(u1), float(u2), res.converged,

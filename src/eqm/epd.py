@@ -30,13 +30,18 @@ The endpoint residuals read one slope, dPsi_g/du_2, so
 one tensor of V^(order+1) and one contraction, where ``phi_eval_grad``
 builds tensors of V^(order) and V^(order+1) and contracts 2g+4 times.
 Each contraction keeps ``np.tensordot``'s own reshape-and-dot form, so
-the slope is the full gradient's column bit for bit.
+the slope is the full gradient's column bit for bit.  Their Newton
+Jacobian reads the slope's second partials along every slot (``second``):
+one tensor of V^(order+2) and 2g+3 contractions, no finite difference.
 
 The density on band j (counting from the right) of a valid solution is
-psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  Inside a band
-Phi is evaluated only by the principal-value kernels ``phi0_band``
-(g = 0) and ``phi1_symmetric_band`` (reflection-symmetric g = 1), off
-the bands only by the tensor rule.
+psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  For a
+polynomial field Phi_g is a polynomial with a closed form
+(``rhp.band_factor_coeffs``), which the density samplers and the
+certificate read.  For other fields Phi is evaluated inside a band only
+by the principal-value kernels ``phi0_band`` (g = 0) and
+``phi1_symmetric_band`` (reflection-symmetric g = 1), and off the bands
+only by the tensor rule.
 """
 
 from __future__ import annotations
@@ -236,12 +241,15 @@ def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64):
 def _rule_vectors(g, m, dtype):
     """The tensor rule's per-slot vectors in dtype, built once, read-only.
 
-    Returns (avecs, bvecs, wvecs, m0, grad_vecs): the pullback factors
-    a_k = (1+x_k)/2 and b_k = (1-x_k)/2, the weights w_k, the
-    normalization, and for each gradient slot (xi, u_1, ..., u_{2g+2})
-    the per-axis vectors its contraction takes.  d(arg)/d(xi) factorizes
-    as prod_k a_k over the tensor axes, and d(arg)/d(u_j) as b_j times
-    the a_k of the later axes.
+    Returns (avecs, bvecs, wvecs, m0, grad_vecs, hess_vecs): the
+    pullback factors a_k = (1+x_k)/2 and b_k = (1-x_k)/2, the weights
+    w_k, the normalization, for each gradient slot (xi, u_1, ...,
+    u_{2g+2}) the per-axis vectors its contraction takes, and for each
+    pair of slots (i, j) those of the second partial d2/d(slot i)
+    d(slot j).  d(arg)/d(xi) factorizes as prod_k a_k over the tensor
+    axes, and d(arg)/d(u_j) as b_j times the a_k of the later axes; the
+    argument is affine in every slot, so a second partial weighs
+    V^(order+2) with w_k times the two slots' factors on each axis.
     """
     nvar = 2 * g + 2
     avecs, bvecs, wvecs = [], [], []
@@ -250,22 +258,22 @@ def _rule_vectors(g, m, dtype):
         avecs.append((0.5 * (1.0 + x)).astype(dtype))
         bvecs.append((0.5 * (1.0 - x)).astype(dtype))
         wvecs.append(w.astype(dtype))
-    grad_vecs = [tuple(w * a for w, a in zip(wvecs, avecs))]
-    for j in range(1, nvar + 1):
-        vecs = []
-        for k in range(nvar):
-            if k + 1 < j:
-                vecs.append(wvecs[k])
-            elif k + 1 == j:
-                vecs.append(wvecs[k] * bvecs[k])
-            else:
-                vecs.append(wvecs[k] * avecs[k])
-        grad_vecs.append(tuple(vecs))
-    for vecs in (avecs, bvecs, wvecs, *grad_vecs):
+    one = np.ones(m, dtype=dtype)
+    factors = [avecs] + [
+        [one if k + 1 < j else bvecs[k] if k + 1 == j else avecs[k]
+         for k in range(nvar)]
+        for j in range(1, nvar + 1)
+    ]
+    grad_vecs = tuple(tuple(w * f for w, f in zip(wvecs, fj)) for fj in factors)
+    hess_vecs = tuple(
+        tuple(tuple(gi * f for gi, f in zip(grad_i, fj)) for fj in factors)
+        for grad_i in grad_vecs
+    )
+    for vecs in (avecs, bvecs, wvecs, *grad_vecs, *(v for hr in hess_vecs for v in hr)):
         for vec in vecs:
             vec.flags.writeable = False
     return (tuple(avecs), tuple(bvecs), tuple(wvecs), dtype(_normalization(g, m)),
-            tuple(grad_vecs))
+            grad_vecs, hess_vecs)
 
 
 def _contract(tensor, m0, axis_vecs):
@@ -289,7 +297,7 @@ def _contract(tensor, m0, axis_vecs):
 
 
 def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64,
-                 slot=None):
+                 slot=None, second=False):
     """Core nested-affine tensor quadrature in local offsets.
 
     dxi holds the offsets of P evaluation points, du those of the
@@ -299,13 +307,16 @@ def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64,
     variable: one derivative tensor of order+1 and one contraction,
     where the full gradient takes two tensors and 2g+4 contractions.
     Every returned float comes out of the same operations either way.
-    The points are contracted in chunks whose argument tensor holds at
-    most _TENSOR_CAP entries.
+    With slot and second, it returns those P components and their
+    (P, 2g+3) partials along each variable, from the same arguments:
+    one more tensor, of order+2, and 2g+3 more contractions.  The
+    points are contracted in chunks whose argument tensor holds at most
+    _TENSOR_CAP entries.
     """
     nvar = 2 * g + 2
     dxi = np.atleast_1d(np.asarray(dxi).astype(dtype))
     du = np.asarray(du).astype(dtype)
-    avecs, bvecs, wvecs, m0, grad_vecs = _rule_vectors(g, m, dtype)
+    avecs, bvecs, wvecs, m0, grad_vecs, hess_vecs = _rule_vectors(g, m, dtype)
 
     def args():
         step = max(1, _TENSOR_CAP // m**nvar)
@@ -316,10 +327,17 @@ def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64,
             yield arg
 
     if slot is not None:
-        return np.concatenate([
-            _contract(lf.deriv(arg, order + 1, dtype=dtype), m0, grad_vecs[slot])
-            for arg in args()
-        ])
+        slopes, rows = [], []
+        for arg in args():
+            slopes.append(_contract(lf.deriv(arg, order + 1, dtype=dtype), m0,
+                                    grad_vecs[slot]))
+            if second:
+                hess = lf.deriv(arg, order + 2, dtype=dtype)
+                rows.append(np.stack(
+                    [_contract(hess, m0, v) for v in hess_vecs[slot]], axis=-1))
+        if second:
+            return np.concatenate(slopes), np.concatenate(rows)
+        return np.concatenate(slopes)
     values, grads = [], []
     for arg in args():
         values.append(_contract(lf.deriv(arg, order, dtype=dtype), m0, wvecs))
@@ -372,7 +390,8 @@ def phi_eval_grad(spec, xi, u, m=None, dtype=np.float64):
     return vals[0], grads[0]
 
 
-def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64, slot=None):
+def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64, slot=None,
+                      second=False):
     """Phi/Psi, or one of its partial derivatives, with the point and
     endpoints as local offsets.
 
@@ -391,6 +410,12 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64, slot=None):
         instead of the value: bit for bit the slot column of the full
         gradient from the same offsets, from one derivative tensor and
         one contraction.  Newton residuals that read one slope use it.
+    second : bool
+        With slot, return the pair (slope, row): the slot's partial as
+        above, and the row of second partials d2F/d(slot) d(xi, u_1,
+        ..., u_{2g+2}), shape (2g+3,) per point, from one more tensor,
+        of V^(order+2), on the same arguments.  The Newton Jacobian of
+        a residual that reads the slope uses it.
 
     Solvers that keep endpoints as anchor-plus-offset use this entry so
     the tensor arguments are formed from offsets exactly, without the
@@ -398,7 +423,9 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64, slot=None):
     """
     du = _validate_u(spec.g, np.asarray(du, dtype=float))
     out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),
-                       du, spec.nodes(m), dtype=dtype, slot=slot)
+                       du, spec.nodes(m), dtype=dtype, slot=slot, second=second)
+    if second:
+        return out if np.ndim(dxi) else (out[0][0], out[1][0])
     return out if np.ndim(dxi) else out[0]
 
 

@@ -1,11 +1,15 @@
 """Damped Newton iteration for the 2x2 endpoint systems.
 
-The residual callables may raise a feasibility error (NegativeRadicand,
-InvalidInterval, DomainError) at points outside the domain of the
-square-root equations; that is the only way a point is rejected.  The
-line search treats it exactly like a residual increase and halves the
-step, and the Jacobian falls back to a one-sided difference.  An
-infeasible starting point propagates the error to the caller.
+The caller supplies the residual and its Jacobian; no derivative is
+taken by differences here.  The residual may raise a feasibility error
+(NegativeRadicand, InvalidInterval, DomainError) at points outside the
+domain of the square-root equations; that is the only way a point is
+rejected.  The line search treats it exactly like a residual increase
+and halves the step.  The Jacobian is only asked for at iterates whose
+residual was evaluated; if it raises a feasibility error there (a
+derivative of a non-smooth field that does not exist), or is not
+finite, the solve stops.  An infeasible starting point propagates the
+error to the caller.
 """
 
 from __future__ import annotations
@@ -36,34 +40,7 @@ def _norm(f):
     return float(np.max(np.abs(f)))
 
 
-def _jacobian(fun, x, f0, h):
-    """Central-difference Jacobian with one-sided fallback at domain edges."""
-    n = len(x)
-    jac = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        fp = fm = None
-        try:
-            fp = fun(x + e)
-        except _FEASIBILITY_ERRORS:
-            pass
-        try:
-            fm = fun(x - e)
-        except _FEASIBILITY_ERRORS:
-            pass
-        if fp is not None and fm is not None:
-            jac[:, j] = (fp - fm) / (2.0 * h)
-        elif fp is not None:
-            jac[:, j] = (fp - f0) / h
-        elif fm is not None:
-            jac[:, j] = (f0 - fm) / h
-        else:
-            return None
-    return jac
-
-
-def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None):
+def damped_newton(fun, x0, tol, max_iter, jac):
     """Minimize ||fun(x)||_inf to below tol by damped Newton steps.
 
     Parameters
@@ -77,8 +54,8 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None):
         Convergence threshold on the max-norm of the residual.
     max_iter : int
         Newton iteration budget.
-    step_scale : callable, optional
-        x -> finite-difference step h for the Jacobian (default 1e-6).
+    jac : callable
+        x -> the (n, n) Jacobian of fun at x, row per residual.
 
     Returns
     -------
@@ -98,13 +75,15 @@ def damped_newton(fun, x0, tol=1e-10, max_iter=100, step_scale=None):
     for it in range(max_iter):
         if fnorm <= tol:
             return NewtonResult(x, f, fnorm, True, it, "converged")
-        h = float(step_scale(x)) if step_scale is not None else 1e-6
-        jac = _jacobian(fun, x, f, h)
-        if jac is None or not np.all(np.isfinite(jac)):
+        try:
+            jmat = np.asarray(jac(x), dtype=float)
+        except _FEASIBILITY_ERRORS:  # a derivative that does not exist here
+            jmat = None
+        if jmat is None or not np.all(np.isfinite(jmat)):
             message = "Jacobian unavailable at the current iterate"
             break
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(jmat, -f)
         except np.linalg.LinAlgError:
             message = "singular Jacobian"
             break

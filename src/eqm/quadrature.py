@@ -13,12 +13,16 @@ once per node count for every pole.
 ``band_integral`` is the one band rule and ``_pv_core`` the one
 principal-value rule; every other entry point hands them an integrand.
 Principal values are taken in offsets only: ``pv_band_integral_delta``
-for a caller's integrand, ``field_pv_band_integral_delta`` for V'.  The
-field forms (``field_band_integral_delta`` and friends) integrate V' of
-a prebuilt ``LocalField`` with the band and poles as offsets from its
-center, so they never round through one absolute float: bands many
-orders of magnitude narrower than their distance from the origin keep
-full accuracy.
+for a caller's integrand, ``field_pv_band_integral_delta`` for V'; only
+non-polynomial fields reach them, as a polynomial field's band factor
+has a closed form (``rhp.band_factor_coeffs``).  The field forms
+(``field_band_integral_delta`` and friends) integrate V' of a prebuilt
+``LocalField`` with the band and poles as offsets from its center, so
+they never round through one absolute float: bands many orders of
+magnitude narrower than their distance from the origin keep full
+accuracy.  Their ``_partials`` twins give the derivatives along the
+band's midpoint and half width that the Newton Jacobian reads, as band
+means of the differentiated integrand on the same rule.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from .field import LONG
 __all__ = [
     "band_integral",
     "field_band_integral_delta",
+    "field_band_integral_partials_delta",
     "field_symmetric_band_integral_delta",
+    "field_symmetric_band_integral_partials_delta",
     "field_pv_band_integral_delta",
     "pv_band_integral_delta",
     "r_branch",
@@ -82,20 +88,24 @@ def _adaptive(evaluate, m, size=1):
     return out
 
 
-def band_integral(f, u1, u2):
+def band_integral(f, u1, u2, count=None):
     """Integral of f(mu)/sqrt((u1-mu)(mu-u2)) over (u2, u1), by
     adaptive node doubling from 64 nodes.
 
     Parameters
     ----------
     f : callable
-        Smooth function of a float array.
+        Smooth function of a float array.  With count it returns a
+        (count, nodes) array, one integrand per row.
     u1, u2 : float
         Band endpoints, u1 > u2.
+    count : int, optional
+        Number of integrands f returns at once; each doubles its nodes
+        on its own.
 
     Returns
     -------
-    float
+    float, or an array of count integrals
     """
     _check_interval(u1, u2)
     mid = 0.5 * (u1 + u2)
@@ -103,9 +113,13 @@ def band_integral(f, u1, u2):
 
     def evaluate(mm, idx):
         x, w = chebyshev_rule(mm)
-        return w * float(np.sum(f(mid + half * x)))
+        if count is None:
+            return w * float(np.sum(f(mid + half * x)))
+        return w * np.sum(f(mid + half * x)[idx], axis=-1)
 
-    return float(_adaptive(evaluate, None)[0])
+    if count is None:
+        return float(_adaptive(evaluate, None)[0])
+    return _adaptive(evaluate, None, count)
 
 
 def _pv_core(f, d1, d2, dxi, m):
@@ -174,6 +188,23 @@ def field_band_integral_delta(lf, d1, d2):
     return band_integral(lambda d: lf.deriv(d, 1, dtype=LONG), d1, d2)
 
 
+def field_band_integral_partials_delta(lf, d1, d2):
+    """Partials of ``field_band_integral_delta`` along the band midpoint
+    dm and half width h, with d1 = dm + h and d2 = dm - h.
+
+    In the angle form the integral is the mean of V'(dm + h cos(theta)),
+    so its partials are band integrals of V'' and of V'' cos(theta),
+    with cos(theta) = (mu - dm)/h at each node.  Returns [d/d dm, d/d h].
+    """
+    dm, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
+
+    def f(d):
+        vpp = lf.deriv(d, 2)
+        return np.stack([vpp, vpp * ((d - dm) / half)])
+
+    return band_integral(f, d1, d2, count=2)
+
+
 def field_symmetric_band_integral_delta(lf, d1, d2):
     """Integral of V'/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets, with V'
     accumulated in longdouble, as the two-band endpoint residual needs.
@@ -191,6 +222,30 @@ def field_symmetric_band_integral_delta(lf, d1, d2):
         return lf.deriv(d, 1, dtype=LONG) / np.sqrt(plus)
 
     return band_integral(f, d1, d2)
+
+
+def field_symmetric_band_integral_partials_delta(lf, d1, d2):
+    """Partials of ``field_symmetric_band_integral_delta`` along the band
+    midpoint dm and half width h, with d1 = dm + h and d2 = dm - h.
+
+    Its integrand is F = V'/sqrt(A B) with A = u1 + mu and B = mu + u2,
+    at mu = dm + h cos(theta).  Along dm, mu, u1 and u2 all move by 1;
+    along h, mu moves by cos(theta), u1 by 1 and u2 by -1.  So each
+    partial is the band integral of V'' dmu/sqrt(A B) - F (dA/A + dB/B)/2.
+    Returns [d/d dm, d/d h].
+    """
+    twoc = float(2.0 * lf.center_long)
+    dm, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
+
+    def f(d):
+        a, b = twoc + d + d1, twoc + d + d2
+        root = np.sqrt(a * b)
+        vpp, half_f = lf.deriv(d, 2) / root, 0.5 * lf.deriv(d, 1) / root
+        cos = (d - dm) / half
+        return np.stack([vpp - half_f * (2.0 / a + 2.0 / b),
+                         vpp * cos - half_f * ((cos + 1.0) / a + (cos - 1.0) / b)])
+
+    return band_integral(f, d1, d2, count=2)
 
 
 def field_pv_band_integral_delta(lf, d1, d2, dxi, m=None):

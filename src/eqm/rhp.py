@@ -7,7 +7,8 @@ whose ratio with R has prescribed growth and zero gap integrals
 (``pgn_poly``), extracts the moments q_{g,k} of the field against 1/R
 (``qgk``), and assembles the degree-(2g+1) polynomial Q(xi, u) whose
 coefficients all vanish exactly at equilibrium endpoint configurations
-(``q_polynomial``).
+(``q_polynomial``).  For a polynomial field the same 1/R series gives
+the band factor Phi_g in closed form (``band_factor_coeffs``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .epd import EpdSpec, phi_eval, phi_eval_anchored
 __all__ = [
     "EndpointVector",
     "QPolynomial",
+    "band_factor_coeffs",
     "gamma_coeffs",
     "pgn_poly",
     "qgk",
@@ -144,6 +146,28 @@ def _gamma_series(u, count, inverse):
         factor = base * np.power(LONG(ui), powers)
         total = np.convolve(total, factor)[:count]
     return total
+
+
+def band_factor_coeffs(lf, roots):
+    """Ascending coefficients in delta of Phi_g(center + delta) for a
+    polynomial field, g = len(roots)/2 - 1.
+
+    2 Phi_g is the polynomial part at infinity of V'/sqrt(R), R the
+    product of (xi - u_i) with sqrt(R) ~ xi^(g+1): the classical density
+    psi = (1/2pi) sqrt|R| h of a polynomial field (Deift, Kriecherbauer
+    & McLaughlin 1998, J. Approx. Theory 95).  In offsets delta from the
+    center of lf the roots are the endpoint offsets; V' has the exact
+    Taylor coefficients c_j of lf, and 1/sqrt(R) = delta^-(g+1) times
+    sum_k gamma_k delta^-k, so coefficient n is sum_k c_(n+g+1+k)
+    gamma_k / 2, summed in extended precision.  No quadrature runs.
+    """
+    lead = len(roots) // 2  # g + 1
+    vp = lf._coeffs_for(1, dtype=LONG)[lead:]
+    if vp.size == 0:
+        return np.zeros(1)
+    gam = _gamma_series(np.asarray(roots, dtype=LONG), vp.size, inverse=True)
+    return np.array([0.5 * np.dot(vp[n:], gam[:vp.size - n])
+                     for n in range(vp.size)], dtype=float)
 
 
 def gamma_coeffs(u: EndpointVector, count):

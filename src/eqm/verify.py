@@ -9,9 +9,9 @@ Checks, on finite probe grids plus a structural tail argument:
 * the pointwise sign condition on the band factor and the strict signs
   of the running integrals of ``R * Phi`` over gaps and exterior rays.
 
-For a polynomial field the band factor Phi is a polynomial, so the
-sign and integral checks read it from its Chebyshev interpolant at
-degree+1 points, one tensor-rule evaluation per check; other fields
+For a polynomial field the band factor Phi is a polynomial with a
+closed form (``rhp.band_factor_coeffs``), so the sign and integral
+checks read it, and its real roots, from its coefficients; other fields
 evaluate the tensor rule at every probe.
 
 Large external fields make ``L(psi) - V - l`` a difference of huge,
@@ -30,9 +30,9 @@ import numpy as np
 from .density import chebyshev_angles
 from .epd import EpdSpec, phi_eval
 from .errors import EqmError
-from .field import potential_difference
+from .field import LocalField, potential_difference
 from .quadrature import r_branch
-from .rhp import EndpointVector
+from .rhp import EndpointVector, band_factor_coeffs
 from .wells import wells
 
 __all__ = [
@@ -197,43 +197,45 @@ def _segment_integrals(f, a, b):
     return half * (f(x.ravel()).reshape(x.shape) @ _SEGMENT_W)
 
 
-def _phi_interpolant(u: EndpointVector, field, phi):
-    """The band factor as its Chebyshev interpolant, with its real roots.
+def _phi_interpolant(u: EndpointVector, field):
+    """The band factor as a polynomial, with its real roots.
 
     For a polynomial field of degree M the band factor is a polynomial
-    of degree M - g - 2 in the evaluation point, so interpolating it at
-    degree+1 Chebyshev points recovers it exactly: one call of phi
-    there replaces one per probe.  The running integrals of R*Phi are
-    monotone between consecutive real roots, which turns the
-    strict-sign checks on probe grids into certificates: every interior
-    extremum is probed, and past the largest root the integrand cannot
-    change sign again.
+    of degree M - g - 2, which ``rhp.band_factor_coeffs`` gives in
+    closed form; here its expansion point is 0 and its roots are the
+    endpoints, so the coefficients are those of Phi in xi.  The running
+    integrals of R*Phi are monotone between consecutive real roots,
+    which turns the strict-sign checks on probe grids into
+    certificates: every interior extremum is probed, and past the
+    largest root the integrand cannot change sign again.  The
+    polynomial is evaluated, and its roots found, in x/scale, with
+    scale twice the larger of 1, the endpoints' magnitude and the
+    support's width.
 
     Returns
     -------
     (callable, ndarray) or None
-        The interpolant and the sorted real roots; None for a
+        The polynomial and the sorted real roots; None for a
         non-polynomial field.
     """
     if not field.is_polynomial:
         return None
-    deg = max(0, int(field.max_degree) - u.g - 2)
     scale = 2.0 * max(1.0, abs(u.u[0]), abs(u.u[-1]), u.u[0] - u.u[-1])
-    ys = np.cos(chebyshev_angles(deg + 1))
-    cheb = np.polynomial.chebyshev.chebfit(ys, phi(scale * ys), deg)
+    lf = LocalField(field, -scale, scale, center=0.0)
+    coef = band_factor_coeffs(lf, u.precise)
+    coef = coef * scale ** np.arange(len(coef))
 
-    def interpolant(x):
-        return np.polynomial.chebyshev.chebval(x / scale, cheb)
+    def poly(x):
+        return np.polynomial.polynomial.polyval(np.asarray(x) / scale, coef)
 
-    coef = np.polynomial.chebyshev.cheb2poly(cheb)
     floor = 1e-13 * float(np.max(np.abs(coef)))
     while len(coef) > 1 and abs(coef[-1]) < floor:
         coef = coef[:-1]
     if len(coef) <= 1:
-        return interpolant, np.empty(0)
+        return poly, np.empty(0)
     roots = np.polynomial.polynomial.polyroots(coef)
     real = roots[np.abs(roots.imag) < 1e-7 * np.maximum(1.0, np.abs(roots.real))]
-    return interpolant, np.sort(real.real) * scale
+    return poly, np.sort(real.real) * scale
 
 
 def _gap_running_ok(u: EndpointVector, phi, lo, hi, roots):
@@ -326,16 +328,16 @@ def check_sign_and_gaps(u: EndpointVector, field):
     """Sign condition on bands and strict gap/exterior integral signs.
 
     Returns ``(constraint_sign_ok, gap_integral_ok)``.  For polynomial
-    fields every check reads the band factor from its exact Chebyshev
-    interpolant, and the gap and ray checks probe every turning point
+    fields every check reads the band factor from its closed-form
+    polynomial, and the gap and ray checks probe every turning point
     of the running integrals and certify the tails root-free;
     non-polynomial fields evaluate the tensor rule at every probe and
     fall back to a monotone doubling scan for the tail.
     """
-    phi = _phi_factory(u, field)
-    roots = None
-    interpolated = _phi_interpolant(u, field, phi)
-    if interpolated is not None:
+    interpolated = _phi_interpolant(u, field)
+    if interpolated is None:
+        phi, roots = _phi_factory(u, field), None
+    else:
         phi, roots = interpolated
     sign_ok = _band_signs_ok(u, phi)
 

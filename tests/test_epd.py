@@ -428,7 +428,7 @@ def test_cached_rule_vectors_are_bitwise_fresh(g, m, dtype):
     epd._rule_vectors.cache_clear()
     fresh = _rule_vectors_fresh(g, m, dtype)
     for _ in range(2):
-        avecs, bvecs, wvecs, m0, grad_vecs = epd._rule_vectors(g, m, dtype)
+        avecs, bvecs, wvecs, m0, grad_vecs, _ = epd._rule_vectors(g, m, dtype)
         assert m0 == fresh[3] and type(m0) is dtype
         for got, want in zip((avecs, bvecs, wvecs, *grad_vecs),
                              (*fresh[:3], *fresh[4])):
@@ -438,3 +438,49 @@ def test_cached_rule_vectors_are_bitwise_fresh(g, m, dtype):
                 assert not a.flags.writeable
     assert epd._rule_vectors.cache_info().hits == 1
     assert len(grad_vecs) == 2 * g + 3
+
+
+@pytest.mark.parametrize("field", SLOT_FIELDS, ids=["quartic", "sextic-even",
+                                                    "sextic-cubic", "abs4.5"])
+@pytest.mark.parametrize("g", [0, 1])
+def test_second_partials_satisfy_the_epd_system(field, g, monkeypatch):
+    """The second partials along each slot (phi_eval_anchored with
+    second), with the analytic gradient, give the paper's EPD residuals
+
+        2 (u_i - u_j) d2F/du_i du_j - dF/du_i + dF/du_j,
+        2 (xi - u_i) d2F/dxi du_i - dF/dxi + 2 dF/du_i,
+
+    that ``epd_residual`` takes by central differences, to 1e-7 of the
+    scale.  For a polynomial field the rule is exact and they vanish to
+    roundoff; |xi|^4.5 meets the system only to its rule's quadrature
+    error, and both forms show the same value there; its g = 1 rule
+    takes 6 nodes per slot here, as ``epd_residual``'s longdouble
+    stencils cost seconds each at the default 24.  The rows are
+    symmetric, and the slope the call returns is the slot's own."""
+    monkeypatch.setitem(epd._DEFAULT_NODES, 1, 6)
+    spec = EpdSpec(g, "psi", field)
+    u = ENDPOINTS[g]
+    lf = LocalField(field, -3.0, 3.0)
+    du = lf.to_delta(np.array(u))
+    for xi in POINTS[g][:3]:
+        dxi = float(lf.to_delta(xi))
+        _, grad = phi_eval_grad(spec, xi, u)
+        rows = []
+        for slot in range(2 * g + 3):
+            slope, row = phi_eval_anchored(spec, lf, dxi, du, slot=slot, second=True)
+            assert slope == phi_eval_anchored(spec, lf, dxi, du, slot=slot)
+            rows.append(row)
+        hess = np.array(rows)
+        scale = np.max(np.abs(grad)) + np.max(np.abs(hess)) * max(map(abs, (xi, *u)))
+        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-13 * scale)
+        pos = (xi, *u)
+        for i in range(2 * g + 3):
+            for j in range(i + 1, 2 * g + 3):
+                if i == 0:
+                    resid = 2.0 * (xi - pos[j]) * hess[0, j] - grad[0] + 2.0 * grad[j]
+                else:
+                    resid = 2.0 * (pos[i] - pos[j]) * hess[i, j] - grad[i] + grad[j]
+                fd = epd_residual(spec, xi, u, i, j, 1e-4)
+                assert abs(resid - fd) < 1e-7 * scale, (xi, i, j)
+                if field.is_polynomial:
+                    assert abs(resid) < 1e-12 * scale, (xi, i, j)

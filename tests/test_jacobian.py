@@ -1,0 +1,95 @@
+"""The ansaetze's analytic Newton Jacobians against central differences
+of their own residual pairs (the only place a finite difference of the
+endpoint residuals is taken)."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eqm import anchored, onecut, twocut
+from eqm.errors import EqmError
+from eqm.field import FieldSpec, PowerTerm
+
+from conftest import quartic_field, sextic_field
+
+_REL = 1e-6
+
+
+def _central_differences(pair, dm, half):
+    """Columns d/d dm and d/d half of the residual pair, with a step of
+    1e-5 band half widths."""
+    h = 1e-5 * half
+    cols = []
+    for e in ((h, 0.0), (0.0, h)):
+        plus = np.array(pair(dm + e[0], half + e[1]))
+        minus = np.array(pair(dm - e[0], half - e[1]))
+        cols.append((plus - minus) / (2.0 * h))
+    return np.array(cols).T
+
+
+def _ansaetze(field):
+    out = [(onecut._ANSATZ, onecut.solve_endpoints)]
+    if field.is_even:
+        out.append((twocut._ANSATZ, twocut.solve_endpoints_symmetric))
+    return out
+
+
+def _check_jacobians(field):
+    """At each converged solution, and at a point off it, every row of
+    the analytic Jacobian is within 1e-6 of its central differences'
+    size.  Returns the number of points compared."""
+    compared = 0
+    for ansatz, solve in _ansaetze(field):
+        try:
+            sol = solve(field)
+        except EqmError:
+            continue
+        if not sol.converged:
+            continue
+        lf, dm0 = anchored._prepare(field, sol.anchor, 0.0, sol.half)
+        pair, jacobian = ansatz.residual(field, lf)
+        for dm, half in ((sol.dm, sol.half), (sol.dm + 0.05 * sol.half, 0.9 * sol.half)):
+            try:
+                want = _central_differences(pair, dm, half)
+            except EqmError:  # a stencil point off the domain
+                continue
+            got = np.array(jacobian(dm, half), dtype=float)
+            for row_got, row_want in zip(got, want):
+                err = np.max(np.abs(row_got - row_want))
+                assert err <= _REL * np.max(np.abs(row_want)), (field, dm, half)
+            compared += 1
+    return compared
+
+
+@st.composite
+def _confining_fields(draw):
+    """xi^k + t xi^n, k = 4, 6 or 8 and 1 <= n < k, t = +-10^(-1..5)."""
+    k = draw(st.sampled_from([4, 6, 8]))
+    n = draw(st.integers(1, k - 1))
+    t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-1.0, 5.0))
+    return FieldSpec((PowerTerm("monomial", k, 1.0),), (0.0,) * n + (1.0,), t)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=5000)
+@given(_confining_fields())
+@example(quartic_field(-1e5))
+@example(quartic_field(1.0))
+@example(sextic_field(-1e4))
+def test_analytic_jacobian_matches_central_differences(field):
+    _check_jacobians(field)
+
+
+def _abs_field(t, p):
+    return FieldSpec((PowerTerm("abs_power", 4.5, 1.0),), p, float(t))
+
+
+@pytest.mark.parametrize("field", [
+    _abs_field(30.0, (0.0, 0.0, 1.0)),
+    _abs_field(-3.0, (0.0, 0.0, 1.0)),
+    _abs_field(-30.0, (0.0, 0.0, 1.0)),
+    _abs_field(-30.0, (0.0, 1.0)),
+    _abs_field(300.0, (0.0, 1.0)),
+], ids=["x2-t30", "x2-t-3", "x2-t-30", "x1-t-30", "x1-t300"])
+def test_analytic_jacobian_matches_central_differences_abs_power(field):
+    assert _check_jacobians(field) >= 2

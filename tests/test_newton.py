@@ -8,8 +8,8 @@ from eqm.newton import damped_newton
 
 def test_converged_reports_steps_taken():
     # a linear residual with an exact Jacobian is solved by one full step
-    res = damped_newton(lambda x: 2.0 * x - 1.0, [3.0],
-                        step_scale=lambda x: 0.5)
+    res = damped_newton(lambda x: 2.0 * x - 1.0, [3.0], 1e-10, 100,
+                        lambda x: [[2.0]])
     assert res.converged
     assert res.message == "converged"
     assert res.iterations == 1
@@ -17,15 +17,16 @@ def test_converged_reports_steps_taken():
 
 def test_budget_exhausted_reports_budget():
     # x^3 = 0 converges linearly, so three steps are not enough
-    res = damped_newton(lambda x: x**3, [1.0], max_iter=3)
+    res = damped_newton(lambda x: x**3, [1.0], 1e-10, 3, lambda x: [[3.0 * x[0] ** 2]])
     assert not res.converged
     assert res.message == "iteration budget exhausted"
     assert res.iterations == 3
 
 
 def test_singular_jacobian_reports_no_step():
-    # x^2 + 1 is even about 0: the central difference is exactly 0
-    res = damped_newton(lambda x: x * x + 1.0, [0.0])
+    # x^2 + 1 has slope 0 at 0
+    res = damped_newton(lambda x: x * x + 1.0, [0.0], 1e-10, 100,
+                        lambda x: [[2.0 * x[0]]])
     assert not res.converged
     assert res.message == "singular Jacobian"
     assert res.iterations == 0
@@ -39,8 +40,21 @@ def test_stalled_line_search_reports_steps_taken():
             raise InvalidInterval("below 1")
         return x.copy()
 
-    res = damped_newton(fun, [2.0], step_scale=lambda x: 0.5)
+    res = damped_newton(fun, [2.0], 1e-10, 100, lambda x: [[1.0]])
     assert not res.converged
     assert res.message == "line search stalled"
     assert res.iterations == 1
     np.testing.assert_array_equal(res.x, [1.0])
+
+
+def test_jacobian_without_a_value_stops_the_solve():
+    # a Jacobian that raises a feasibility error, or is not finite, at
+    # the iterate stops the solve before any step
+    def raising(x):
+        raise InvalidInterval("no derivative here")
+
+    for jac in (raising, lambda x: [[np.inf]]):
+        res = damped_newton(lambda x: x - 1.0, [3.0], 1e-10, 100, jac)
+        assert not res.converged
+        assert res.message == "Jacobian unavailable at the current iterate"
+        assert res.iterations == 0

@@ -122,10 +122,12 @@ def test_edge_samples_match_fine_principal_value():
 
 def test_residual_builds_one_derivative_tensor(monkeypatch):
     """One residual evaluation evaluates the tensor rule once, for
-    V^(2) only: dPsi0/du2 is the one slope the pair reads."""
+    V^(2) only: dPsi0/du2 is the one slope the pair reads.  Its
+    Jacobian takes the slope again and, on the same arguments, one
+    tensor of V^(3) for the slope's second partials."""
     field = sextic_field(-10.0)
     lf, dm, half = anchored._local(onecut.solve_endpoints(field), field)
-    pair = onecut._residual_fun(field, lf)
+    pair, jacobian = onecut._residual_fun(field, lf)
     orders = []
     deriv = LocalField.deriv
 
@@ -137,15 +139,20 @@ def test_residual_builds_one_derivative_tensor(monkeypatch):
     monkeypatch.setattr(LocalField, "deriv", spy)
     pair(dm, half)
     assert orders == [2]
+    jacobian(dm, half)
+    assert orders == [2, 2, 3]
 
 
 def test_band_collapse_stops_short_of_the_guard():
     """A residual pair whose root, half = 1e-16, lies below the 1e-12
     relative collapse guard: the solve stops unconverged with its best
     iterate at or above the guard."""
-    stub = anchored.Ansatz(lambda field, lf: lambda dm, half: (dm, half - 1e-16),
-                           psi=None, table=None, mirror=False, name="stub",
-                           mass_name="stub")
+    def residual(field, lf):
+        return (lambda dm, half: (dm, half - 1e-16),
+                lambda dm, half: [[1.0, 0.0], [0.0, 1.0]])
+
+    stub = anchored.Ansatz(residual, psi=None, table=None, mirror=False,
+                           name="stub", mass_name="stub")
     sol = anchored.solve(stub, semicircle_field(1.0), tol=1e-14, max_iter=100)
     assert not sol.converged
     assert 2.0 * sol.half >= anchored._COLLAPSE

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from eqm import onecut, twocut
+from eqm import anchored, onecut, twocut
+from eqm.density import chebyshev_angles
+from eqm.epd import phi0_band, phi1_symmetric_band
 from eqm.errors import InvalidInterval
-from eqm.field import LONG, FieldSpec, PowerTerm
-from eqm.rhp import EndpointVector, QPolynomial, q_polynomial
+from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
+from eqm.rhp import EndpointVector, QPolynomial, band_factor_coeffs, q_polynomial
 
-from conftest import quartic_field, semicircle_field
+from conftest import quartic_field, semicircle_field, sextic_field
 
 
 def test_endpoint_vector_validation():
@@ -105,3 +107,51 @@ def test_q_polynomial_abs_power_route_matches_monomial(t):
     mono = np.array(q_polynomial(perturbed, quartic_field(t)).coefficients)
     via_abs = np.array(q_polynomial(perturbed, absolute).coefficients)
     assert np.max(np.abs(mono - via_abs)) <= 1e-12 * np.max(np.abs(mono))
+
+
+def _even_sextic(t):
+    return FieldSpec((PowerTerm("monomial", 6.0, 1.0),), (0.0, 0.0, 1.0), float(t))
+
+
+# (field, mirror): quartic one band, quartic and even-sextic two bands,
+# and xi^6 + t xi^3, one band off centre
+BAND_FACTOR_CASES = (
+    [(quartic_field(t), False) for t in (1.0, 1e2, 1e4, 1e6)]
+    + [(quartic_field(t), True) for t in (-10.0, -1e3, -1e5)]
+    + [(_even_sextic(t), True) for t in (-10.0, -1e3)]
+    + [(sextic_field(t), False) for t in (-1e4, -10.0, 100.0)]
+)
+
+
+@pytest.mark.parametrize("field, mirror", BAND_FACTOR_CASES,
+                         ids=[f"{'two' if m else 'one'}-band-{f.max_degree:g}-"
+                              f"x{f.n}-t{f.t:g}" for f, m in BAND_FACTOR_CASES])
+def test_band_factor_closed_form_matches_principal_values(field, mirror):
+    """The closed-form band factor agrees with the principal-value
+    kernels at the 401 Chebyshev nodes of a solved band, in the band's
+    anchored offsets, to 1e-12 of max|Phi|."""
+    solve = twocut.solve_endpoints_symmetric if mirror else onecut.solve_endpoints
+    sol = solve(field)
+    assert sol.converged
+    lf, dm, half = anchored._local(sol, field)
+    d1, d2 = dm + half, dm - half
+    dxi = dm + half * np.cos(chebyshev_angles(401))
+    if mirror:
+        a2 = -2.0 * lf.center_long
+        roots = (d1, d2, a2 - d2, a2 - d1)
+        ref = phi1_symmetric_band(lf, d1, d2, dxi)
+    else:
+        roots = (d1, d2)
+        ref = phi0_band(lf, d1, d2, dxi)
+    got = np.polynomial.polynomial.polyval(dxi, band_factor_coeffs(lf, roots))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_band_factor_of_the_semicircle_and_the_quartic_is_exact():
+    """V = t xi^2 has Phi_0 = t; V = xi^4 + t xi^2 has Phi_1 = 2 xi for
+    any mirror endpoints, and Phi_0 = 2 xi^2 + u1^2 + t on [-u1, u1]."""
+    lf = LocalField(semicircle_field(3.0), -1.0, 1.0, center=0.0)
+    assert band_factor_coeffs(lf, (0.4, -0.4)).tolist() == [3.0]
+    lf = LocalField(quartic_field(-7.0), -1.0, 1.0, center=0.0)
+    assert band_factor_coeffs(lf, (2.5, 1.5, -1.5, -2.5)).tolist() == [0.0, 2.0]
+    assert band_factor_coeffs(lf, (0.5, -0.5)).tolist() == [0.25 - 7.0, 0.0, 2.0]

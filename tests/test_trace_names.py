@@ -45,10 +45,14 @@ def _problem(tmp_path, name, vstar, t, output=None):
 
 def test_every_span_name_records_a_span(tmp_path):
     """solve, sweep, predict and oracle, run in process, pass through
-    every traced layer at least once."""
+    every traced layer at least once.  The principal-value kernels and
+    the tensor rule at probes run only for non-polynomial fields, so
+    one sweep row of |xi|^4.5 - 3 xi^2 reaches them."""
     quartic = [{"kind": "monomial", "k": 4, "c": 1.0}]
     semicircle = _problem(tmp_path, "semicircle", [], 1.0)
     quartic_path = _problem(tmp_path, "quartic", quartic, -10.0)
+    abs_path = _problem(tmp_path, "abs4.5",
+                        [{"kind": "abs_power", "a": 4.5, "c": 1.0}], -3.0)
     oracle_path = _problem(tmp_path, "oracle", quartic, -10.0,
                            {"density": str(tmp_path / "oracle.csv")})
     runs = [
@@ -56,6 +60,7 @@ def test_every_span_name_records_a_span(tmp_path):
         ["solve", "--problem", quartic_path, "--out", str(tmp_path / "quartic")],
         ["sweep", "--problem", quartic_path, "--t-from", "-10", "--t-to", "-10",
          "--steps", "1"],
+        ["sweep", "--problem", abs_path, "--t-from=-3", "--t-to=-3", "--steps", "1"],
         ["predict", "--problem", quartic_path, "--sign", "-"],
         ["oracle", "--problem", oracle_path, "--grid-n", "201", "--iters", "2000"],
     ]

@@ -60,11 +60,12 @@ def test_scaled_endpoints_large_t():
 
 
 def test_stalled_solve_reports_steps_taken():
-    # xi^4 + 1000 xi^2 has no two-band solution: the Jacobian at the
-    # seed is singular, so no Newton step is taken
+    # xi^4 + 1000 xi^2 has no two-band solution: its seed band sits
+    # at 1e-10, and every damped step from there leaves the domain
+    # (u2 > 0) or raises the residual, so no Newton step is taken
     sol = twocut.solve_endpoints_symmetric(quartic_field(1000.0))
     assert not sol.converged
-    assert sol.message == "singular Jacobian"
+    assert sol.message == "line search stalled"
     assert sol.iterations == 0
 
 
@@ -101,10 +102,12 @@ def test_edge_samples_match_fine_principal_value():
 
 def test_residual_builds_one_derivative_tensor(monkeypatch):
     """One residual evaluation evaluates the tensor rule once, for
-    V^(3) only: dPsi1/du2 is the one slope the pair reads."""
+    V^(3) only: dPsi1/du2 is the one slope the pair reads.  Its
+    Jacobian takes the slope again and, on the same arguments, one
+    tensor of V^(4) for the slope's second partials."""
     field = quartic_field(-1000.0)
     lf, dm, half = anchored._local(twocut.solve_endpoints_symmetric(field), field)
-    pair = twocut._residual_fun(field, lf)
+    pair, jacobian = twocut._residual_fun(field, lf)
     orders = []
     deriv = LocalField.deriv
 
@@ -116,6 +119,8 @@ def test_residual_builds_one_derivative_tensor(monkeypatch):
     monkeypatch.setattr(LocalField, "deriv", spy)
     pair(dm, half)
     assert orders == [3]
+    jacobian(dm, half)
+    assert orders == [3, 3, 4]
 
 
 @pytest.mark.parametrize("field, steps", [

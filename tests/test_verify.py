@@ -184,10 +184,12 @@ def test_three_bands_report_unchecked_signs():
 
 def _tensor_sign_and_gaps(u, field):
     """check_sign_and_gaps with the tensor rule at every probe: the
-    reference the interpolated band factor must match.
+    reference the closed-form band factor must match.  The root
+    probes come from the closed form.
 
-    Returns the two booleans, the values at the interpolation nodes and
-    the (points, values) of every other evaluation.
+    Returns the two booleans, the tensor rule's values at deg + 1
+    Chebyshev points of the closed form's scaled interval (deg =
+    M - g - 2) and the (points, values) of every other evaluation.
     """
     tensor, calls = verify._phi_factory(u, field), []
 
@@ -196,13 +198,15 @@ def _tensor_sign_and_gaps(u, field):
         calls.append((np.atleast_1d(x), np.atleast_1d(vals)))
         return vals
 
-    roots = verify._phi_interpolant(u, field, phi)[1]
-    nodes = calls.pop()[1]
+    roots = verify._phi_interpolant(u, field)[1]
     sign_ok = verify._band_signs_ok(u, phi)
     diam = u.u[0] - u.u[-1]
     runs = [verify._gap_running_ok(u, phi, lo, hi, roots) for lo, hi in u.gaps]
     runs.append(verify._ray_running_ok(u, phi, u.u[0], diam, +1, roots))
     runs.append(verify._ray_running_ok(u, phi, u.u[-1], diam, -1, roots))
+    deg = max(0, int(field.max_degree) - u.g - 2)
+    scale = 2.0 * max(1.0, abs(u.u[0]), abs(u.u[-1]), diam)
+    nodes = tensor(scale * np.cos(chebyshev_angles(deg + 1)))
     return (sign_ok, all(runs)), nodes, calls
 
 
@@ -241,9 +245,9 @@ def _polynomial_fields(draw):
 @example(sextic_field(-1e4))
 def test_interpolated_band_factor_matches_tensor_rule(field):
     """For polynomial fields the sign and gap checks read the band
-    factor from its Chebyshev interpolant.  On converged and on wrong
-    endpoints they decide as the tensor rule at every probe does, and
-    the interpolant stays within 1e-9 of max|Phi(nodes)| there."""
+    factor from its closed form.  On converged and on wrong endpoints
+    they decide as the tensor rule at every probe does, and the closed
+    form stays within 1e-9 of the tensor rule's max|Phi(nodes)| there."""
     for u in _endpoint_vectors(field):
         try:
             want, nodes, calls = _tensor_sign_and_gaps(u, field)
@@ -252,7 +256,7 @@ def test_interpolated_band_factor_matches_tensor_rule(field):
                 verify.check_sign_and_gaps(u, field)
             continue
         assert verify.check_sign_and_gaps(u, field) == want, u
-        interpolant = verify._phi_interpolant(u, field, verify._phi_factory(u, field))[0]
+        interpolant = verify._phi_interpolant(u, field)[0]
         bound = 1e-9 * np.max(np.abs(nodes))
         for x, vals in calls:
             assert np.max(np.abs(interpolant(x) - vals)) <= bound, u
