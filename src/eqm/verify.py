@@ -202,8 +202,8 @@ def _phi_interpolant(u: EndpointVector, field):
 
     For a polynomial field of degree M the band factor is a polynomial
     of degree M - g - 2, which ``rhp.band_factor_coeffs`` gives in
-    closed form; here its expansion point is 0 and its roots are the
-    endpoints, so the coefficients are those of Phi in xi.  The running
+    closed form; here it is expanded at 0 with the endpoints as the
+    roots of R, so the coefficients are those of Phi in xi.  The running
     integrals of R*Phi are monotone between consecutive real roots,
     which turns the strict-sign checks on probe grids into
     certificates: every interior extremum is probed, and past the
