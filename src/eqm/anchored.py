@@ -7,7 +7,8 @@ location; keeping the Newton unknowns (dm, half) as small offsets lets
 the residuals resolve far below what a single rounded float per
 endpoint allows.  An ``Ansatz`` record supplies what differs between
 the one-band and the mirrored two-band construction: the residual pair
-with its analytic Jacobian, and a density sampler that takes Phi in
+with its analytic Jacobian (both built by ``moment_residual`` from the
+ansatz's band integrals), and a density sampler that takes Phi in
 closed form for a polynomial field (``rhp.band_factor_coeffs``) and
 from the principal-value kernels of ``epd`` otherwise, at every
 Chebyshev node.  A solution carries no Lagrange constant: the density
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .density import chebyshev_angles
-from .errors import InvalidInterval, NegativeDensity, PrecisionLoss
+from .errors import InvalidInterval, NegativeDensity, NegativeRadicand, PrecisionLoss
 from .field import LONG, LocalField
 from .newton import damped_newton
 from .rhp import EndpointVector
@@ -88,6 +89,29 @@ def endpoints_long(anchor, dm, half):
     u1 = anchor + LONG(dm) + LONG(half)
     u2 = anchor + LONG(dm) - LONG(half)
     return u1, u2
+
+
+def moment_residual(integrals, partials, weight):
+    """(pair, jacobian) of endpoint conditions read off band integrals.
+
+    integrals(d1, d2) gives (f2, m) at the band's offsets, partials(d1,
+    d2) those and their 2x2 partials along (dm, half); the pair is
+    (sqrt(weight m) - 1/sqrt(pi), f2), and m <= 0 raises NegativeRadicand.
+    """
+    def root(moment):
+        if not moment > 0.0:
+            raise NegativeRadicand("the band's mass moment is not positive")
+        return math.sqrt(weight * moment)
+
+    def pair(dm, half):
+        f2, moment = integrals(dm + half, dm - half)
+        return root(moment) - INV_SQRT_PI, f2
+
+    def jacobian(dm, half):
+        (_, moment), (df2, dmoment) = partials(dm + half, dm - half)
+        return [0.5 * weight * dmoment / root(moment), df2]
+
+    return pair, jacobian
 
 
 def _prepare(field, center, dm, half):

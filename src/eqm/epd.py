@@ -25,23 +25,18 @@ are the default; fields with absolute-power terms default to m = 32
 array of points and evaluates an array in one tensor contraction.  The
 rule's per-slot vectors are built once per (g, m, dtype).
 
-The endpoint residuals read one slope, dPsi_g/du_2, so
-``phi_eval_anchored`` with a slot contracts only that gradient column:
-one tensor of V^(order+1) and one contraction, where ``phi_eval_grad``
-builds tensors of V^(order) and V^(order+1) and contracts 2g+4 times.
-Each contraction keeps ``np.tensordot``'s own reshape-and-dot form, so
-the slope is the full gradient's column bit for bit.  Their Newton
-Jacobian reads the slope's second partials along every slot (``second``):
-one tensor of V^(order+2) and 2g+3 contractions, no finite difference.
+The tensor rule is the library's evaluator (``phi_eval``,
+``phi_eval_grad``, ``epd_residual``, and ``phi_eval_anchored`` for
+``rhp.q_polynomial``) and the tests' reference; solve, sweep and verify
+run none of it.  The solvers read its slope dPsi_g/du_2 at xi = u_1 as
+a band moment of V' (``quadrature.field_band_integral_delta``).
 
 The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  For a
-polynomial field Phi_g is a polynomial with a closed form
-(``rhp.band_factor_coeffs``), which the density samplers and the
-certificate read.  For other fields Phi is evaluated inside a band only
-by the principal-value kernels ``phi0_band`` (g = 0) and
-``phi1_symmetric_band`` (reflection-symmetric g = 1), and off the bands
-only by the tensor rule.
+polynomial field Phi_g has a closed form (``rhp.band_factor_coeffs``);
+for other fields the density samplers take it from the principal-value
+kernels ``phi0_band`` (g = 0) and ``phi1_symmetric_band`` (mirror
+g = 1), and the certificate from band integrals of the same kind.
 """
 
 from __future__ import annotations
@@ -241,15 +236,12 @@ def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64):
 def _rule_vectors(g, m, dtype):
     """The tensor rule's per-slot vectors in dtype, built once, read-only.
 
-    Returns (avecs, bvecs, wvecs, m0, grad_vecs, hess_vecs): the
-    pullback factors a_k = (1+x_k)/2 and b_k = (1-x_k)/2, the weights
-    w_k, the normalization, for each gradient slot (xi, u_1, ...,
-    u_{2g+2}) the per-axis vectors its contraction takes, and for each
-    pair of slots (i, j) those of the second partial d2/d(slot i)
-    d(slot j).  d(arg)/d(xi) factorizes as prod_k a_k over the tensor
-    axes, and d(arg)/d(u_j) as b_j times the a_k of the later axes; the
-    argument is affine in every slot, so a second partial weighs
-    V^(order+2) with w_k times the two slots' factors on each axis.
+    Returns (avecs, bvecs, wvecs, m0, grad_vecs): the pullback factors
+    a_k = (1+x_k)/2 and b_k = (1-x_k)/2, the weights w_k, the
+    normalization, and for each gradient slot (xi, u_1, ..., u_{2g+2})
+    the per-axis vectors its contraction takes: d(arg)/d(xi) factorizes
+    as prod_k a_k over the tensor axes, and d(arg)/d(u_j) as b_j times
+    the a_k of the later axes.
     """
     nvar = 2 * g + 2
     avecs, bvecs, wvecs = [], [], []
@@ -265,29 +257,21 @@ def _rule_vectors(g, m, dtype):
         for j in range(1, nvar + 1)
     ]
     grad_vecs = tuple(tuple(w * f for w, f in zip(wvecs, fj)) for fj in factors)
-    hess_vecs = tuple(
-        tuple(tuple(gi * f for gi, f in zip(grad_i, fj)) for fj in factors)
-        for grad_i in grad_vecs
-    )
-    for vecs in (avecs, bvecs, wvecs, *grad_vecs, *(v for hr in hess_vecs for v in hr)):
+    for vecs in (avecs, bvecs, wvecs, *grad_vecs):
         for vec in vecs:
             vec.flags.writeable = False
     return (tuple(avecs), tuple(bvecs), tuple(wvecs), dtype(_normalization(g, m)),
-            grad_vecs, hess_vecs)
+            grad_vecs)
 
 
 def _contract(tensor, m0, axis_vecs):
     """m0 times tensor contracted over its trailing axes with axis_vecs.
 
     Each step is np.tensordot(tensor, vec, axes=([-1], [0])) written
-    out: tensordot reshapes to (-1, m) and calls np.dot against vec as
-    an (m, 1) column, and so does this, without tensordot's per-call
-    axis bookkeeping.  The form is kept on purpose.  The rounding
-    depends on the BLAS kernel np.dot reaches (one row goes to ddot,
-    several to gemv, and the two can differ by an ulp); matmul, einsum
-    or one flattened Kronecker weight pick their own kernels and
-    summation orders, so only this form is tensordot's bit for bit by
-    construction.
+    out, bit for bit: tensordot reshapes to (-1, m) and calls np.dot
+    against vec as an (m, 1) column, and so does this, without
+    tensordot's per-call axis bookkeeping (matmul or einsum would pick
+    their own BLAS kernels and summation orders).
     """
     for vec in reversed(axis_vecs):
         m = vec.shape[0]
@@ -296,27 +280,19 @@ def _contract(tensor, m0, axis_vecs):
     return m0 * tensor
 
 
-def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64,
-                 slot=None, second=False):
+def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64):
     """Core nested-affine tensor quadrature in local offsets.
 
     dxi holds the offsets of P evaluation points, du those of the
     endpoints.  Returns the P values and, with want_grad, their (P, 2g+3)
-    gradients w.r.t. (xi, u_1, ..., u_{2g+2}).  With slot (0 for xi, j
-    for u_j) it returns only the P gradient components along that
-    variable: one derivative tensor of order+1 and one contraction,
-    where the full gradient takes two tensors and 2g+4 contractions.
-    Every returned float comes out of the same operations either way.
-    With slot and second, it returns those P components and their
-    (P, 2g+3) partials along each variable, from the same arguments:
-    one more tensor, of order+2, and 2g+3 more contractions.  The
-    points are contracted in chunks whose argument tensor holds at most
+    gradients w.r.t. (xi, u_1, ..., u_{2g+2}).  The points are
+    contracted in chunks whose argument tensor holds at most
     _TENSOR_CAP entries.
     """
     nvar = 2 * g + 2
     dxi = np.atleast_1d(np.asarray(dxi).astype(dtype))
     du = np.asarray(du).astype(dtype)
-    avecs, bvecs, wvecs, m0, grad_vecs, hess_vecs = _rule_vectors(g, m, dtype)
+    avecs, bvecs, wvecs, m0, grad_vecs = _rule_vectors(g, m, dtype)
 
     def args():
         step = max(1, _TENSOR_CAP // m**nvar)
@@ -326,18 +302,6 @@ def _tensor_core(lf, g, order, dxi, du, m, want_grad=False, dtype=np.float64,
                 arg = np.multiply.outer(arg, avecs[k]) + du[k] * bvecs[k]
             yield arg
 
-    if slot is not None:
-        slopes, rows = [], []
-        for arg in args():
-            slopes.append(_contract(lf.deriv(arg, order + 1, dtype=dtype), m0,
-                                    grad_vecs[slot]))
-            if second:
-                hess = lf.deriv(arg, order + 2, dtype=dtype)
-                rows.append(np.stack(
-                    [_contract(hess, m0, v) for v in hess_vecs[slot]], axis=-1))
-        if second:
-            return np.concatenate(slopes), np.concatenate(rows)
-        return np.concatenate(slopes)
     values, grads = [], []
     for arg in args():
         values.append(_contract(lf.deriv(arg, order, dtype=dtype), m0, wvecs))
@@ -369,9 +333,7 @@ def phi_eval(spec, xi, u, m=None, dtype=np.float64):
         float64, or longdouble for extended-precision accumulation.
     """
     u = _validate_u(spec.g, u)
-    vals = _tensor_eval(
-        spec.field, spec.g, spec.order, xi, u, spec.nodes(m), dtype=dtype
-    )
+    vals = _tensor_eval(spec.field, spec.g, spec.order, xi, u, spec.nodes(m), dtype=dtype)
     return vals if np.ndim(xi) else vals[0]
 
 
@@ -383,17 +345,13 @@ def phi_eval_grad(spec, xi, u, m=None, dtype=np.float64):
     every variable).
     """
     u = _validate_u(spec.g, u)
-    vals, grads = _tensor_eval(
-        spec.field, spec.g, spec.order, xi, u, spec.nodes(m), want_grad=True,
-        dtype=dtype,
-    )
+    vals, grads = _tensor_eval(spec.field, spec.g, spec.order, xi, u, spec.nodes(m),
+                               want_grad=True, dtype=dtype)
     return vals[0], grads[0]
 
 
-def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64, slot=None,
-                      second=False):
-    """Phi/Psi, or one of its partial derivatives, with the point and
-    endpoints as local offsets.
+def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
+    """Phi/Psi with the point and endpoints as local offsets.
 
     Parameters
     ----------
@@ -405,27 +363,14 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64, slot=None,
         returns an array of values.
     du : sequence of float
         Endpoint offsets, descending, length 2g+2 (ties allowed).
-    slot : int, optional
-        Return the partial derivative along slot (0 for xi, j for u_j)
-        instead of the value: bit for bit the slot column of the full
-        gradient from the same offsets, from one derivative tensor and
-        one contraction.  Newton residuals that read one slope use it.
-    second : bool
-        With slot, return the pair (slope, row): the slot's partial as
-        above, and the row of second partials d2F/d(slot) d(xi, u_1,
-        ..., u_{2g+2}), shape (2g+3,) per point, from one more tensor,
-        of V^(order+2), on the same arguments.  The Newton Jacobian of
-        a residual that reads the slope uses it.
 
-    Solvers that keep endpoints as anchor-plus-offset use this entry so
+    Callers that keep endpoints as anchor-plus-offset use this entry so
     the tensor arguments are formed from offsets exactly, without the
     absolute coordinates ever rounding through a float.
     """
     du = _validate_u(spec.g, np.asarray(du, dtype=float))
     out = _tensor_core(lf, spec.g, spec.order, np.asarray(dxi, dtype=float),
-                       du, spec.nodes(m), dtype=dtype, slot=slot, second=second)
-    if second:
-        return out if np.ndim(dxi) else (out[0][0], out[1][0])
+                       du, spec.nodes(m), dtype=dtype)
     return out if np.ndim(dxi) else out[0]
 
 

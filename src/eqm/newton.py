@@ -9,7 +9,9 @@ and halves the step.  The Jacobian is only asked for at iterates whose
 residual was evaluated; if it raises a feasibility error there (a
 derivative of a non-smooth field that does not exist), or is not
 finite, the solve stops.  An infeasible starting point propagates the
-error to the caller.
+error to the caller.  A converged solve takes one full step more, so
+its result sits at the residual's rounding floor, not at the stopping
+tolerance; an infeasible or worse final step is dropped.
 """
 
 from __future__ import annotations
@@ -63,9 +65,11 @@ def damped_newton(fun, x0, tol, max_iter, jac):
         converged is False when the budget or the line search is
         exhausted.  A step is accepted only if it lowers the residual
         norm (or reaches tol), so the last iterate is also the best.
-        iterations counts the Newton steps taken: ``max_iter`` when the
-        budget ran out, fewer when the Jacobian or the line search
-        stopped the solve early.
+        Once the norm is at most tol, one more full step is taken and
+        kept unless the norm rises.  iterations does not count that
+        final step; it counts the Newton steps taken before it:
+        ``max_iter`` when the budget ran out, fewer when the Jacobian or
+        the line search stopped the solve early.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = np.asarray(fun(x), dtype=float)
@@ -74,7 +78,7 @@ def damped_newton(fun, x0, tol, max_iter, jac):
 
     for it in range(max_iter):
         if fnorm <= tol:
-            return NewtonResult(x, f, fnorm, True, it, "converged")
+            break
         try:
             jmat = np.asarray(jac(x), dtype=float)
         except _FEASIBILITY_ERRORS:  # a derivative that does not exist here
@@ -112,5 +116,13 @@ def damped_newton(fun, x0, tol, max_iter, jac):
         it = max_iter
 
     if fnorm <= tol:
+        # a Jacobian that is not finite makes a non-finite trial: dropped
+        try:
+            trial = x + np.linalg.solve(np.asarray(jac(x), dtype=float), -f)
+            ftrial = np.asarray(fun(trial), dtype=float)
+            if _norm(ftrial) <= fnorm:
+                x, f, fnorm = trial, ftrial, _norm(ftrial)
+        except (*_FEASIBILITY_ERRORS, np.linalg.LinAlgError):
+            pass
         return NewtonResult(x, f, fnorm, True, it, "converged")
     return NewtonResult(x, f, fnorm, False, it, message)

@@ -2,20 +2,22 @@
 
 The two endpoint equations are solved in anchored offsets around the
 global minimizer of V (see ``anchored``); this module supplies the
-g = 0 residual pair, its Jacobian and the density sampler.
+g = 0 residual pair, its Jacobian and the density sampler.  The pair
+is f2, the band integral of V', and f1 = sqrt(m) - 1/sqrt(pi), m =
+(1/pi) int (mu - mid) V'/sqrt((u1-mu)(mu-u2)) dmu: Chebyshev band means
+(Deift, Kriecherbauer & McLaughlin 1998), m = (2 half)^2 dPsi_0/du_2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import anchored
-from .anchored import INV_SQRT_PI
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi0_band, phi_eval_anchored
-from .errors import NegativeRadicand
+from .epd import phi0_band
 from .quadrature import field_band_integral_delta, field_band_integral_partials_delta
 from .rhp import band_factor_coeffs
 
@@ -23,31 +25,9 @@ __all__ = ["solve_endpoints", "density"]
 
 
 def _residual_fun(field, lf):
-    spec = EpdSpec(0, "psi", field)
-
-    def pair(dm, half):
-        d1 = dm + half
-        d2 = dm - half
-        g2 = float(phi_eval_anchored(spec, lf, d1, (d1, d2), slot=2))
-        if not g2 > 0.0:
-            raise NegativeRadicand("dPsi0/du2 is not positive at the iterate")
-        f1 = 2.0 * half * math.sqrt(g2) - INV_SQRT_PI
-        f2 = float(field_band_integral_delta(lf, d1, d2))
-        return f1, f2
-
-    def jacobian(dm, half):
-        # g2 sees (xi, u1, u2) = (d1, d1, d2): d/d dm moves all three
-        # slots by 1, d/d half moves them by (1, 1, -1)
-        d1 = dm + half
-        d2 = dm - half
-        g2, h = phi_eval_anchored(spec, lf, d1, (d1, d2), slot=2, second=True)
-        dg_dm, dg_dhalf = h[0] + h[1] + h[2], h[0] + h[1] - h[2]
-        # f1 = 2 half root - 1/sqrt(pi)
-        root = math.sqrt(float(g2))
-        f1 = [half * dg_dm / root, 2.0 * root + half * dg_dhalf / root]
-        return [f1, field_band_integral_partials_delta(lf, d1, d2)]
-
-    return pair, jacobian
+    return anchored.moment_residual(
+        functools.partial(field_band_integral_delta, lf),
+        functools.partial(field_band_integral_partials_delta, lf), 1.0 / math.pi)
 
 
 def _psi_values(lf, dm, half, dxi):

@@ -20,9 +20,11 @@ has a closed form (``rhp.band_factor_coeffs``).  The field forms
 ``LocalField`` with the band and poles as offsets from its center, so
 they never round through one absolute float: bands many orders of
 magnitude narrower than their distance from the origin keep full
-accuracy.  Their ``_partials`` twins give the derivatives along the
-band's midpoint and half width that the Newton Jacobian reads, as band
-means of the differentiated integrand on the same rule.
+accuracy.  ``field_band_integral_delta`` and its symmetric twin give
+an ansatz's two endpoint conditions, a band mean and a band moment of
+V', from one rule; their ``_partials`` twins add the 2x2 derivatives
+along the band's midpoint and half width that the Newton Jacobian
+reads, as band means of the differentiated integrands.
 """
 
 from __future__ import annotations
@@ -179,73 +181,101 @@ def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None):
 
 
 def field_band_integral_delta(lf, d1, d2):
-    """Integral of V'/sqrt weight with the band given as offsets.
+    """Integrals of V' and (mu - mid) V' against the sqrt weight, from
+    one rule: the one-band endpoint conditions (0 and 1 at equilibrium).
 
     The band is (center + d2, center + d1) for the LocalField's center;
     nodes are formed directly in the offset coordinate, and V' is
-    accumulated in longdouble, as the one-band endpoint residual needs.
+    accumulated in longdouble.
     """
-    return band_integral(lambda d: lf.deriv(d, 1, dtype=LONG), d1, d2)
+    mid = 0.5 * (d1 + d2)
+
+    def f(d):
+        vp = lf.deriv(d, 1, dtype=LONG)
+        return np.stack([vp, (d - mid) * vp])
+
+    return band_integral(f, d1, d2, count=2)
 
 
 def field_band_integral_partials_delta(lf, d1, d2):
     """Partials of ``field_band_integral_delta`` along the band midpoint
     dm and half width h, with d1 = dm + h and d2 = dm - h.
 
-    In the angle form the integral is the mean of V'(dm + h cos(theta)),
-    so its partials are band integrals of V'' and of V'' cos(theta),
-    with cos(theta) = (mu - dm)/h at each node.  Returns [d/d dm, d/d h].
+    In the angle form the integrals are means of V'(dm + h cos(theta))
+    and h cos(theta) V'(...), so the partials are band integrals of V''
+    and V'' cos(theta), and of (mu - dm) V'' and cos(theta) (V' + (mu -
+    dm) V''), with cos(theta) = (mu - dm)/h.  Returns the two integrals,
+    in float64, and the 2x2 [[d/d dm, d/d h]], a row per integral, from
+    one rule.
     """
     dm, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
 
     def f(d):
-        vpp = lf.deriv(d, 2)
-        return np.stack([vpp, vpp * ((d - dm) / half)])
+        vp, vpp = lf.deriv(d, 1), lf.deriv(d, 2)
+        off = d - dm
+        cos = off / half
+        return np.stack([vp, off * vp, vpp, vpp * cos, off * vpp,
+                         cos * (vp + off * vpp)])
 
-    return band_integral(f, d1, d2, count=2)
+    out = band_integral(f, d1, d2, count=6)
+    return out[:2], out[2:].reshape(2, 2)
+
+
+def _symmetric_factors(lf, d1, d2, d):
+    """A = u1 + mu, B = mu + u2 and q = ((mu-u1) A + (mu-u2) B)/2 at
+    nodes d, from offsets; the center enters in a plain float sum."""
+    twoc = float(2.0 * lf.center_long)
+    a, b = twoc + d + d1, twoc + d + d2
+    q = 0.5 * ((d - d1) * a + (d - d2) * b)
+    return a, b, q
 
 
 def field_symmetric_band_integral_delta(lf, d1, d2):
-    """Integral of V'/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets, with V'
-    accumulated in longdouble, as the two-band endpoint residual needs.
+    """Integrals of V' and q V', q = mu^2 - (u1^2 + u2^2)/2, against
+    1/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets, V' accumulated in
+    longdouble, from one rule: the mirror pair's endpoint conditions.
 
     Requires the band (center + d2, center + d1) to sit strictly in the
     positive half line.  The vanishing factors (u1-mu)(mu-u2) are the
     band rule's weight, formed from offsets alone; the smooth factors
-    (u1+mu)(mu+u2) go into the integrand, from the center in a plain
-    float sum.
+    (u1+mu)(mu+u2) go into the integrand.
     """
-    twoc = float(2.0 * lf.center_long)
-
     def f(d):
-        plus = (twoc + d + d1) * (twoc + d + d2)
-        return lf.deriv(d, 1, dtype=LONG) / np.sqrt(plus)
+        a, b, q = _symmetric_factors(lf, d1, d2, d)
+        vp = lf.deriv(d, 1, dtype=LONG) / np.sqrt(a * b)
+        return np.stack([vp, q * vp])
 
-    return band_integral(f, d1, d2)
+    return band_integral(f, d1, d2, count=2)
 
 
 def field_symmetric_band_integral_partials_delta(lf, d1, d2):
     """Partials of ``field_symmetric_band_integral_delta`` along the band
     midpoint dm and half width h, with d1 = dm + h and d2 = dm - h.
 
-    Its integrand is F = V'/sqrt(A B) with A = u1 + mu and B = mu + u2,
-    at mu = dm + h cos(theta).  Along dm, mu, u1 and u2 all move by 1;
-    along h, mu moves by cos(theta), u1 by 1 and u2 by -1.  So each
-    partial is the band integral of V'' dmu/sqrt(A B) - F (dA/A + dB/B)/2.
-    Returns [d/d dm, d/d h].
+    Its integrands are F = V'/sqrt(A B) and q F, with A = u1 + mu and
+    B = mu + u2, at mu = dm + h cos(theta).  Along dm, mu, u1 and u2 all
+    move by 1; along h, mu moves by cos(theta), u1 by 1 and u2 by -1.  So
+    dF is the band integral of V'' dmu/sqrt(A B) - F (dA/A + dB/B)/2,
+    and d(q F) that of q dF + F dq (q's four factors move by cos - 1,
+    cos + 1, cos + 1 and cos - 1 along h).  Returns the two integrals, in
+    float64, and the 2x2 [[d/d dm, d/d h]], a row per integral.
     """
-    twoc = float(2.0 * lf.center_long)
     dm, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
 
     def f(d):
-        a, b = twoc + d + d1, twoc + d + d2
+        a, b, q = _symmetric_factors(lf, d1, d2, d)
         root = np.sqrt(a * b)
-        vpp, half_f = lf.deriv(d, 2) / root, 0.5 * lf.deriv(d, 1) / root
+        vp, vpp = lf.deriv(d, 1) / root, lf.deriv(d, 2) / root
         cos = (d - dm) / half
-        return np.stack([vpp - half_f * (2.0 / a + 2.0 / b),
-                         vpp * cos - half_f * ((cos + 1.0) / a + (cos - 1.0) / b)])
+        df_dm = vpp - 0.5 * vp * (2.0 / a + 2.0 / b)
+        df_dh = vpp * cos - 0.5 * vp * ((cos + 1.0) / a + (cos - 1.0) / b)
+        dq_dm = (d - d1) + (d - d2)  # q's factors move by (0, 2, 0, 2)
+        dq_dh = 0.5 * ((cos - 1.0) * (a + d - d2) + (cos + 1.0) * (d - d1 + b))
+        return np.stack([vp, q * vp, df_dm, df_dh, q * df_dm + vp * dq_dm,
+                         q * df_dh + vp * dq_dh])
 
-    return band_integral(f, d1, d2, count=2)
+    out = band_integral(f, d1, d2, count=6)
+    return out[:2], out[2:].reshape(2, 2)
 
 
 def field_pv_band_integral_delta(lf, d1, d2, dxi, m=None):

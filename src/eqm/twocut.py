@@ -4,21 +4,24 @@ The support is [-u1, -u2] u [u2, u1]; evenness reduces the four
 endpoint equations to two, solved in anchored offsets around the
 positive well of V (see ``anchored``).  This module supplies the g = 1
 residual pair, its Jacobian, the right-band density sampler and the
-mirrored table.
+mirrored table.  The pair is the one-band pair of 2 W(x), V(mu) =
+W(mu^2), on the right band: f2 = int V'/sqrt((u1^2-mu^2)(mu^2-u2^2)),
+f1 = sqrt(m) - 1/sqrt(pi) with m = (2/pi) int (mu^2 - (u1^2 + u2^2)/2)
+V'/sqrt(...) = (2 half)^2 2 (u1 + u2) dPsi_1/du_2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import anchored
-from .anchored import INV_SQRT_PI, endpoints_long
 from .density import Band, DensityTable
-from .epd import EpdSpec, phi1_symmetric_band, phi_eval_anchored
-from .errors import InvalidInterval, NegativeRadicand, NotEven
-from .field import LONG, LocalField
+from .epd import phi1_symmetric_band
+from .errors import InvalidInterval, NotEven
+from .field import LONG
 from .quadrature import (field_symmetric_band_integral_delta,
                          field_symmetric_band_integral_partials_delta)
 from .rhp import band_factor_coeffs
@@ -27,42 +30,16 @@ __all__ = ["solve_endpoints_symmetric", "density_symmetric"]
 
 
 def _residual_fun(field, lf):
-    spec = EpdSpec(1, "psi", field)
     anchor = lf.center_long
-    # (u1; u1, u2, -u2, -u1) spans [-u1, u1]: centred at 0 for every iterate
-    mirror_lf = LocalField(field, -1.0, 1.0, center=0.0)
 
-    def slope_args(dm, half):
-        u1, u2 = endpoints_long(anchor, dm, half)
-        return u1, np.array([u1, u2, -u2, -u1], dtype=LONG)
-
-    def pair(dm, half):
-        u1, uvec = slope_args(dm, half)
-        if not uvec[1] > 0.0:
+    def integrals(d1, d2):
+        if not anchor + LONG(d2) > 0.0:
             raise InvalidInterval("inner endpoint must stay positive")
-        g2 = float(phi_eval_anchored(spec, mirror_lf, u1, uvec, slot=2))
-        if not g2 > 0.0:
-            raise NegativeRadicand("dPsi1/du2 is not positive at the iterate")
-        s = 4.0 * float(anchor + LONG(dm))  # 2 (u1 + u2)
-        f1 = 2.0 * half * math.sqrt(s) * math.sqrt(g2) - INV_SQRT_PI
-        f2 = float(field_symmetric_band_integral_delta(lf, dm + half, dm - half))
-        return f1, f2
+        return field_symmetric_band_integral_delta(lf, d1, d2)
 
-    def jacobian(dm, half):
-        # g2 sees (xi; u) = (u1; u1, u2, -u2, -u1): d/d dm moves the five
-        # slots by (1, 1, 1, -1, -1), d/d half by (1, 1, -1, 1, -1)
-        u1, uvec = slope_args(dm, half)
-        g2, h = phi_eval_anchored(spec, mirror_lf, u1, uvec, slot=2, second=True)
-        dg_dm = h[0] + h[1] + h[2] - h[3] - h[4]
-        dg_dhalf = h[0] + h[1] - h[2] + h[3] - h[4]
-        # f1 = 2 half rs root - 1/sqrt(pi), rs^2 = s moving by 4 along dm
-        root, rs = math.sqrt(float(g2)), math.sqrt(4.0 * float(anchor + LONG(dm)))
-        f1 = [2.0 * half * (2.0 * root / rs + rs * dg_dm / (2.0 * root)),
-              2.0 * rs * root + half * rs * dg_dhalf / root]
-        f2 = field_symmetric_band_integral_partials_delta(lf, dm + half, dm - half)
-        return [f1, f2]
-
-    return pair, jacobian
+    return anchored.moment_residual(
+        integrals, functools.partial(field_symmetric_band_integral_partials_delta, lf),
+        2.0 / math.pi)
 
 
 def _psi_values_right(lf, dm, half, dxi):

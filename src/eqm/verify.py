@@ -12,7 +12,7 @@ Checks, on finite probe grids plus a structural tail argument:
 For a polynomial field the band factor Phi is a polynomial with a
 closed form (``rhp.band_factor_coeffs``), so the sign and integral
 checks read it, and its real roots, from its coefficients; other fields
-evaluate the tensor rule at every probe.
+take it from one-dimensional band integrals of V' at every probe.
 
 Large external fields make ``L(psi) - V - l`` a difference of huge,
 nearly equal numbers, so all potential differences are taken relative
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import chebyshev_angles
-from .epd import EpdSpec, phi_eval
 from .errors import EqmError
-from .field import LocalField, potential_difference
-from .quadrature import r_branch
+from .field import LONG, LocalField, potential_difference
+from .quadrature import pv_band_integral_delta, r_branch
 from .rhp import EndpointVector, band_factor_coeffs
 from .wells import wells
 
@@ -165,11 +164,42 @@ def _sign_and_gap_flags(endpoints, field):
 
 
 def _phi_factory(u: EndpointVector, field):
-    spec = EpdSpec(u.g, "phi", field)
-    uprec = u.precise
+    """The band factor as band integrals of V', on and off the support.
 
+    Phi_g(x) = -(1/2pi) sum_j (-1)^j PV int_{band j} V'/((x-mu) sqrt|R|)
+    + [x off the support] V'(x)/(2 R(x)), bands j counted from the right.
+    With band j's integrand f_j(mu)/sqrt((hi_j-mu)(mu-lo_j)), the band
+    nearest x integrates f_j(mu) - f_j(x) instead: that removes 0 on the
+    band and pi f_j(x)/R_j(x) off it, which is the V'(x)/(2 R(x)) term
+    exactly, so no term grows near an edge.  Each band's principal
+    values (``quadrature.pv_band_integral_delta``) take offsets from an
+    expansion at the band's midpoint.
+    """
     def phi(x):
-        return phi_eval(spec, np.asarray(x, dtype=float), uprec)
+        flat = np.asarray(x, dtype=float).ravel()
+        nearest = np.argmin([np.abs(flat - 0.5 * (lo + hi)) - 0.5 * (hi - lo)
+                             for lo, hi in u.bands], axis=0)
+        total = np.zeros(flat.size)
+        for j, (lo, hi) in enumerate(u.bands):
+            # one expansion at the band over the points too, which f(x) reads
+            lf = LocalField(field, min(lo, flat.min()), max(hi, flat.max()),
+                            center=0.5 * (lo + hi))
+            d = lf.to_delta(u.precise)
+            rest = np.delete(d, [2 * j, 2 * j + 1])
+
+            def f(dmu):
+                # in longdouble: the subtraction divides f's rounding by x - mu
+                dmu = np.asarray(dmu, dtype=LONG)
+                outside = np.prod([dmu - r for r in rest], axis=0)
+                return lf.deriv(dmu, 1, dtype=LONG) / np.sqrt(np.abs(outside))
+
+            for near, fdelta in ((True, lambda dmu, dx: f(dmu) - f(dx)),
+                                 (False, lambda dmu, dx: f(dmu))):
+                pick = (nearest == j) == near
+                if pick.any():
+                    total[pick] += (-1.0) ** j * pv_band_integral_delta(
+                        fdelta, d[2 * j], d[2 * j + 1], lf.to_delta(flat[pick]))
+        return (-total / (2.0 * math.pi)).reshape(np.shape(x))
 
     return phi
 
@@ -331,8 +361,9 @@ def check_sign_and_gaps(u: EndpointVector, field):
     fields every check reads the band factor from its closed-form
     polynomial, and the gap and ray checks probe every turning point
     of the running integrals and certify the tails root-free;
-    non-polynomial fields evaluate the tensor rule at every probe and
-    fall back to a monotone doubling scan for the tail.
+    non-polynomial fields take it from band integrals at every probe
+    (``_phi_factory``) and fall back to a monotone doubling scan for the
+    tail.
     """
     interpolated = _phi_interpolant(u, field)
     if interpolated is None:

@@ -13,7 +13,6 @@ from eqm.epd import (
     phi0_band,
     phi1_symmetric_band,
     phi_eval,
-    phi_eval_anchored,
     phi_eval_grad,
 )
 from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
@@ -127,7 +126,7 @@ def test_psi1_endpoint_sum_is_band_integral():
     def band_sum(u1, u2):
         lf = LocalField(f, u2, u1)
         d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
-        return field_symmetric_band_integral_delta(lf, d1, d2) / math.pi
+        return field_symmetric_band_integral_delta(lf, d1, d2)[0] / math.pi
 
     u1, u2 = 2.5, 1.8
     u = (u1, u2, -u2, -u1)
@@ -269,8 +268,6 @@ def abs_field(t):
 
 
 ENDPOINTS = {0: (1.3, -0.4), 1: (2.1, 1.2, -0.5, -1.7)}
-# the band pair (-u1, -u2) u (u2, u1) and the band (-u1, u1) of an even field
-MIRROR_ENDPOINTS = {0: (1.3, -1.3), 1: (2.1, 0.7, -0.7, -2.1)}
 # inside a band, in the gap or beside the band, outside, and far outside
 POINTS = {0: (0.2, 0.9, 2.6, -40.0), 1: (1.5, 0.3, 2.9, 40.0)}
 
@@ -314,63 +311,6 @@ def test_abs_power_kernel_keeps_default_nodes():
             u = ENDPOINTS[g]
             xi = POINTS[g][2]
             assert phi_eval(spec, xi, u) == phi_eval(spec, xi, u, m=dense)
-
-
-def abs_even_field(t):
-    """V = |xi|^4.5 + t*xi^2 (non-polynomial, default nodes)."""
-    return FieldSpec(vstar=(PowerTerm("abs_power", 4.5, 1.0),),
-                     p_coeffs=(0.0, 0.0, 1.0), t=float(t))
-
-
-# quartic, even sextic, xi^6 + t xi^3, and |xi|^4.5, whose g = 1 rule
-# (24^4 nodes) contracts one point per chunk
-SLOT_FIELDS = [quartic_field(-3.0), even_sextic_field(-2.0), sextic_field(-2.0),
-               abs_even_field(-3.0)]
-
-
-@pytest.mark.parametrize("field", SLOT_FIELDS, ids=["quartic", "sextic-even",
-                                                    "sextic-cubic", "abs4.5"])
-@pytest.mark.parametrize("g", [0, 1])
-@pytest.mark.parametrize("dtype", [np.float64, LONG], ids=["float64", "longdouble"])
-def test_slot_gradient_is_bitwise_the_full_gradient_column(field, g, dtype):
-    """phi_eval_anchored with a slot returns, bit for bit, the column of
-    the full gradient it stands for, for one point and for a batch, and,
-    on the expansion at 0, the column of phi_eval_grad at a mirrored
-    endpoint vector, whose hull is centred at 0 too: the two-band
-    residual's slope at xi = u1.
-
-    The 24^4 one-point-per-chunk rule of |xi|^4.5 at g = 1 runs in
-    float64; in longdouble, where each such tensor costs 0.2 s, the rule
-    there takes 6 nodes per slot.
-    """
-    spec = EpdSpec(g, "psi", field)
-    slow = dtype is LONG and g == 1 and not field.is_polynomial
-    m = spec.nodes(6 if slow else None)
-    u = ENDPOINTS[g]
-    xs = np.array(POINTS[g][:2])
-    lf = LocalField(field, -3.0, 3.0)
-    dxs = lf.to_delta(xs)
-    du = lf.to_delta(np.array(u))
-    mirror = MIRROR_ENDPOINTS[g]
-    lf0 = LocalField(field, -1.0, 1.0, center=0.0)
-    full = {
-        "anchored batch": epd._tensor_core(lf, g, spec.order, dxs, du, m,
-                                           want_grad=True, dtype=dtype)[1],
-        "anchored one": epd._tensor_core(lf, g, spec.order, dxs[:1], du, m,
-                                         want_grad=True, dtype=dtype)[1][0],
-        "centre 0": phi_eval_grad(spec, mirror[0], mirror, m=m, dtype=dtype)[1],
-    }
-    for slot in range(2 * g + 3):
-        got = {
-            "anchored batch": phi_eval_anchored(spec, lf, dxs, du, m=m,
-                                                dtype=dtype, slot=slot),
-            "anchored one": phi_eval_anchored(spec, lf, dxs[0], du, m=m,
-                                              dtype=dtype, slot=slot),
-            "centre 0": phi_eval_anchored(spec, lf0, mirror[0], mirror, m=m,
-                                          dtype=dtype, slot=slot),
-        }
-        for key, grad in full.items():
-            assert np.array_equal(got[key], grad[..., slot]), (key, slot)
 
 
 def _tensordot_contract(tensor, m0, axis_vecs):
@@ -428,7 +368,7 @@ def test_cached_rule_vectors_are_bitwise_fresh(g, m, dtype):
     epd._rule_vectors.cache_clear()
     fresh = _rule_vectors_fresh(g, m, dtype)
     for _ in range(2):
-        avecs, bvecs, wvecs, m0, grad_vecs, _ = epd._rule_vectors(g, m, dtype)
+        avecs, bvecs, wvecs, m0, grad_vecs = epd._rule_vectors(g, m, dtype)
         assert m0 == fresh[3] and type(m0) is dtype
         for got, want in zip((avecs, bvecs, wvecs, *grad_vecs),
                              (*fresh[:3], *fresh[4])):
@@ -438,49 +378,3 @@ def test_cached_rule_vectors_are_bitwise_fresh(g, m, dtype):
                 assert not a.flags.writeable
     assert epd._rule_vectors.cache_info().hits == 1
     assert len(grad_vecs) == 2 * g + 3
-
-
-@pytest.mark.parametrize("field", SLOT_FIELDS, ids=["quartic", "sextic-even",
-                                                    "sextic-cubic", "abs4.5"])
-@pytest.mark.parametrize("g", [0, 1])
-def test_second_partials_satisfy_the_epd_system(field, g, monkeypatch):
-    """The second partials along each slot (phi_eval_anchored with
-    second), with the analytic gradient, give the paper's EPD residuals
-
-        2 (u_i - u_j) d2F/du_i du_j - dF/du_i + dF/du_j,
-        2 (xi - u_i) d2F/dxi du_i - dF/dxi + 2 dF/du_i,
-
-    that ``epd_residual`` takes by central differences, to 1e-7 of the
-    scale.  For a polynomial field the rule is exact and they vanish to
-    roundoff; |xi|^4.5 meets the system only to its rule's quadrature
-    error, and both forms show the same value there; its g = 1 rule
-    takes 6 nodes per slot here, as ``epd_residual``'s longdouble
-    stencils cost seconds each at the default 24.  The rows are
-    symmetric, and the slope the call returns is the slot's own."""
-    monkeypatch.setitem(epd._DEFAULT_NODES, 1, 6)
-    spec = EpdSpec(g, "psi", field)
-    u = ENDPOINTS[g]
-    lf = LocalField(field, -3.0, 3.0)
-    du = lf.to_delta(np.array(u))
-    for xi in POINTS[g][:3]:
-        dxi = float(lf.to_delta(xi))
-        _, grad = phi_eval_grad(spec, xi, u)
-        rows = []
-        for slot in range(2 * g + 3):
-            slope, row = phi_eval_anchored(spec, lf, dxi, du, slot=slot, second=True)
-            assert slope == phi_eval_anchored(spec, lf, dxi, du, slot=slot)
-            rows.append(row)
-        hess = np.array(rows)
-        scale = np.max(np.abs(grad)) + np.max(np.abs(hess)) * max(map(abs, (xi, *u)))
-        np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-13 * scale)
-        pos = (xi, *u)
-        for i in range(2 * g + 3):
-            for j in range(i + 1, 2 * g + 3):
-                if i == 0:
-                    resid = 2.0 * (xi - pos[j]) * hess[0, j] - grad[0] + 2.0 * grad[j]
-                else:
-                    resid = 2.0 * (pos[i] - pos[j]) * hess[i, j] - grad[i] + grad[j]
-                fd = epd_residual(spec, xi, u, i, j, 1e-4)
-                assert abs(resid - fd) < 1e-7 * scale, (xi, i, j)
-                if field.is_polynomial:
-                    assert abs(resid) < 1e-12 * scale, (xi, i, j)

@@ -1,15 +1,17 @@
 """The ansaetze's analytic Newton Jacobians against central differences
 of their own residual pairs (the only place a finite difference of the
-endpoint residuals is taken)."""
+endpoint residuals is taken), and their band-moment mass conditions
+against the tensor rule's slope form of the same condition."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqm import anchored, onecut, twocut
+from eqm import anchored, epd, onecut, twocut
+from eqm.epd import EpdSpec
 from eqm.errors import EqmError
-from eqm.field import FieldSpec, PowerTerm
+from eqm.field import LONG, FieldSpec, PowerTerm
 
 from conftest import quartic_field, sextic_field
 
@@ -93,3 +95,50 @@ def _abs_field(t, p):
 ], ids=["x2-t30", "x2-t-3", "x2-t-30", "x1-t-30", "x1-t300"])
 def test_analytic_jacobian_matches_central_differences_abs_power(field):
     assert _check_jacobians(field) >= 2
+
+
+def _tensor_slope_residual(ansatz, field, lf, dm, half):
+    """f1 + 1/sqrt(pi) in the slope form the band moment replaced: 2 half
+    sqrt(dPsi0/du2) at xi = u1 for one band, and 2 half sqrt(2 (u1 + u2))
+    sqrt(dPsi1/du2) at xi = u1 on (u1, u2, -u2, -u1) for the mirror pair,
+    the slope read off the tensor rule's gradient."""
+    d1, d2 = dm + half, dm - half
+    if not ansatz.mirror:
+        spec = EpdSpec(0, "psi", field)
+        grad = epd._tensor_core(lf, 0, spec.order, [d1], [d1, d2], spec.nodes(),
+                                want_grad=True)[1][0]
+        return 2.0 * half * np.sqrt(grad[2])
+    u1, u2 = anchored.endpoints_long(lf.center_long, dm, half)
+    spec = EpdSpec(1, "psi", field)
+    uvec = np.array([u1, u2, -u2, -u1], dtype=LONG)
+    grad = epd._tensor_eval(field, 1, spec.order, u1, uvec, spec.nodes(),
+                            want_grad=True)[1][0]
+    return 2.0 * half * np.sqrt(2.0 * float(u1 + u2)) * np.sqrt(grad[2])
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=5000)
+@given(_confining_fields())
+@example(quartic_field(-1e5))
+@example(quartic_field(1.0))
+@example(sextic_field(-1e4))
+def test_band_moment_is_the_tensor_slope(field):
+    """The mass condition's band moment, sqrt(moment / pi) for one band
+    and sqrt(2 moment / pi) for the mirror pair, equals the tensor
+    rule's slope form of the same condition to 1e-12, at each converged
+    solution and at a point off it."""
+    for ansatz, solve in _ansaetze(field):
+        try:
+            sol = solve(field)
+        except EqmError:
+            continue
+        if not sol.converged:
+            continue
+        lf, _ = anchored._prepare(field, sol.anchor, 0.0, sol.half)
+        pair, _ = ansatz.residual(field, lf)
+        for dm, half in ((sol.dm, sol.half), (sol.dm + 0.05 * sol.half, 0.9 * sol.half)):
+            try:
+                got = pair(dm, half)[0] + anchored.INV_SQRT_PI
+            except EqmError:
+                continue
+            want = _tensor_slope_residual(ansatz, field, lf, dm, half)
+            assert got == pytest.approx(want, rel=1e-12), (field, dm, half)

@@ -58,3 +58,27 @@ def test_jacobian_without_a_value_stops_the_solve():
         assert not res.converged
         assert res.message == "Jacobian unavailable at the current iterate"
         assert res.iterations == 0
+
+
+def test_final_step_past_tol_is_taken_and_not_counted():
+    # x^2 = 2 from 1.5: one step reaches |f| = 6.9e-3 <= tol, 2.5e-3
+    # from sqrt(2), and the final full step lands 2.1e-6 from it;
+    # iterations counts only the first step
+    res = damped_newton(lambda x: x * x - 2.0, [1.5], 1e-2, 100,
+                        lambda x: [[2.0 * x[0]]])
+    assert res.converged and res.iterations == 1
+    assert abs(res.x[0] - np.sqrt(2.0)) < 3e-6
+    assert res.residual_norm < 1e-5
+
+
+def test_final_step_is_dropped_when_it_fails():
+    # the residual raises at every point past the converged iterate and
+    # the final step would cross into it: the converged iterate stays
+    def fun(x):
+        if x[0] < 0.9:
+            raise InvalidInterval("below 0.9")
+        return x - 0.5
+
+    res = damped_newton(fun, [0.95], 0.5, 100, lambda x: [[1.0]])
+    assert res.converged and res.iterations == 0
+    np.testing.assert_array_equal(res.x, [0.95])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eqm import anchored, onecut
+from eqm import anchored, onecut, quadrature
 from eqm.density import chebyshev_angles
 from eqm.errors import NegativeDensity
 from eqm.field import FieldSpec, LocalField, PowerTerm
@@ -120,27 +120,33 @@ def test_edge_samples_match_fine_principal_value():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_residual_builds_one_derivative_tensor(monkeypatch):
-    """One residual evaluation evaluates the tensor rule once, for
-    V^(2) only: dPsi0/du2 is the one slope the pair reads.  Its
-    Jacobian takes the slope again and, on the same arguments, one
-    tensor of V^(3) for the slope's second partials."""
+def test_residual_and_jacobian_take_one_band_rule_each(monkeypatch):
+    """The residual pair is one band rule over two integrands (V' and
+    the mass moment (mu - mid) V'), and the 2x2 Jacobian one more over
+    six (the two integrands again and their four partials).  V' and its
+    derivatives are only ever taken at the rule's nodes: no tensor rule
+    runs."""
     field = sextic_field(-10.0)
     lf, dm, half = anchored._local(onecut.solve_endpoints(field), field)
     pair, jacobian = onecut._residual_fun(field, lf)
-    orders = []
-    deriv = LocalField.deriv
+    counts, shapes = [], set()
+    band_integral, deriv = quadrature.band_integral, LocalField.deriv
 
-    def spy(self, delta, order, dtype=np.float64):
-        if np.ndim(delta) == 3:  # the tensor rule's argument
-            orders.append(order)
+    def spy_rule(f, u1, u2, count=None):
+        counts.append(count)
+        return band_integral(f, u1, u2, count=count)
+
+    def spy_deriv(self, delta, order, dtype=np.float64):
+        shapes.add(np.ndim(delta))
         return deriv(self, delta, order, dtype=dtype)
 
-    monkeypatch.setattr(LocalField, "deriv", spy)
+    monkeypatch.setattr(quadrature, "band_integral", spy_rule)
+    monkeypatch.setattr(LocalField, "deriv", spy_deriv)
     pair(dm, half)
-    assert orders == [2]
+    assert counts == [2]
     jacobian(dm, half)
-    assert orders == [2, 2, 3]
+    assert counts == [2, 6]
+    assert shapes == {1}
 
 
 def test_band_collapse_stops_short_of_the_guard():

@@ -40,15 +40,20 @@ def test_band_integral_interval_validation():
 
 def test_symmetric_band_integral_weight():
     # weight 1/sqrt((u1^2-mu^2)(mu^2-u2^2)) on the right band, for
-    # V' = mu^2 + 0.3 mu^4
+    # V' = mu^2 + 0.3 mu^4, and its mass moment with q = mu^2 -
+    # (u1^2 + u2^2)/2
     u1, u2 = 2.1, 0.7
     lf = LocalField(polynomial_field([0.06, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]), u2, u1)
     d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
-    val = field_symmetric_band_integral_delta(lf, d1, d2)
+    val, moment = field_symmetric_band_integral_delta(lf, d1, d2)
     f = lambda mu: mu**2 + 0.3 * mu**4
     smooth = lambda mu: f(mu) / math.sqrt((u1 + mu) * (mu + u2))
     ref, _ = integrate.quad(smooth, u2, u1, weight="alg", wvar=(-0.5, -0.5))
     assert val == pytest.approx(ref, rel=1e-10)
+    q = lambda mu: mu**2 - 0.5 * (u1**2 + u2**2)
+    ref, _ = integrate.quad(lambda mu: q(mu) * smooth(mu), u2, u1, weight="alg",
+                            wvar=(-0.5, -0.5))
+    assert moment == pytest.approx(ref, rel=1e-10)
 
 
 def test_pv_identity_inside():
@@ -95,8 +100,11 @@ def test_field_band_integrals_match_generic():
     lf = LocalField(f, u2, u1)
     d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
     direct = band_integral(lambda mu: f.eval(mu, 1), u1, u2)
-    via_field = field_band_integral_delta(lf, d1, d2)
+    via_field, moment = field_band_integral_delta(lf, d1, d2)
     assert via_field == pytest.approx(direct, rel=1e-12)
+    mid = 0.5 * (u1 + u2)
+    direct = band_integral(lambda mu: (mu - mid) * f.eval(mu, 1), u1, u2)
+    assert moment == pytest.approx(direct, rel=1e-12)
     direct_pv = pv_band_integral_delta(lambda d, x: f.eval(d, 1), u1, u2, xi)
     via_field_pv = field_pv_band_integral_delta(lf, d1, d2, dxi)
     assert via_field_pv == pytest.approx(direct_pv, rel=1e-9, abs=1e-9)

@@ -8,7 +8,9 @@ import os
 
 import pytest
 
-from eqm import cli
+from eqm import cli, onecut, twocut
+from eqm.field import FieldSpec, PowerTerm
+from eqm.rhp import q_polynomial
 
 TRACING = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -45,14 +47,20 @@ def _problem(tmp_path, name, vstar, t, output=None):
 
 def test_every_span_name_records_a_span(tmp_path):
     """solve, sweep, predict and oracle, run in process, pass through
-    every traced layer at least once.  The principal-value kernels and
-    the tensor rule at probes run only for non-polynomial fields, so
-    one sweep row of |xi|^4.5 - 3 xi^2 reaches them."""
+    every traced layer but the tensor rule at least once.  The
+    principal-value kernels run only for non-polynomial fields: one
+    sweep row of |xi|^4.5 - 3 xi^2 (two bands) reaches the caller's-
+    integrand form, one solve of |xi|^4.5 + 30 xi^2 (one band) the field
+    form.  No CLI command runs the tensor rule, so ``rhp.q_polynomial``
+    at a one-band solution (shared anchor: ``phi_eval_anchored``) and a
+    two-band one (mirrored anchors: ``phi_eval``) does, in the same
+    traced block."""
     quartic = [{"kind": "monomial", "k": 4, "c": 1.0}]
+    abs45 = [{"kind": "abs_power", "a": 4.5, "c": 1.0}]
     semicircle = _problem(tmp_path, "semicircle", [], 1.0)
     quartic_path = _problem(tmp_path, "quartic", quartic, -10.0)
-    abs_path = _problem(tmp_path, "abs4.5",
-                        [{"kind": "abs_power", "a": 4.5, "c": 1.0}], -3.0)
+    abs_path = _problem(tmp_path, "abs4.5", abs45, -3.0)
+    abs_onecut = _problem(tmp_path, "abs4.5-onecut", abs45, 30.0)
     oracle_path = _problem(tmp_path, "oracle", quartic, -10.0,
                            {"density": str(tmp_path / "oracle.csv")})
     runs = [
@@ -61,6 +69,7 @@ def test_every_span_name_records_a_span(tmp_path):
         ["sweep", "--problem", quartic_path, "--t-from", "-10", "--t-to", "-10",
          "--steps", "1"],
         ["sweep", "--problem", abs_path, "--t-from=-3", "--t-to=-3", "--steps", "1"],
+        ["solve", "--problem", abs_onecut],
         ["predict", "--problem", quartic_path, "--sign", "-"],
         ["oracle", "--problem", oracle_path, "--grid-n", "201", "--iters", "2000"],
     ]
@@ -70,6 +79,10 @@ def test_every_span_name_records_a_span(tmp_path):
     try:
         for argv in runs:
             assert cli.main(argv) == 0, argv
+        for solve, t in ((onecut.solve_endpoints, 1.0),
+                         (twocut.solve_endpoints_symmetric, -10.0)):
+            field = FieldSpec((PowerTerm("monomial", 4, 1.0),), (0.0, 0.0, 1.0), t)
+            q_polynomial(solve(field).endpoint_vector(), field)
     finally:
         tracer.uninstall()
     recorded = {span[3] for span in tracer.spans}

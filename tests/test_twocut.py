@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eqm import anchored, twocut
+from eqm import anchored, quadrature, twocut
 from eqm.density import chebyshev_angles
 from eqm.errors import NotEven
 from eqm.field import FieldSpec, LocalField, PowerTerm
@@ -100,27 +100,33 @@ def test_edge_samples_match_fine_principal_value():
     np.testing.assert_allclose(got, 2.0 * np.sqrt(rad) * phi, rtol=1e-12, atol=0.0)
 
 
-def test_residual_builds_one_derivative_tensor(monkeypatch):
-    """One residual evaluation evaluates the tensor rule once, for
-    V^(3) only: dPsi1/du2 is the one slope the pair reads.  Its
-    Jacobian takes the slope again and, on the same arguments, one
-    tensor of V^(4) for the slope's second partials."""
+def test_residual_and_jacobian_take_one_band_rule_each(monkeypatch):
+    """The residual pair is one band rule over two integrands (V' and
+    the mass moment q V', both over sqrt((u1+mu)(mu+u2))), and the 2x2
+    Jacobian one more over six (the two integrands again and their four
+    partials).  V' and its derivatives are only ever taken at the
+    rule's nodes: no tensor rule runs."""
     field = quartic_field(-1000.0)
     lf, dm, half = anchored._local(twocut.solve_endpoints_symmetric(field), field)
     pair, jacobian = twocut._residual_fun(field, lf)
-    orders = []
-    deriv = LocalField.deriv
+    counts, shapes = [], set()
+    band_integral, deriv = quadrature.band_integral, LocalField.deriv
 
-    def spy(self, delta, order, dtype=np.float64):
-        if np.ndim(delta) == 5:  # the tensor rule's argument
-            orders.append(order)
+    def spy_rule(f, u1, u2, count=None):
+        counts.append(count)
+        return band_integral(f, u1, u2, count=count)
+
+    def spy_deriv(self, delta, order, dtype=np.float64):
+        shapes.add(np.ndim(delta))
         return deriv(self, delta, order, dtype=dtype)
 
-    monkeypatch.setattr(LocalField, "deriv", spy)
+    monkeypatch.setattr(quadrature, "band_integral", spy_rule)
+    monkeypatch.setattr(LocalField, "deriv", spy_deriv)
     pair(dm, half)
-    assert orders == [3]
+    assert counts == [2]
     jacobian(dm, half)
-    assert orders == [3, 3, 4]
+    assert counts == [2, 6]
+    assert shapes == {1}
 
 
 @pytest.mark.parametrize("field, steps", [
@@ -129,10 +135,10 @@ def test_residual_builds_one_derivative_tensor(monkeypatch):
                p_coeffs=(0.0, 0.0, 1.0), t=-30.0), 2),
     (quartic_field(-0.8), 7),
 ], ids=["quartic-1e4", "abs4.5-30", "quartic-0.8"])
-def test_solve_builds_two_local_fields(monkeypatch, field, steps):
-    """A two-band solve builds two LocalFields, whatever its Newton step
-    count: the expansion anchored at the band and the one at 0 that
-    every g = 1 slope of the solve is read from."""
+def test_solve_builds_one_local_field(monkeypatch, field, steps):
+    """A two-band solve builds one LocalField, whatever its Newton step
+    count: the expansion anchored at the band, from which every
+    residual and Jacobian of the solve is read."""
     centers = []
     init = LocalField.__init__
 
@@ -143,4 +149,4 @@ def test_solve_builds_two_local_fields(monkeypatch, field, steps):
     monkeypatch.setattr(LocalField, "__init__", spy)
     sol = twocut.solve_endpoints_symmetric(field)
     assert sol.converged and sol.iterations == steps
-    assert len(centers) == 2 and centers[1] == 0.0
+    assert centers == [float(sol.anchor)]
