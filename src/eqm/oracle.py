@@ -6,12 +6,13 @@ uniform grid with the log kernel cell-averaged (exact in-cell double
 integral on the diagonal) and minimized over the scaled simplex
 ``{psi_i >= 0, h * sum psi_i = 1}`` by accelerated projected gradient
 (FISTA with gradient-mapping restart) plus exact solves of the
-equality-constrained problem on a stable active set.  The kernel matrix
-is symmetric Toeplitz, so matrix-vector products run through a
-circulant FFT embedding, and the active-set solve is preconditioned by
-the exact inverse of each active run's Toeplitz block: one
-Levinson-Durbin pass per block, then the Gohberg-Semencul formula
-applied with FFT convolutions.
+equality-constrained problem on a stable active set.  The step size is
+1/L, with L the energy's curvature on zero-sum moves, found by Lanczos
+in about 13 kernel products.  The kernel matrix is symmetric Toeplitz,
+so matrix-vector products run through a circulant FFT embedding, and
+the active-set solve is preconditioned by the exact inverse of each
+active run's Toeplitz block: one Levinson-Durbin pass per block, then
+the Gohberg-Semencul formula applied with FFT convolutions.
 """
 
 from __future__ import annotations
@@ -146,26 +147,32 @@ def _project_scaled_simplex(v, total):
     return np.maximum(v - tau, 0.0)
 
 
-def _lipschitz(problem, iters=100):
-    """2h * spectral radius of the kernel, by deterministic power iteration.
+def _lipschitz(problem):
+    """L = 2h * the largest eigenvalue of PKP, P = I - 11'/n, by Lanczos.
 
-    On a symmetric matrix the estimate never decreases, so iteration
-    stops once a step raises it by at most a few ulps, or after
-    ``iters`` steps.
+    From a seeded vector with its mean removed, each kernel product has
+    its mean removed and is reorthogonalized against the whole basis;
+    the estimate is the largest eigenvalue of the small tridiagonal.  It
+    never decreases, so iteration stops once a step raises it by at most
+    a few ulps, or when the sum-zero space (dimension n - 1) runs out.
     """
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(problem.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = problem.matvec(v)
-        last, lam = lam, float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 2.0 * problem.h
-        v = w / lam
-        if lam - last <= 4.0 * np.finfo(float).eps * lam:
+    v = np.random.default_rng(0).standard_normal(problem.n)
+    v -= v.mean()
+    basis = np.empty((0, problem.n))
+    alpha, beta = [], []
+    lam = -math.inf
+    for _ in range(problem.n - 1):
+        basis = np.vstack([basis, v / np.linalg.norm(v)])
+        w = problem.matvec(basis[-1])
+        w -= w.mean()
+        coef = basis @ w
+        v = w - coef @ basis
+        alpha.append(coef[-1])
+        beta.append(float(np.linalg.norm(v)))
+        last, lam = lam, np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta[:-1], -1))[-1]
+        if lam - last <= 4.0 * np.finfo(float).eps * abs(lam) or beta[-1] == 0.0:
             break
-    return 2.0 * problem.h * lam
+    return 2.0 * problem.h * float(lam)
 
 
 def _toeplitz_inverse(col):
@@ -272,7 +279,11 @@ def direct_minimize(problem, iters=50000):
     """Minimize the discretized energy over the scaled simplex.
 
     Each iteration is one projected-gradient step of size 1/L, taken
-    from FISTA's extrapolated point (Beck & Teboulle 2009).  The
+    from FISTA's extrapolated point (Beck & Teboulle 2009).  Every move
+    has zero sum, since the projection keeps the mass, so L is the
+    energy's curvature on such moves, 2h * the largest eigenvalue of the
+    mean-removed kernel PKP (``_lipschitz``); K's large negative,
+    near-constant mode is one the minimizer never moves along.  The
     momentum restarts whenever the gradient mapping points against the
     last move, (y - x+)'(x+ - x) > 0 (O'Donoghue & Candes 2015).  Once
     the set {psi > 0} has held for ``_ACTIVE_HOLD`` iterations, the

@@ -12,7 +12,8 @@ Regenerate them only for a deliberate change of results, with
     PYTHONPATH=src python tests/test_golden.py --write
 
 A change that claims unchanged results is checked on a wider set, the
-DUMP_SOLVES problems and DUMP_SWEEPS sweeps below.  Run
+DUMP_SOLVES problems, DUMP_SWEEPS sweeps and DUMP_ORACLES oracle runs
+below.  Run
 
     PYTHONPATH=src python tests/test_golden.py --dump DIR
 
@@ -23,13 +24,14 @@ its stdout); a solve adds the ``problem.json``, ``report.json`` and
 ``predict+`` and a ``predict-`` directory with the output of
 ``eqm predict --sign +`` and ``--sign -`` on its problem, and, when the
 solve wrote ``density.csv``, a ``verify`` directory with the output of
-``eqm verify`` reading that file back.  ``eqm oracle`` is left out: it
-takes about 0.06 s a case at a small grid.  No CLI output reads a
-solution's split-precision endpoint vector, so the dump also writes
-``criterion-7/<config>`` for each ``conftest.solve_configs``
-configuration: the ``endpoint_vector()`` fields, the ``q_polynomial``
-coefficients there and at the 1.01x perturbation criterion 7 uses, and
-the ``check_sign_and_gaps`` flags.
+``eqm verify`` reading that file back.  The DUMP_ORACLES cases, the
+four problems of criterion 8, run ``eqm oracle --grid-n 2001 --iters
+40000`` in their directory, which also gets the ``oracle-density.csv``
+it writes there.  No CLI output reads a solution's split-precision
+endpoint vector, so the dump also writes ``criterion-7/<config>`` for
+each ``conftest.solve_configs`` configuration: the ``endpoint_vector()``
+fields, the ``q_polynomial`` coefficients there and at the 1.01x
+perturbation criterion 7 uses, and the ``check_sign_and_gaps`` flags.
 
 For the semicircle and every xi^4 + t xi^2 solve that wrote
 ``report.json``, the dump also writes ``reference``: each reported
@@ -120,6 +122,11 @@ DUMP_SOLVES["octic-x4-t10"] = ([MONO8], [0.0, 0.0, -3.0, 0.0, 1.0], 10.0)
 # +-1.383: xi^6 - 3 xi^4 + 0.5 xi^2, certified as twocut-sym
 DUMP_SOLVES["sextic-side-wells-x4-t-3"] = (
     [MONO6, {"kind": "monomial", "k": 2, "c": 0.5}], [0.0] * 4 + [1.0], -3.0)
+# name: (vstar, p, t); the oracle runs of criterion 8
+DUMP_ORACLES = {
+    **{f"oracle-semicircle-t{t:g}": ([], [0.0, 0.0, 1.0], t) for t in (0.5, 1.0, 2.0)},
+    "oracle-quartic-t-10": ([MONO4], [0.0, 0.0, 1.0], -10.0),
+}
 # name: (vstar, t_from, t_to, steps, log) of V = vstar + t xi^2
 DUMP_SWEEPS = {
     "sweep-quartic-log5": ([MONO4], -10.0, -1e5, 5, True),
@@ -233,8 +240,9 @@ def _write_reference(case, name, t):
 
 
 def dump(root):
-    """Write the outputs of every DUMP_SOLVES and DUMP_SWEEPS case under
-    root, with each solve case's predict runs and density read-back."""
+    """Write the outputs of every DUMP_SOLVES, DUMP_SWEEPS and
+    DUMP_ORACLES case under root, with each solve case's predict runs
+    and density read-back."""
     for name, (vstar, p, t) in DUMP_SOLVES.items():
         case = os.path.join(root, name)
         os.makedirs(case)
@@ -259,6 +267,17 @@ def dump(root):
         argv = ["sweep", "--problem", path, f"--t-from={t_from!r}",
                 f"--t-to={t_to!r}", "--steps", str(steps)]
         _run_captured(argv + (["--log"] if log else []), case)
+    for name, (vstar, p, t) in DUMP_ORACLES.items():
+        case = os.path.abspath(os.path.join(root, name))
+        os.makedirs(case)
+        path = _problem(case, "problem", vstar, p, t)
+        cwd = os.getcwd()
+        os.chdir(case)  # where the oracle writes oracle-density.csv
+        try:
+            _run_captured(["oracle", "--problem", path, "--grid-n", "2001",
+                           "--iters", "40000"], case)
+        finally:
+            os.chdir(cwd)
     _dump_criterion_7(os.path.join(root, "criterion-7"))
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
 from eqm import onecut, oracle, twocut
@@ -289,31 +291,43 @@ def test_toeplitz_inverse_matches_dense_solve(m):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("family, t, half_width, settles", [
-    # the N = 2001 grids of `eqm oracle` (twice the support's half
-    # width): the two largest eigenvalues lie close, so all 100 steps run
-    ("semicircle", 1.3, 2.0 * semicircle_radius(1.3), False),
-    ("quartic", -10.2, 2.0 * math.sqrt((10.2 + math.sqrt(2.0 / math.pi)) / 2.0), False),
-    ("semicircle", 1.3, 1.7, True),
-    ("quartic", -10.2, 7.0, True),
+def _dense_sum_zero_spectrum(prob):
+    """Eigenvalues of 2h PKP, P = I - 11'/n, by dense eigvalsh: PKP is
+    K with its row and column means removed."""
+    k = prob.kernel
+    centred = k - k.mean(axis=0) - k.mean(axis=1)[:, None] + k.mean()
+    return 2.0 * prob.h * np.linalg.eigvalsh(centred)
+
+
+@pytest.mark.parametrize("family, t, half_width", [
+    # the N = 2001 grids of `eqm oracle` (twice the support's half width)
+    ("semicircle", 1.3, 2.0 * semicircle_radius(1.3)),
+    ("quartic", -10.2, 2.0 * math.sqrt((10.2 + math.sqrt(2.0 / math.pi)) / 2.0)),
+    # wider windows, where K's largest |eigenvalue| is negative
+    ("semicircle", 1.3, 1.7),
+    ("quartic", -10.2, 7.0),
 ])
-def test_lipschitz_settles_to_full_estimate(monkeypatch, family, t, half_width, settles):
+def test_lipschitz_is_sum_zero_curvature(monkeypatch, family, t, half_width):
     field = semicircle_field(t) if family == "semicircle" else quartic_field(t)
     prob = oracle.discretize(field, -half_width, half_width, 2001)
-    steps = []
+    products = []
     matvec = prob.matvec
-    monkeypatch.setattr(prob, "matvec", lambda v: steps.append(1) or matvec(v))
-    settled = oracle._lipschitz(prob)
-    assert (len(steps) < 100) == settles
-    # the 100-step estimate, without the early stop
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(prob.n)
-    v /= np.linalg.norm(v)
-    for _ in range(100):
-        w = matvec(v)
-        lam = float(np.linalg.norm(w))
-        v = w / lam
-    assert abs(settled - 2.0 * prob.h * lam) <= 1e-14 * settled
+    monkeypatch.setattr(prob, "matvec", lambda v: products.append(1) or matvec(v))
+    got = oracle._lipschitz(prob)
+    assert len(products) <= 30
+    want = _dense_sum_zero_spectrum(prob)[-1]
+    assert abs(got - want) <= 1e-13 * want
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=1000)
+@given(n=st.integers(2, 300), log_width=st.floats(-2.0, math.log10(50.0)))
+def test_lipschitz_matches_dense_on_generated_grids(n, log_width):
+    width = 10.0**log_width
+    prob = oracle.discretize(semicircle_field(1.0), -0.5 * width, 0.5 * width, n)
+    spectrum = _dense_sum_zero_spectrum(prob)
+    assert abs(oracle._lipschitz(prob) - spectrum[-1]) <= 1e-12 * spectrum[-1]
+    # the step rule takes the energy to be convex along zero-sum moves
+    assert spectrum[0] >= -1e-12 * spectrum[-1]
 
 
 def _detect_bands_loop(grid, psi, threshold):
