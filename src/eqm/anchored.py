@@ -8,11 +8,12 @@ the residuals resolve far below what a single rounded float per
 endpoint allows.  An ``Ansatz`` record supplies what differs between
 the one-band and the mirrored two-band construction: the residual pair
 with its analytic Jacobian (both built by ``moment_residual`` from the
-ansatz's band integrals), and a density sampler that takes Phi in
-closed form for a polynomial field (``rhp.band_factor_coeffs``) and
-from the principal-value kernels of ``epd`` otherwise, at every
-Chebyshev node.  A solution carries no Lagrange constant: the density
-table ``density`` builds holds it, with the edges it was sampled on.
+ansatz's band integrals), the table, and the mirror flag that places
+the support's other edges.  One sampler serves both: psi = 2 sqrt|R|
+Phi_g at every Chebyshev node, with Phi_g from ``rhp.band_factor`` on
+the ansatz's edge offsets.  A solution carries no Lagrange constant:
+the density table ``density`` builds holds it, with the edges it was
+sampled on.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .density import chebyshev_angles
 from .errors import InvalidInterval, NegativeDensity, NegativeRadicand, PrecisionLoss
 from .field import LONG, LocalField
 from .newton import damped_newton
-from .rhp import EndpointVector
+from .rhp import EndpointVector, band_factor
 from .wells import global_minimizer
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -60,10 +61,9 @@ class AnchoredSolution:
     def endpoint_vector(self):
         """The support's edges u1, u2 (and -u2, -u1 for a mirror pair),
         in the split precision of the solve."""
-        a, o1, o2 = LONG(self.anchor), self.dm + self.half, self.dm - self.half
-        if self.mirror:
-            return EndpointVector(1, (), (a, a, -a, -a), (o1, o2, -o2, -o1))
-        return EndpointVector(0, (), (a, a), (o1, o2))
+        base, off = _edges(self.anchor, self.dm + self.half, self.dm - self.half,
+                           self.mirror)
+        return EndpointVector(len(base) // 2 - 1, (), base, off)
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,24 @@ class Ansatz:
     """What a band shape supplies: residual(field, lf) -> (pair,
     jacobian), pair(dm, half) the two endpoint residuals and
     jacobian(dm, half) their 2x2 partials, row per residual and column
-    per unknown (dm, half); psi(lf, dm, half, dxi) -> density at
-    offsets dxi inside the band; table(lo, hi, psis); mirror, for the
-    positive band of a mirror pair (u2 > 0); the words of its density
-    errors."""
+    per unknown (dm, half); table(lo, hi, psis); mirror, for the
+    positive band of a mirror pair (u2 > 0), which also places the
+    support's other edges; the words of its density errors."""
 
     residual: Callable
-    psi: Callable
     table: Callable
     mirror: bool
     name: str
     mass_name: str
+
+
+def _edges(anchor, o1, o2, mirror):
+    """Bases and offsets of the support's edges, descending: anchor + o1,
+    anchor + o2, and for a mirror pair -anchor - o2, -anchor - o1."""
+    a = LONG(anchor)
+    if mirror:
+        return (a, a, -a, -a), (o1, o2, -o2, -o1)
+    return (a, a), (o1, o2)
 
 
 def endpoints_long(anchor, dm, half):
@@ -174,9 +181,25 @@ def solve(ansatz, field, tol, max_iter):
 
 
 def _sample(ansatz, lf, dm, half, n):
-    """Density at the band's first-kind Chebyshev nodes, by ascending angle."""
+    """Density psi = 2 sqrt|R| Phi_g at the band's first-kind Chebyshev
+    nodes, by ascending angle.
+
+    Every edge is an offset from the center c of lf: the band's own
+    d1, d2 and, for a mirror pair, -2c - d2 and -2c - d1.  Phi_g takes
+    them in longdouble (``rhp.band_factor``); |R| is the band's
+    (d1 - xi)(xi - d2) times the product of the other edges' distances,
+    each formed as (xi - base) - offset in float.
+    """
+    d1, d2 = dm + half, dm - half
     dxi = dm + half * np.cos(chebyshev_angles(n))
-    return ansatz.psi(lf, dm, half, dxi)
+    base, off = _edges(lf.center_long, d1, d2, ansatz.mirror)
+    base = [b - lf.center_long for b in base]  # 0 on the band, -2c on its mirror
+    phi = band_factor(lf, [b + LONG(o) for b, o in zip(base, off)], dxi)
+    rad = (d1 - dxi) * (dxi - d2)
+    rest = 1.0
+    for b, o in zip(base[2:], off[2:]):
+        rest = rest * ((dxi - float(b)) - o)
+    return 2.0 * np.sqrt(np.maximum(rad, 0.0) * np.abs(rest)) * phi
 
 
 def _local(sol, field):

@@ -32,11 +32,10 @@ run none of it.  The solvers read its slope dPsi_g/du_2 at xi = u_1 as
 a band moment of V' (``quadrature.field_band_integral_delta``).
 
 The density on band j (counting from the right) of a valid solution is
-psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  For a
-polynomial field Phi_g has a closed form (``rhp.band_factor_coeffs``);
-for other fields the density samplers take it from the principal-value
-kernels ``phi0_band`` (g = 0) and ``phi1_symmetric_band`` (mirror
-g = 1), and the certificate from band integrals of the same kind.
+psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  The density
+samplers and the certificate take Phi_g from ``rhp.band_factor``: a
+closed form for a polynomial field, principal values of V' over the
+bands otherwise.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from functools import lru_cache
 import numpy as np
 
 from .field import FieldSpec, LocalField
-from .quadrature import field_pv_band_integral_delta, pv_band_integral_delta
 
 __all__ = [
     "EpdSpec",
@@ -56,8 +54,6 @@ __all__ = [
     "phi_eval_grad",
     "phi_eval_anchored",
     "epd_residual",
-    "phi0_band",
-    "phi1_symmetric_band",
 ]
 
 LONG = np.longdouble
@@ -427,33 +423,3 @@ def epd_residual(spec, xi, u, i, j, h):
     di = (f(0.0, h * ei) - f(0.0, -h * ei)) / (2.0 * h)
     dj = (f(0.0, h * ej) - f(0.0, -h * ej)) / (2.0 * h)
     return float(2.0 * (u[i - 1] - u[j - 1]) * mixed - di + dj)
-
-
-def phi0_band(lf, d1, d2, dxi):
-    """Phi_0 = -PV int V'(mu) / ((xi-mu) sqrt((u1-mu)(mu-u2))) / (2 pi).
-
-    The band (center + d2, center + d1) and the points dxi inside it (a
-    float or a 1-D array) are offsets from the center of lf; each point
-    doubles its node count on its own.
-    """
-    pv = field_pv_band_integral_delta(lf, d1, d2, dxi)
-    return -pv / (2.0 * math.pi)
-
-
-def phi1_symmetric_band(lf, d1, d2, dxi):
-    """Phi_1 = -(xi/pi) PV int V'(mu) / ((xi^2-mu^2) sqrt((u1^2-mu^2)
-    (mu^2-u2^2))) on the band (u2, u1) > 0 of an even field's mirror pair.
-
-    Offsets as in ``phi0_band``.  The factors (u1-mu)(mu-u2) are
-    the band rule's weight; (u1+mu)(mu+u2) and xi+mu are formed from the
-    center in a plain float sum.
-    """
-    anchor = lf.center_long
-    twoc = float(2.0 * anchor)
-
-    def gdelta(d, x):
-        plus = (twoc + d + d1) * (twoc + d + d2)
-        return lf.deriv(d, 1) / ((twoc + d + x) * np.sqrt(plus))
-
-    xi = (anchor + np.asarray(dxi, dtype=float).astype(LONG)).astype(float)
-    return -(xi / math.pi) * pv_band_integral_delta(gdelta, d1, d2, dxi)

@@ -10,11 +10,12 @@ per array: the integrand f(d, x) sees the nodes d as a row and the
 poles x as a column, so whatever depends on the nodes alone is formed
 once per node count for every pole.
 
-``band_integral`` is the one band rule and ``_pv_core`` the one
-principal-value rule; every other entry point hands them an integrand.
-Principal values are taken in offsets only: ``pv_band_integral_delta``
-for a caller's integrand, ``field_pv_band_integral_delta`` for V'; only
-non-polynomial fields reach them, as a polynomial field's band factor
+``band_integral`` is the one band rule and ``pv_band_integral_delta``
+the one principal-value rule, in offsets; every other entry point hands
+them an integrand.  ``field_pv_band_integral_delta`` is one band's term
+of the band factor (``rhp.band_factor``): the principal value of V'
+over the other edges' square root, for any band count.  Only
+non-polynomial fields reach it, as a polynomial field's band factor
 has a closed form (``rhp.band_factor_coeffs``).  The field forms
 (``field_band_integral_delta`` and friends) integrate V' of a prebuilt
 ``LocalField`` with the band and poles as offsets from its center, so
@@ -124,17 +125,19 @@ def band_integral(f, u1, u2, count=None):
     return _adaptive(evaluate, None, count)
 
 
-def _pv_core(f, d1, d2, dxi, m):
-    """PV of f(d, x)/((x-d) sqrt((d1-d)(d-d2))) at each pole x of dxi.
+def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None):
+    """PV of fdelta(d, x)/((x-d) sqrt((d1-d)(d-d2))) in offset coordinates.
 
-    f is called with the nodes d as a row and a block of poles x as a
-    column (broadcasting, so it may ignore either), and once with d = x
-    for the poles inside the band, whose f(x, x) is subtracted to remove
-    the pole.  Outside poles subtract nothing; the integrand is regular
-    there.  Each pole keeps its own adaptive node count.  A pole on an
+    Offsets are taken from the caller's anchor: d1 > d2 bracket the band
+    and dxi holds the poles x, a float or a 1-D array (which returns an
+    array).  fdelta(d, x) sees the nodes d as a row and a block of poles
+    x as a column (broadcasting, so it may ignore either), and once sees
+    d = x for the poles inside the band, whose fdelta(x, x) is
+    subtracted to remove the pole.  Outside poles subtract nothing; the
+    integrand is regular there.  Each pole doubles its node count on its
+    own, so the values equal those of one call per pole.  A pole on an
     endpoint, or outside within 1e-12 band widths of one, raises
-    SingularPoint; inside poles stay regular once subtracted.  Returns a
-    float for a scalar dxi, else one value per pole.
+    SingularPoint; inside poles stay regular once subtracted.
     """
     _check_interval(d1, d2)
     guard = 1e-12 * max(d1 - d2, 1e-12)
@@ -148,7 +151,7 @@ def _pv_core(f, d1, d2, dxi, m):
     fxi = np.zeros(xs.shape)
     if np.any(inside):
         col = xs[inside, None]
-        fxi[inside] = np.broadcast_to(f(col, col), col.shape)[:, 0]
+        fxi[inside] = np.broadcast_to(fdelta(col, col), col.shape)[:, 0]
 
     def evaluate(mm, idx):
         x, w = chebyshev_rule(mm)
@@ -158,26 +161,12 @@ def _pv_core(f, d1, d2, dxi, m):
         for start in range(0, idx.size, step):
             block = idx[start:start + step]
             p = xs[block, None]
-            vals = (f(d, p) - fxi[block, None]) / (p - d)
+            vals = (fdelta(d, p) - fxi[block, None]) / (p - d)
             sums[start:start + step] = vals.sum(axis=1)
         return w * sums
 
     out = _adaptive(evaluate, m, xs.size)
     return out if np.ndim(dxi) else float(out[0])
-
-
-def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None):
-    """PV of fdelta(d, x)/((x-d) sqrt((d1-d)(d-d2))) in offset coordinates.
-
-    Offsets are taken from the caller's anchor: d1 > d2 bracket the band
-    and dxi holds the poles x, a float or a 1-D array (which returns an
-    array).  fdelta(d, x) sees the nodes d as a row and the poles x as a
-    column, so a factor of the nodes alone is formed once for every
-    pole, and once sees d = x for the poles inside the band.  Each pole
-    doubles its node count on its own, so the values equal those of one
-    call per pole.  Raises SingularPoint when a pole sits on an endpoint.
-    """
-    return _pv_core(fdelta, d1, d2, dxi, m)
 
 
 def field_band_integral_delta(lf, d1, d2):
@@ -278,16 +267,54 @@ def field_symmetric_band_integral_partials_delta(lf, d1, d2):
     return out[:2], out[2:].reshape(2, 2)
 
 
-def field_pv_band_integral_delta(lf, d1, d2, dxi, m=None):
-    """PV of V'/((xi-mu) sqrt weight) with band and poles as offsets.
+def field_pv_band_integral_delta(lf, d1, d2, dxi, m=None, others=(),
+                                 subtract=False):
+    """PV of F(mu)/((xi-mu) sqrt((d1-mu)(mu-d2))), F = V'/sqrt|prod (mu-r)|
+    over the other band edges r, with band, poles and r as offsets.
 
+    One band's term of the band factor (``rhp.band_factor``); others
+    (longdouble offsets) is empty for a single band.  F is formed in
+    longdouble, once per node count at the rule's nodes and once at the
+    poles, and carried as a float64 pair hi + lo, so the pole-by-node
+    difference F(mu) - F(xi) runs in float64 without dividing F's
+    rounding by xi - mu.  With subtract every pole integrates F(mu) -
+    F(xi), outside ones too; without, outside poles integrate F alone.
     dxi is one pole offset or a 1-D array of them (an array returns an
-    array).  V' at the quadrature nodes is evaluated once per node count
-    and shared by all poles; each pole stops doubling at its own node
-    count, so the values equal those of one call per pole.  m fixes the
-    node count (adaptive when omitted).
+    array); each pole stops doubling at its own node count, so the
+    values equal those of one call per pole.  m fixes the node count
+    (adaptive when omitted).
     """
-    return _pv_core(lambda d, x: lf.deriv(d, 1), d1, d2, dxi, m)
+    others = np.asarray(others, dtype=LONG)
+
+    def pair(d):
+        d = np.asarray(d, dtype=LONG)
+        f = lf.deriv(d, 1, dtype=LONG)
+        if others.size:
+            f = f / np.sqrt(np.abs(np.prod(d[..., None] - others, axis=-1)))
+        hi = f.astype(float)
+        return hi, (f - hi).astype(float)
+
+    nodes, poles = {}, []
+
+    def lookup(d):
+        if np.ndim(d) == 1:  # the nodes of one rule
+            if d.size not in nodes:
+                nodes[d.size] = pair(d)
+            return nodes[d.size]
+        if not poles:  # the rule hands over poles of dxi: find them by value
+            xs = np.sort(np.atleast_1d(np.asarray(dxi, dtype=float)))
+            poles.extend((xs, *pair(xs)))
+        i = np.searchsorted(poles[0], d)
+        return poles[1][i], poles[2][i]
+
+    def fdelta(d, x):
+        hd, ld = lookup(d)
+        if not subtract:
+            return hd
+        hx, lx = lookup(x)
+        return (hd - hx) + (ld - lx)
+
+    return pv_band_integral_delta(fdelta, d1, d2, dxi, m)
 
 
 def r_branch(xi, u):

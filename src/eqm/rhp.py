@@ -20,12 +20,13 @@ import numpy as np
 
 from .errors import InvalidInterval, SingularSystem
 from .field import LONG, FieldSpec, LocalField, PowerTerm
-from .quadrature import band_integral
+from .quadrature import band_integral, field_pv_band_integral_delta
 from .epd import EpdSpec, phi_eval, phi_eval_anchored
 
 __all__ = [
     "EndpointVector",
     "QPolynomial",
+    "band_factor",
     "band_factor_coeffs",
     "gamma_coeffs",
     "pgn_poly",
@@ -52,8 +53,6 @@ class EndpointVector:
     offsets: tuple = None
 
     def __post_init__(self):
-        if self.g not in (0, 1):
-            raise ValueError("only g in {0, 1} is supported")
         if (self.base is None) != (self.offsets is None):
             raise ValueError("base and offsets must be given together")
         if self.base is None:
@@ -168,6 +167,60 @@ def band_factor_coeffs(lf, roots):
     gam = _gamma_series(np.asarray(roots, dtype=LONG), vp.size, inverse=True)
     return np.array([0.5 * np.dot(vp[n:], gam[:vp.size - n])
                      for n in range(vp.size)], dtype=float)
+
+
+def band_factor(lf, roots, dx):
+    """Phi_g at the points center + dx for the band edges center + roots,
+    center = lf.center_long, g = len(roots)/2 - 1.
+
+    The one band factor of the density samplers and the certificate.
+    roots are the 2g+2 edge offsets, descending, in longdouble so that
+    an edge far from the center stays exact; dx are float offsets, of
+    any shape.  A polynomial field takes the closed form
+    (``band_factor_coeffs``), any other field band integrals of V'
+    (``_band_integral_factor``).
+    """
+    if lf.field.is_polynomial:
+        return np.polynomial.polynomial.polyval(dx, band_factor_coeffs(lf, roots))
+    return _band_integral_factor(lf, roots, dx)
+
+
+def _band_integral_factor(lf, roots, dx):
+    """The band factor as band integrals of V', on and off the support.
+
+    Phi_g(x) = -(1/2pi) sum_j (-1)^j PV int_{band j} V'/((x-mu) sqrt|R|)
+    + [x off the support] V'(x)/(2 R(x)), bands j counted from the right.
+    With band j's integrand F_j(mu)/sqrt((hi_j-mu)(mu-lo_j)), the band
+    nearest x integrates F_j(mu) - F_j(x) instead: that removes 0 on the
+    band and pi F_j(x)/R_j(x) off it, which is the V'(x)/(2 R(x)) term
+    exactly, so no term grows near an edge.  Each band's term
+    (``quadrature.field_pv_band_integral_delta``) takes the edges and
+    points as offsets from an expansion at the band's midpoint.
+    """
+    roots = np.asarray(roots, dtype=LONG)
+    flat = np.asarray(dx, dtype=float).ravel()
+    hi, lo = roots[0::2].astype(float), roots[1::2].astype(float)
+    nearest = np.argmin(np.abs(flat - 0.5 * (hi + lo)[:, None])
+                        - 0.5 * (hi - lo)[:, None], axis=0)
+    points = flat.astype(LONG)
+    total = np.zeros(flat.size)
+    for j in range(len(hi)):
+        # one expansion at the band over the points too, which F_j(x) reads
+        band = LocalField(
+            lf.field, float(lf.center_long + min(roots[2 * j + 1], points.min())),
+            float(lf.center_long + max(roots[2 * j], points.max())),
+            center=lf.center_long + 0.5 * (roots[2 * j] + roots[2 * j + 1]))
+        shift = band.center_long - lf.center_long
+        d = roots - shift
+        x = (points - shift).astype(float)
+        others = np.delete(d, [2 * j, 2 * j + 1])
+        for near in (True, False):
+            pick = (nearest == j) == near
+            if pick.any():
+                total[pick] += (-1.0) ** j * field_pv_band_integral_delta(
+                    band, float(d[2 * j]), float(d[2 * j + 1]), x[pick],
+                    others=others, subtract=near)
+    return (-total / (2.0 * math.pi)).reshape(np.shape(dx))
 
 
 def gamma_coeffs(u: EndpointVector, count):

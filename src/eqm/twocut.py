@@ -3,8 +3,8 @@
 The support is [-u1, -u2] u [u2, u1]; evenness reduces the four
 endpoint equations to two, solved in anchored offsets around the
 positive well of V (see ``anchored``).  This module supplies the g = 1
-residual pair, its Jacobian, the right-band density sampler and the
-mirrored table.  The pair is the one-band pair of 2 W(x), V(mu) =
+residual pair, its Jacobian and the mirrored table; the right band's
+density is sampled by ``anchored`` through ``rhp.band_factor``.  The pair is the one-band pair of 2 W(x), V(mu) =
 W(mu^2), on the right band: f2 = int V'/sqrt((u1^2-mu^2)(mu^2-u2^2)),
 f1 = sqrt(m) - 1/sqrt(pi) with m = (2/pi) int (mu^2 - (u1^2 + u2^2)/2)
 V'/sqrt(...) = (2 half)^2 2 (u1 + u2) dPsi_1/du_2.
@@ -15,16 +15,12 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
 from . import anchored
 from .density import Band, DensityTable
-from .epd import phi1_symmetric_band
 from .errors import InvalidInterval, NotEven
 from .field import LONG
 from .quadrature import (field_symmetric_band_integral_delta,
                          field_symmetric_band_integral_partials_delta)
-from .rhp import band_factor_coeffs
 
 __all__ = ["solve_endpoints_symmetric", "density_symmetric"]
 
@@ -42,33 +38,14 @@ def _residual_fun(field, lf):
         2.0 / math.pi)
 
 
-def _psi_values_right(lf, dm, half, dxi):
-    """Right-band psi = 2 sqrt((u1^2-xi^2)(xi^2-u2^2)) Phi_1(xi): Phi_1 in
-    closed form for a polynomial field, its roots in offsets d1, d2 and
-    the mirror band's -2a - d2, -2a - d1; else by one principal-value
-    call over all nodes."""
-    d1 = dm + half
-    d2 = dm - half
-    twoc = float(2.0 * lf.center_long)
-    if lf.field.is_polynomial:
-        a2 = -2.0 * lf.center_long
-        coeffs = band_factor_coeffs(lf, (d1, d2, a2 - d2, a2 - d1))
-        phi = np.polynomial.polynomial.polyval(dxi, coeffs)
-    else:
-        phi = phi1_symmetric_band(lf, d1, d2, dxi)
-    rad = (d1 - dxi) * (dxi - d2)
-    plus_xi = (twoc + dxi + d1) * (twoc + dxi + d2)
-    return 2.0 * np.sqrt(np.maximum(rad, 0.0) * plus_xi) * phi
-
-
 def _mirrored_table(lo, hi, psis):
     right = Band.from_angles(lo, hi, psis)
     left = Band(-hi, -lo, (-right.xs[::-1]).copy(), right.psis[::-1].copy())
     return DensityTable(bands=[left, right])
 
 
-_ANSATZ = anchored.Ansatz(_residual_fun, _psi_values_right, _mirrored_table,
-                          mirror=True, name="two-band", mass_name="total")
+_ANSATZ = anchored.Ansatz(_residual_fun, _mirrored_table, mirror=True,
+                          name="two-band", mass_name="total")
 
 
 def solve_endpoints_symmetric(field, tol=1e-10, max_iter=100):
@@ -104,12 +81,11 @@ def density_symmetric(sol, field, grid_n):
     """Two-band equilibrium density, sampled and mirrored exactly.
 
     The right band carries grid_n Chebyshev samples of psi =
-    2 sqrt((u1^2-xi^2)(xi^2-u2^2)) Phi_1(xi).  For a polynomial field
-    Phi_1 is a polynomial in closed form (``rhp.band_factor_coeffs``);
-    otherwise it comes from its principal-value form
-    (``epd.phi1_symmetric_band``) at every node.  The left band is the
-    right one's exact mirror image, so psi(-xi) = psi(xi) holds
-    identically.
+    2 sqrt((u1^2-xi^2)(xi^2-u2^2)) Phi_1(xi), with Phi_1 from
+    ``rhp.band_factor`` on all four edges: a closed-form polynomial for a
+    polynomial field, else principal values of V' over both bands at
+    every node.  The left band is the right one's exact mirror image, so
+    psi(-xi) = psi(xi) holds identically.
 
     Raises
     ------

@@ -12,7 +12,8 @@ Checks, on finite probe grids plus a structural tail argument:
 For a polynomial field the band factor Phi is a polynomial with a
 closed form (``rhp.band_factor_coeffs``), so the sign and integral
 checks read it, and its real roots, from its coefficients; other fields
-take it from one-dimensional band integrals of V' at every probe.
+take it from ``rhp.band_factor``, band integrals of V' at every probe.
+Both hold for any number of bands.
 
 Large external fields make ``L(psi) - V - l`` a difference of huge,
 nearly equal numbers, so all potential differences are taken relative
@@ -22,6 +23,7 @@ termwise in extended precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,9 +31,9 @@ import numpy as np
 
 from .density import chebyshev_angles
 from .errors import EqmError
-from .field import LONG, LocalField, potential_difference
-from .quadrature import pv_band_integral_delta, r_branch
-from .rhp import EndpointVector, band_factor_coeffs
+from .field import LocalField, potential_difference
+from .quadrature import r_branch
+from .rhp import EndpointVector, band_factor, band_factor_coeffs
 from .wells import wells
 
 __all__ = [
@@ -152,56 +154,12 @@ def check_variational(density, field, probe_n=120):
 
 def _sign_and_gap_flags(endpoints, field):
     """``check_sign_and_gaps`` on descending band edges, as the report's
-    two booleans: both false when the kernels cannot decide (more than
-    two bands, or an error in the band factor)."""
-    if len(endpoints) > 4:  # the band-factor kernels cover g = 0 and 1
-        return False, False
+    two booleans: both false when the band factor cannot be evaluated."""
     try:
         u = EndpointVector(len(endpoints) // 2 - 1, tuple(endpoints))
         return check_sign_and_gaps(u, field)
     except (EqmError, np.linalg.LinAlgError):
         return False, False
-
-
-def _phi_factory(u: EndpointVector, field):
-    """The band factor as band integrals of V', on and off the support.
-
-    Phi_g(x) = -(1/2pi) sum_j (-1)^j PV int_{band j} V'/((x-mu) sqrt|R|)
-    + [x off the support] V'(x)/(2 R(x)), bands j counted from the right.
-    With band j's integrand f_j(mu)/sqrt((hi_j-mu)(mu-lo_j)), the band
-    nearest x integrates f_j(mu) - f_j(x) instead: that removes 0 on the
-    band and pi f_j(x)/R_j(x) off it, which is the V'(x)/(2 R(x)) term
-    exactly, so no term grows near an edge.  Each band's principal
-    values (``quadrature.pv_band_integral_delta``) take offsets from an
-    expansion at the band's midpoint.
-    """
-    def phi(x):
-        flat = np.asarray(x, dtype=float).ravel()
-        nearest = np.argmin([np.abs(flat - 0.5 * (lo + hi)) - 0.5 * (hi - lo)
-                             for lo, hi in u.bands], axis=0)
-        total = np.zeros(flat.size)
-        for j, (lo, hi) in enumerate(u.bands):
-            # one expansion at the band over the points too, which f(x) reads
-            lf = LocalField(field, min(lo, flat.min()), max(hi, flat.max()),
-                            center=0.5 * (lo + hi))
-            d = lf.to_delta(u.precise)
-            rest = np.delete(d, [2 * j, 2 * j + 1])
-
-            def f(dmu):
-                # in longdouble: the subtraction divides f's rounding by x - mu
-                dmu = np.asarray(dmu, dtype=LONG)
-                outside = np.prod([dmu - r for r in rest], axis=0)
-                return lf.deriv(dmu, 1, dtype=LONG) / np.sqrt(np.abs(outside))
-
-            for near, fdelta in ((True, lambda dmu, dx: f(dmu) - f(dx)),
-                                 (False, lambda dmu, dx: f(dmu))):
-                pick = (nearest == j) == near
-                if pick.any():
-                    total[pick] += (-1.0) ** j * pv_band_integral_delta(
-                        fdelta, d[2 * j], d[2 * j + 1], lf.to_delta(flat[pick]))
-        return (-total / (2.0 * math.pi)).reshape(np.shape(x))
-
-    return phi
 
 
 def _band_signs_ok(u: EndpointVector, phi):
@@ -361,13 +319,14 @@ def check_sign_and_gaps(u: EndpointVector, field):
     fields every check reads the band factor from its closed-form
     polynomial, and the gap and ray checks probe every turning point
     of the running integrals and certify the tails root-free;
-    non-polynomial fields take it from band integrals at every probe
-    (``_phi_factory``) and fall back to a monotone doubling scan for the
-    tail.
+    non-polynomial fields take it from ``rhp.band_factor``, band
+    integrals of V' at every probe with the points as offsets from 0,
+    and fall back to a monotone doubling scan for the tail.
     """
     interpolated = _phi_interpolant(u, field)
     if interpolated is None:
-        phi, roots = _phi_factory(u, field), None
+        lf = LocalField(field, u.u[-1], u.u[0], center=0.0)
+        phi, roots = functools.partial(band_factor, lf, u.precise), None
     else:
         phi, roots = interpolated
     sign_ok = _band_signs_ok(u, phi)

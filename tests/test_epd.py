@@ -10,13 +10,12 @@ from eqm import epd
 from eqm.epd import (
     EpdSpec,
     epd_residual,
-    phi0_band,
-    phi1_symmetric_band,
     phi_eval,
     phi_eval_grad,
 )
 from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
 from eqm.quadrature import field_symmetric_band_integral_delta
+from eqm.rhp import _band_integral_factor
 
 from conftest import quartic_field, semicircle_field, sextic_field
 
@@ -27,24 +26,27 @@ def monomial(k):
 
 
 def phi0_at(field, xi, u1, u2):
-    """Phi_0 at one point: the principal value inside the band, the
-    tensor rule elsewhere (a point that rounds onto an edge included)."""
+    """Phi_0 at one point: the band factor's principal value inside the
+    band, the tensor rule elsewhere (a point that rounds onto an edge
+    included)."""
     if not u2 < xi < u1:
         return phi_eval(EpdSpec(0, "phi", field), xi, (u1, u2))
     lf = LocalField(field, u2, u1)
-    d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
-    return phi0_band(lf, d1, d2, dxi)
+    roots = np.array([u1, u2], dtype=LONG) - lf.center_long
+    return float(_band_integral_factor(lf, roots, lf.to_delta(xi)))
 
 
 def phi1_symmetric_at(field, xi, u1, u2):
     """Phi_1 at one point for an even field on (u1, u2, -u2, -u1), odd
-    in xi, dispatched as phi0_at."""
+    in xi, dispatched as phi0_at: the principal values over both bands
+    at |xi| in the right one."""
     ax = abs(xi)
     if not u2 < ax < u1:
         return phi_eval(EpdSpec(1, "phi", field), xi, (u1, u2, -u2, -u1))
     lf = LocalField(field, u2, u1)
-    d1, d2, dax = (float(lf.to_delta(x)) for x in (u1, u2, ax))
-    return math.copysign(1.0, xi) * float(phi1_symmetric_band(lf, d1, d2, dax))
+    roots = np.array([u1, u2, -u2, -u1], dtype=LONG) - lf.center_long
+    return math.copysign(1.0, xi) * float(
+        _band_integral_factor(lf, roots, lf.to_delta(ax)))
 
 
 def test_diagonal_boundary_phi():

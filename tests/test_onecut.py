@@ -157,7 +157,7 @@ def test_band_collapse_stops_short_of_the_guard():
         return (lambda dm, half: (dm, half - 1e-16),
                 lambda dm, half: [[1.0, 0.0], [0.0, 1.0]])
 
-    stub = anchored.Ansatz(residual, psi=None, table=None, mirror=False,
+    stub = anchored.Ansatz(residual, table=None, mirror=False,
                            name="stub", mass_name="stub")
     sol = anchored.solve(stub, semicircle_field(1.0), tol=1e-14, max_iter=100)
     assert not sol.converged

@@ -7,10 +7,10 @@ import pytest
 
 from eqm import anchored, onecut, twocut
 from eqm.density import chebyshev_angles
-from eqm.epd import phi0_band, phi1_symmetric_band
 from eqm.errors import InvalidInterval
 from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
-from eqm.rhp import EndpointVector, QPolynomial, band_factor_coeffs, q_polynomial
+from eqm.rhp import (EndpointVector, QPolynomial, _band_integral_factor, band_factor,
+                     band_factor_coeffs, q_polynomial)
 
 from conftest import quartic_field, semicircle_field, sextic_field
 
@@ -127,8 +127,8 @@ BAND_FACTOR_CASES = (
                          ids=[f"{'two' if m else 'one'}-band-{f.max_degree:g}-"
                               f"x{f.n}-t{f.t:g}" for f, m in BAND_FACTOR_CASES])
 def test_band_factor_closed_form_matches_principal_values(field, mirror):
-    """The closed-form band factor agrees with the principal-value
-    kernels at the 401 Chebyshev nodes of a solved band, in the band's
+    """The band factor's closed form agrees with its principal-value
+    route at the 401 Chebyshev nodes of a solved band, in the band's
     anchored offsets, to 1e-12 of max|Phi|."""
     solve = twocut.solve_endpoints_symmetric if mirror else onecut.solve_endpoints
     sol = solve(field)
@@ -139,11 +139,10 @@ def test_band_factor_closed_form_matches_principal_values(field, mirror):
     if mirror:
         a2 = -2.0 * lf.center_long
         roots = (d1, d2, a2 - d2, a2 - d1)
-        ref = phi1_symmetric_band(lf, d1, d2, dxi)
     else:
         roots = (d1, d2)
-        ref = phi0_band(lf, d1, d2, dxi)
-    got = np.polynomial.polynomial.polyval(dxi, band_factor_coeffs(lf, roots))
+    ref = _band_integral_factor(lf, roots, dxi)
+    got = band_factor(lf, roots, dxi)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 

@@ -1,6 +1,7 @@
 """Variational certification: passing reports and counter-tests."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -12,8 +13,8 @@ from eqm import onecut, twocut, verify
 from eqm.density import Band, DensityTable, chebyshev_angles
 from eqm.epd import EpdSpec, phi_eval
 from eqm.errors import EqmError
-from eqm.field import FieldSpec, PowerTerm
-from eqm.rhp import EndpointVector
+from eqm.field import FieldSpec, LocalField, PowerTerm
+from eqm.rhp import EndpointVector, _band_integral_factor, band_factor
 
 from conftest import quartic_field, semicircle_field, sextic_field
 
@@ -168,8 +169,9 @@ def test_report_passes_at_fixed_tolerances():
 
 
 def test_three_bands_report_unchecked_signs():
-    # a stored density may hold more bands than the band-factor kernels
-    # cover; the report says the sign checks failed instead of raising
+    # a stored density may hold three bands; the band factor is computed
+    # at g = 2, where Phi of V = t xi^2 is identically 0 (V' has degree
+    # 1 < g + 1), so both sign checks fail and nothing raises
     field = semicircle_field(1.0)
     sol = onecut.solve_endpoints(field)
     tab = onecut.density(sol, field, 100)
@@ -266,6 +268,12 @@ def test_interpolated_band_factor_matches_tensor_rule(field):
             assert np.max(np.abs(interpolant(x) - vals)) <= bound, u
 
 
+def _at_zero(u, field):
+    """The expansion at 0 that the certificate's band factor reads its
+    points and edges against."""
+    return LocalField(field, u.u[-1], u.u[0], center=0.0)
+
+
 def _regions(u):
     """Probe points of every band, gap and exterior ray of u, the
     nearest 1e-7 support widths from an edge: there the terms of Phi's
@@ -293,9 +301,26 @@ def test_band_integral_phi_matches_tensor_rule(field):
     0, where the principal value divides the longdouble rounding of V'
     by x - mu (1.5e-10 seen)."""
     for u in _endpoint_vectors(field):
-        phi = verify._phi_factory(u, field)
+        phi = functools.partial(_band_integral_factor, _at_zero(u, field), u.precise)
         spec = EpdSpec(u.g, "phi", field)
         for x in _regions(u):
             want = phi_eval(spec, x, u.precise)
             scale = np.max(np.abs(want))
             assert np.max(np.abs(phi(x) - want)) <= 1e-9 * scale, (u, x)
+
+
+def test_three_band_factor_routes_agree_and_certify_signs():
+    """At g = 2, on the three bands of xi^8 + 1000 xi^2 (xi^2 - 1)^2
+    near its wells at 0 and +-1, the band factor's closed form and its
+    band integrals agree to 1e-12 of max|Phi| on every band, gap and
+    ray.  The edges are approximate, so the bands' signs hold and the
+    gap integrals do not."""
+    field = FieldSpec((PowerTerm("monomial", 8, 1.0),),
+                      (0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 1.0), 1000.0)
+    u = EndpointVector(2, (1.06, 0.94, 0.05, -0.05, -0.94, -1.06))
+    lf = _at_zero(u, field)
+    for x in _regions(u):
+        want = band_factor(lf, u.precise, x)
+        got = _band_integral_factor(lf, u.precise, x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), x
+    assert verify.check_sign_and_gaps(u, field) == (True, False)
