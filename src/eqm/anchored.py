@@ -1,33 +1,33 @@
-"""Anchored Newton solve and Chebyshev sampling shared by both ansätze.
+"""Anchored Newton solve and Chebyshev sampling for both ansätze.
 
 Endpoints are carried as u1 = anchor + dm + half, u2 = anchor + dm -
 half, with the anchor frozen in extended precision at the well of V.
 Deep wells push the support width many orders of magnitude below its
 location; keeping the Newton unknowns (dm, half) as small offsets lets
 the residuals resolve far below what a single rounded float per
-endpoint allows.  An ``Ansatz`` record supplies what differs between
-the one-band and the mirrored two-band construction: the residual pair
-with its analytic Jacobian (both built by ``moment_residual`` from the
-ansatz's band integrals), the table, and the mirror flag that places
-the support's other edges.  One sampler serves both: psi = 2 sqrt|R|
-Phi_g at every Chebyshev node, with Phi_g from ``rhp.band_factor`` on
-the ansatz's edge offsets.  A solution carries no Lagrange constant:
-the density table ``density`` builds holds it, with the edges it was
-sampled on.
+endpoint allows.  The mirror flag is all that tells the two ansätze
+apart: one band [u2, u1], or the mirror pair [-u1, -u2] u [u2, u1]
+solved on its right band.  Both read their endpoint pair and its
+Jacobian off the same band integrals of V'
+(``quadrature.field_band_integral_delta``), and one sampler serves
+both: psi = 2 sqrt|R| Phi_g at every Chebyshev node, with Phi_g from
+``rhp.band_factor`` on the support's edge offsets.  A solution carries
+no Lagrange constant: the density table ``density`` builds holds it,
+with the edges it was sampled on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .density import chebyshev_angles
+from .density import Band, DensityTable, chebyshev_angles
 from .errors import InvalidInterval, NegativeDensity, NegativeRadicand, PrecisionLoss
 from .field import LONG, LocalField
 from .newton import damped_newton
+from .quadrature import field_band_integral_delta, field_band_integral_partials_delta
 from .rhp import EndpointVector, band_factor
 from .wells import global_minimizer
 
@@ -39,16 +39,14 @@ _COLLAPSE = 1e-12
 class AnchoredSolution:
     """Band endpoints u2 < u1 with solve diagnostics.
 
-    anchor/dm/half record the split-precision form u1 = anchor+dm+half,
-    u2 = anchor+dm-half the solver worked in, anchor in extended
-    precision; density evaluation reuses it so narrow bands keep their
-    full relative resolution.  mirror marks the right band of the mirror
-    pair [-u1, -u2] u [u2, u1].  iterations and message are the Newton
-    step count and stop reason (``NewtonResult``).
+    The endpoints are stored in the split-precision form u1 =
+    anchor+dm+half, u2 = anchor+dm-half the solver worked in, anchor in
+    extended precision; density evaluation reuses it so narrow bands
+    keep their full relative resolution.  mirror marks the right band of
+    the mirror pair [-u1, -u2] u [u2, u1].  iterations and message are
+    the Newton step count and stop reason (``NewtonResult``).
     """
 
-    u1: float
-    u2: float
     converged: bool
     residual_norm: float
     anchor: object
@@ -58,28 +56,20 @@ class AnchoredSolution:
     iterations: int = 0
     message: str = ""
 
+    @property
+    def u1(self):
+        return float(endpoints_long(self.anchor, self.dm, self.half)[0])
+
+    @property
+    def u2(self):
+        return float(endpoints_long(self.anchor, self.dm, self.half)[1])
+
     def endpoint_vector(self):
         """The support's edges u1, u2 (and -u2, -u1 for a mirror pair),
         in the split precision of the solve."""
         base, off = _edges(self.anchor, self.dm + self.half, self.dm - self.half,
                            self.mirror)
         return EndpointVector(len(base) // 2 - 1, (), base, off)
-
-
-@dataclass(frozen=True)
-class Ansatz:
-    """What a band shape supplies: residual(field, lf) -> (pair,
-    jacobian), pair(dm, half) the two endpoint residuals and
-    jacobian(dm, half) their 2x2 partials, row per residual and column
-    per unknown (dm, half); table(lo, hi, psis); mirror, for the
-    positive band of a mirror pair (u2 > 0), which also places the
-    support's other edges; the words of its density errors."""
-
-    residual: Callable
-    table: Callable
-    mirror: bool
-    name: str
-    mass_name: str
 
 
 def _edges(anchor, o1, o2, mirror):
@@ -98,24 +88,34 @@ def endpoints_long(anchor, dm, half):
     return u1, u2
 
 
-def moment_residual(integrals, partials, weight):
-    """(pair, jacobian) of endpoint conditions read off band integrals.
+def _residual(lf, mirror):
+    """(pair, jacobian) of the endpoint conditions around lf's center.
 
-    integrals(d1, d2) gives (f2, m) at the band's offsets, partials(d1,
-    d2) those and their 2x2 partials along (dm, half); the pair is
-    (sqrt(weight m) - 1/sqrt(pi), f2), and m <= 0 raises NegativeRadicand.
+    pair(dm, half) is (sqrt(weight m) - 1/sqrt(pi), f2) for the band
+    integrals (f2, m) of ``field_band_integral_delta``, weight (1 +
+    mirror)/pi, and jacobian(dm, half) their 2x2 partials, a row per
+    residual and a column per unknown (dm, half).  m <= 0 raises
+    NegativeRadicand, and a mirror pair's inner endpoint at or below 0
+    InvalidInterval.
     """
+    weight = (1 + mirror) / math.pi
+    anchor = lf.center_long
+
     def root(moment):
         if not moment > 0.0:
             raise NegativeRadicand("the band's mass moment is not positive")
         return math.sqrt(weight * moment)
 
     def pair(dm, half):
-        f2, moment = integrals(dm + half, dm - half)
+        d1, d2 = dm + half, dm - half
+        if mirror and not anchor + LONG(d2) > 0.0:
+            raise InvalidInterval("inner endpoint must stay positive")
+        f2, moment = field_band_integral_delta(lf, d1, d2, mirror)
         return root(moment) - INV_SQRT_PI, f2
 
     def jacobian(dm, half):
-        (_, moment), (df2, dmoment) = partials(dm + half, dm - half)
+        (_, moment), (df2, dmoment) = field_band_integral_partials_delta(
+            lf, dm + half, dm - half, mirror)
         return [0.5 * weight * dmoment / root(moment), df2]
 
     return pair, jacobian
@@ -134,33 +134,33 @@ def _prepare(field, center, dm, half):
     return lf, dm2
 
 
-def _seed(ansatz, field):
+def _seed(field, mirror):
     """Well and starting half width: the band starts centred on the well."""
-    well, vpp = global_minimizer(field, positive=ansatz.mirror)
+    well, vpp = global_minimizer(field, positive=mirror)
     if vpp > 0.0:
         half0 = 1.0 / math.sqrt(math.pi * vpp)
-    elif ansatz.mirror:
+    elif mirror:
         half0 = 0.05 * float(well)
     else:
         half0 = 0.5 * max(1.0, abs(float(well)))
-    if ansatz.mirror:
+    if mirror:
         half0 = min(half0, 0.9 * float(well))
     return well, half0
 
 
-def solve(ansatz, field, tol, max_iter):
-    """Solve the ansatz's endpoint pair by damped Newton in (dm, half).
+def solve(field, tol, max_iter, mirror):
+    """Solve the endpoint pair by damped Newton in (dm, half).
 
     The seed brackets the well of V (the positive one for a mirror pair)
     with the local harmonic width.  converged is False, with the best
     iterate, when Newton stalls or the band collapses below 1e-12
     relative width.
     """
-    well, half0 = _seed(ansatz, field)
+    well, half0 = _seed(field, mirror)
     lf, dm0 = _prepare(field, well, 0.0, half0)
     anchor = lf.center_long
     af = abs(float(anchor))
-    pair, jacobian = ansatz.residual(field, lf)
+    pair, jacobian = _residual(lf, mirror)
 
     def fun(x):
         dm, half = float(x[0]), float(x[1])
@@ -172,15 +172,12 @@ def solve(ansatz, field, tol, max_iter):
         return np.array(jacobian(float(x[0]), float(x[1])), dtype=float)
 
     res = damped_newton(fun, np.array([dm0, half0]), tol, max_iter, jac)
-    dm, half = float(res.x[0]), float(res.x[1])
-    u1, u2 = endpoints_long(anchor, dm, half)
-    return AnchoredSolution(float(u1), float(u2), res.converged,
-                            res.residual_norm, anchor=anchor, dm=dm, half=half,
-                            mirror=ansatz.mirror, iterations=res.iterations,
-                            message=res.message)
+    return AnchoredSolution(res.converged, res.residual_norm, anchor=anchor,
+                            dm=float(res.x[0]), half=float(res.x[1]), mirror=mirror,
+                            iterations=res.iterations, message=res.message)
 
 
-def _sample(ansatz, lf, dm, half, n):
+def _sample(lf, dm, half, n, mirror):
     """Density psi = 2 sqrt|R| Phi_g at the band's first-kind Chebyshev
     nodes, by ascending angle.
 
@@ -192,7 +189,7 @@ def _sample(ansatz, lf, dm, half, n):
     """
     d1, d2 = dm + half, dm - half
     dxi = dm + half * np.cos(chebyshev_angles(n))
-    base, off = _edges(lf.center_long, d1, d2, ansatz.mirror)
+    base, off = _edges(lf.center_long, d1, d2, mirror)
     base = [b - lf.center_long for b in base]  # 0 on the band, -2c on its mirror
     phi = band_factor(lf, [b + LONG(o) for b, o in zip(base, off)], dxi)
     rad = (d1 - dxi) * (dxi - d2)
@@ -202,34 +199,36 @@ def _sample(ansatz, lf, dm, half, n):
     return 2.0 * np.sqrt(np.maximum(rad, 0.0) * np.abs(rest)) * phi
 
 
-def _local(sol, field):
-    """LocalField and anchored (dm, half) that density() samples in."""
-    lf, dm = _prepare(field, sol.anchor, sol.dm, sol.half)
-    return lf, dm, sol.half
-
-
-def density(ansatz, sol, field, grid_n):
+def density(sol, field, grid_n):
     """Sampled density table of a converged solution.
 
-    The table's edges u2, u1 are summed in extended precision and
-    rounded once; its lagrange_l is L(psi) - V at the band midpoint.
-    Samples below -1e-6 raise NegativeDensity (wrong-ansatz signal);
-    smaller negative roundoff is clamped to zero.  A quadrature mass
-    straying from 1 by more than 1e-8 raises PrecisionLoss.
+    The band's edges u2, u1 are summed in extended precision and
+    rounded once; a mirror pair's left band is the right one's exact
+    mirror image.  The table's lagrange_l is L(psi) - V at the band
+    midpoint.  Samples below -1e-6 raise NegativeDensity (wrong-ansatz
+    signal); smaller negative roundoff is clamped to zero.  A quadrature
+    mass straying from 1 by more than 1e-8 raises PrecisionLoss.
     """
     if not sol.converged:
         raise ValueError("density requires a converged solution")
-    lf, dm, half = _local(sol, field)
-    psis = _sample(ansatz, lf, dm, half, int(grid_n))
+    lf, dm = _prepare(field, sol.anchor, sol.dm, sol.half)
+    half = sol.half
+    psis = _sample(lf, dm, half, int(grid_n), sol.mirror)
     low = float(np.min(psis))
     if low < -1e-6:
-        raise NegativeDensity(
-            f"density reaches {low:.3e}; {ansatz.name} ansatz violated")
+        name = "two-band" if sol.mirror else "one-band"
+        raise NegativeDensity(f"density reaches {low:.3e}; {name} ansatz violated")
     u1, u2 = endpoints_long(lf.center_long, dm, half)
-    table = ansatz.table(float(u2), float(u1), np.maximum(psis, 0.0))
+    right = Band.from_angles(float(u2), float(u1), np.maximum(psis, 0.0))
+    bands = [right]
+    if sol.mirror:
+        bands.insert(0, Band(-right.hi, -right.lo, (-right.xs[::-1]).copy(),
+                             right.psis[::-1].copy()))
+    table = DensityTable(bands=bands)
     mass = table.mass()
     if abs(mass - 1.0) > 1e-8:
-        raise PrecisionLoss(f"{ansatz.mass_name} mass {mass:.12f} deviates from 1")
+        mass_name = "total" if sol.mirror else "band"
+        raise PrecisionLoss(f"{mass_name} mass {mass:.12f} deviates from 1")
     mid = float(lf.center_long + LONG(dm))
     table.lagrange_l = table.log_potential(mid) - float(field.eval(mid, 0))
     return table

@@ -28,12 +28,13 @@ rule's per-slot vectors are built once per (g, m, dtype).
 The tensor rule is the library's evaluator (``phi_eval``,
 ``phi_eval_grad``, ``epd_residual``, and ``phi_eval_anchored`` for
 ``rhp.q_polynomial``) and the tests' reference; solve, sweep and verify
-run none of it.  The solvers read its slope dPsi_g/du_2 at xi = u_1 as
-a band moment of V' (``quadrature.field_band_integral_delta``).
+run none of it.  The anchored solver reads its slope dPsi_g/du_2 at
+xi = u_1, for either ansatz, as a band moment of V' from one kernel
+(``quadrature.field_band_integral_delta``).
 
 The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  The density
-samplers and the certificate take Phi_g from ``rhp.band_factor``: a
+sampler and the certificate take Phi_g from ``rhp.band_factor``: a
 closed form for a polynomial field, principal values of V' over the
 bands otherwise.
 """
@@ -46,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldSpec, LocalField
+from .field import LONG, FieldSpec, LocalField
 
 __all__ = [
     "EpdSpec",
@@ -55,8 +56,6 @@ __all__ = [
     "phi_eval_anchored",
     "epd_residual",
 ]
-
-LONG = np.longdouble
 
 _DEFAULT_NODES = {0: 32, 1: 24}
 # Largest argument tensor one contraction holds: one g = 1 point at the

@@ -1,38 +1,17 @@
-"""One-band equilibrium measures: endpoint solve and density for g = 0.
+"""One-band equilibrium measures (g = 0): the endpoint solve and density.
 
-The two endpoint equations are solved in anchored offsets around the
-global minimizer of V (see ``anchored``); this module supplies the
-g = 0 residual pair, its Jacobian and the one-band table; the
-density is sampled by ``anchored`` through ``rhp.band_factor``.  The pair
-is f2, the band integral of V', and f1 = sqrt(m) - 1/sqrt(pi), m =
-(1/pi) int (mu - mid) V'/sqrt((u1-mu)(mu-u2)) dmu: Chebyshev band means
-(Deift, Kriecherbauer & McLaughlin 1998), m = (2 half)^2 dPsi_0/du_2.
+Entry points to ``anchored`` with the mirror flag off.  The endpoint
+conditions on [u2, u1] are Chebyshev band means of V' (Deift,
+Kriecherbauer & McLaughlin 1998): f2 = int V'/sqrt((u1-mu)(mu-u2)) dmu
+vanishes, and m = (1/pi) int (mu - mid) V'/sqrt(...) dmu = (2 half)^2
+dPsi_0/du_2 equals 1/pi.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-
 from . import anchored
-from .density import Band, DensityTable
-from .quadrature import field_band_integral_delta, field_band_integral_partials_delta
 
 __all__ = ["solve_endpoints", "density"]
-
-
-def _residual_fun(field, lf):
-    return anchored.moment_residual(
-        functools.partial(field_band_integral_delta, lf),
-        functools.partial(field_band_integral_partials_delta, lf), 1.0 / math.pi)
-
-
-def _table(lo, hi, psis):
-    return DensityTable(bands=[Band.from_angles(lo, hi, psis)])
-
-
-_ANSATZ = anchored.Ansatz(_residual_fun, _table, mirror=False,
-                          name="one-band", mass_name="band")
 
 
 def solve_endpoints(field, tol=1e-10, max_iter=100):
@@ -54,7 +33,7 @@ def solve_endpoints(field, tol=1e-10, max_iter=100):
         u2 < u1, mirror False; converged False (with the best iterate)
         when Newton stalls or the band collapses below 1e-12 relative width.
     """
-    return anchored.solve(_ANSATZ, field, tol, max_iter)
+    return anchored.solve(field, tol, max_iter, False)
 
 
 def density(sol, field, grid_n):
@@ -75,4 +54,4 @@ def density(sol, field, grid_n):
         If the quadrature mass of the samples strays from 1 by more
         than 1e-8.
     """
-    return anchored.density(_ANSATZ, sol, field, grid_n)
+    return anchored.density(sol, field, grid_n)

@@ -21,11 +21,12 @@ has a closed form (``rhp.band_factor_coeffs``).  The field forms
 ``LocalField`` with the band and poles as offsets from its center, so
 they never round through one absolute float: bands many orders of
 magnitude narrower than their distance from the origin keep full
-accuracy.  ``field_band_integral_delta`` and its symmetric twin give
-an ansatz's two endpoint conditions, a band mean and a band moment of
-V', from one rule; their ``_partials`` twins add the 2x2 derivatives
-along the band's midpoint and half width that the Newton Jacobian
-reads, as band means of the differentiated integrands.
+accuracy.  ``field_band_integral_delta`` gives either ansatz's two
+endpoint conditions, a band mean and a band moment of V', from one
+rule; a mirror pair divides V' by its weight's smooth factors, which
+are 1 for one band.  ``field_band_integral_partials_delta`` adds the
+2x2 derivatives along the band's midpoint and half width that the
+Newton Jacobian reads, as band means of the differentiated integrands.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ __all__ = [
     "band_integral",
     "field_band_integral_delta",
     "field_band_integral_partials_delta",
-    "field_symmetric_band_integral_delta",
-    "field_symmetric_band_integral_partials_delta",
     "field_pv_band_integral_delta",
     "pv_band_integral_delta",
     "r_branch",
@@ -169,48 +168,7 @@ def pv_band_integral_delta(fdelta, d1, d2, dxi, m=None):
     return out if np.ndim(dxi) else float(out[0])
 
 
-def field_band_integral_delta(lf, d1, d2):
-    """Integrals of V' and (mu - mid) V' against the sqrt weight, from
-    one rule: the one-band endpoint conditions (0 and 1 at equilibrium).
-
-    The band is (center + d2, center + d1) for the LocalField's center;
-    nodes are formed directly in the offset coordinate, and V' is
-    accumulated in longdouble.
-    """
-    mid = 0.5 * (d1 + d2)
-
-    def f(d):
-        vp = lf.deriv(d, 1, dtype=LONG)
-        return np.stack([vp, (d - mid) * vp])
-
-    return band_integral(f, d1, d2, count=2)
-
-
-def field_band_integral_partials_delta(lf, d1, d2):
-    """Partials of ``field_band_integral_delta`` along the band midpoint
-    dm and half width h, with d1 = dm + h and d2 = dm - h.
-
-    In the angle form the integrals are means of V'(dm + h cos(theta))
-    and h cos(theta) V'(...), so the partials are band integrals of V''
-    and V'' cos(theta), and of (mu - dm) V'' and cos(theta) (V' + (mu -
-    dm) V''), with cos(theta) = (mu - dm)/h.  Returns the two integrals,
-    in float64, and the 2x2 [[d/d dm, d/d h]], a row per integral, from
-    one rule.
-    """
-    dm, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
-
-    def f(d):
-        vp, vpp = lf.deriv(d, 1), lf.deriv(d, 2)
-        off = d - dm
-        cos = off / half
-        return np.stack([vp, off * vp, vpp, vpp * cos, off * vpp,
-                         cos * (vp + off * vpp)])
-
-    out = band_integral(f, d1, d2, count=6)
-    return out[:2], out[2:].reshape(2, 2)
-
-
-def _symmetric_factors(lf, d1, d2, d):
+def _mirror_factors(lf, d1, d2, d):
     """A = u1 + mu, B = mu + u2 and q = ((mu-u1) A + (mu-u2) B)/2 at
     nodes d, from offsets; the center enters in a plain float sum."""
     twoc = float(2.0 * lf.center_long)
@@ -219,43 +177,56 @@ def _symmetric_factors(lf, d1, d2, d):
     return a, b, q
 
 
-def field_symmetric_band_integral_delta(lf, d1, d2):
-    """Integrals of V' and q V', q = mu^2 - (u1^2 + u2^2)/2, against
-    1/sqrt((u1^2-mu^2)(mu^2-u2^2)) in offsets, V' accumulated in
-    longdouble, from one rule: the mirror pair's endpoint conditions.
+def field_band_integral_delta(lf, d1, d2, mirror=False):
+    """Integrals of F and q F against the band's sqrt weight, from one
+    rule: the endpoint conditions (0, and 1 or for a mirror pair 1/2,
+    at equilibrium).
 
-    Requires the band (center + d2, center + d1) to sit strictly in the
-    positive half line.  The vanishing factors (u1-mu)(mu-u2) are the
-    band rule's weight, formed from offsets alone; the smooth factors
-    (u1+mu)(mu+u2) go into the integrand.
+    For a mirror pair F = V'/sqrt(A B), A = u1 + mu, B = mu + u2, and
+    q = mu^2 - (u1^2 + u2^2)/2, so the weight is 1/sqrt((u1^2-mu^2)
+    (mu^2-u2^2)); the band must sit in the positive half line.  One band
+    has A = B = 1 and q = mu - mid.  The band is (center + d2, center +
+    d1) for the LocalField's center; nodes are formed in the offset
+    coordinate, and V' is accumulated in longdouble.
     """
+    mid = 0.5 * (d1 + d2)
+
     def f(d):
-        a, b, q = _symmetric_factors(lf, d1, d2, d)
-        vp = lf.deriv(d, 1, dtype=LONG) / np.sqrt(a * b)
+        vp = lf.deriv(d, 1, dtype=LONG)
+        if mirror:
+            a, b, q = _mirror_factors(lf, d1, d2, d)
+            vp = vp / np.sqrt(a * b)
+        else:
+            q = d - mid
         return np.stack([vp, q * vp])
 
     return band_integral(f, d1, d2, count=2)
 
 
-def field_symmetric_band_integral_partials_delta(lf, d1, d2):
-    """Partials of ``field_symmetric_band_integral_delta`` along the band
+def field_band_integral_partials_delta(lf, d1, d2, mirror=False):
+    """``field_band_integral_delta`` with its partials along the band
     midpoint dm and half width h, with d1 = dm + h and d2 = dm - h.
 
-    Its integrands are F = V'/sqrt(A B) and q F, with A = u1 + mu and
-    B = mu + u2, at mu = dm + h cos(theta).  Along dm, mu, u1 and u2 all
-    move by 1; along h, mu moves by cos(theta), u1 by 1 and u2 by -1.  So
-    dF is the band integral of V'' dmu/sqrt(A B) - F (dA/A + dB/B)/2,
-    and d(q F) that of q dF + F dq (q's four factors move by cos - 1,
-    cos + 1, cos + 1 and cos - 1 along h).  Returns the two integrals, in
-    float64, and the 2x2 [[d/d dm, d/d h]], a row per integral.
+    At mu = dm + h cos(theta), mu moves by 1 along dm and by cos(theta)
+    along h.  One band's partials are band integrals of V'' and V''
+    cos(theta), and of (mu - dm) V'' and cos(theta) (V' + (mu - dm)
+    V'').  A mirror pair's u1 and u2 also move, by 1 and 1 along dm and
+    by 1 and -1 along h, so dF = V'' dmu/sqrt(A B) - F (dA/A + dB/B)/2
+    and d(q F) = q dF + F dq.  Returns the two integrals, in float64,
+    and the 2x2 [[d/d dm, d/d h]], a row per integral, from one rule.
     """
     dm, half = 0.5 * (d1 + d2), 0.5 * (d1 - d2)
 
     def f(d):
-        a, b, q = _symmetric_factors(lf, d1, d2, d)
+        vp, vpp = lf.deriv(d, 1), lf.deriv(d, 2)
+        off = d - dm
+        cos = off / half
+        if not mirror:
+            return np.stack([vp, off * vp, vpp, vpp * cos, off * vpp,
+                             cos * (vp + off * vpp)])
+        a, b, q = _mirror_factors(lf, d1, d2, d)
         root = np.sqrt(a * b)
-        vp, vpp = lf.deriv(d, 1) / root, lf.deriv(d, 2) / root
-        cos = (d - dm) / half
+        vp, vpp = vp / root, vpp / root
         df_dm = vpp - 0.5 * vp * (2.0 / a + 2.0 / b)
         df_dh = vpp * cos - 0.5 * vp * ((cos + 1.0) / a + (cos - 1.0) / b)
         dq_dm = (d - d1) + (d - d2)  # q's factors move by (0, 2, 0, 2)

@@ -795,7 +795,7 @@ def test_two_band_sweep_row_scans_half_line_only(tmp_path, capsys, monkeypatch):
     the two-band seed scans, so no full-line scan runs, and samples
     only sweep-grid densities."""
     scans = _spy(monkeypatch, wells_module, "_scan", lambda field, positive: positive)
-    grids = _spy(monkeypatch, anchored, "_sample", lambda ansatz, lf, dm, half, n: n)
+    grids = _spy(monkeypatch, anchored, "_sample", lambda lf, dm, half, n, mirror: n)
     problem = write_problem(tmp_path, QUARTIC)
     code = main(["sweep", "--problem", problem, "--t-from=-1e3", "--t-to=-1e3",
                  "--steps", "1"])
@@ -815,7 +815,7 @@ def test_solve_reads_lagrange_constant_once(tmp_path, capsys, monkeypatch, probl
     writes: it samples one solve-grid density per attempt that reaches
     verification and no other (at xi^4 - 5e6 xi^2 both ansaetze
     converge and fail)."""
-    grids = _spy(monkeypatch, anchored, "_sample", lambda ansatz, lf, dm, half, n: n)
+    grids = _spy(monkeypatch, anchored, "_sample", lambda lf, dm, half, n, mirror: n)
     checks = _spy(monkeypatch, cli, "check_variational", lambda *a, **k: None)
     assert main(["solve", "--problem", write_problem(tmp_path, problem)]) == code
     assert math.isfinite(json.loads(capsys.readouterr().out)["lagrange_l"])

@@ -14,7 +14,7 @@ from eqm.epd import (
     phi_eval_grad,
 )
 from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
-from eqm.quadrature import field_symmetric_band_integral_delta
+from eqm.quadrature import field_band_integral_delta
 from eqm.rhp import _band_integral_factor
 
 from conftest import quartic_field, semicircle_field, sextic_field
@@ -128,7 +128,7 @@ def test_psi1_endpoint_sum_is_band_integral():
     def band_sum(u1, u2):
         lf = LocalField(f, u2, u1)
         d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
-        return field_symmetric_band_integral_delta(lf, d1, d2)[0] / math.pi
+        return field_band_integral_delta(lf, d1, d2, mirror=True)[0] / math.pi
 
     u1, u2 = 2.5, 1.8
     u = (u1, u2, -u2, -u1)

@@ -1,17 +1,18 @@
-"""The ansaetze's analytic Newton Jacobians against central differences
-of their own residual pairs (the only place a finite difference of the
-endpoint residuals is taken), and their band-moment mass conditions
-against the tensor rule's slope form of the same condition."""
+"""The analytic Newton Jacobians of both ansaetze (mirror flag off and
+on) against central differences of their own residual pairs (the only
+place a finite difference of the endpoint residuals is taken), their
+band-moment mass conditions against the tensor rule's slope form of the
+same condition, and the one band rule each pair and Jacobian takes."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqm import anchored, epd, onecut, twocut
+from eqm import anchored, epd, onecut, quadrature, twocut
 from eqm.epd import EpdSpec
 from eqm.errors import EqmError
-from eqm.field import LONG, FieldSpec, PowerTerm
+from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
 
 from conftest import quartic_field, sextic_field
 
@@ -31,9 +32,10 @@ def _central_differences(pair, dm, half):
 
 
 def _ansaetze(field):
-    out = [(onecut._ANSATZ, onecut.solve_endpoints)]
+    """(mirror flag, solver) of each ansatz the field admits."""
+    out = [(False, onecut.solve_endpoints)]
     if field.is_even:
-        out.append((twocut._ANSATZ, twocut.solve_endpoints_symmetric))
+        out.append((True, twocut.solve_endpoints_symmetric))
     return out
 
 
@@ -42,7 +44,7 @@ def _check_jacobians(field):
     the analytic Jacobian is within 1e-6 of its central differences'
     size.  Returns the number of points compared."""
     compared = 0
-    for ansatz, solve in _ansaetze(field):
+    for mirror, solve in _ansaetze(field):
         try:
             sol = solve(field)
         except EqmError:
@@ -50,7 +52,7 @@ def _check_jacobians(field):
         if not sol.converged:
             continue
         lf, dm0 = anchored._prepare(field, sol.anchor, 0.0, sol.half)
-        pair, jacobian = ansatz.residual(field, lf)
+        pair, jacobian = anchored._residual(lf, mirror)
         for dm, half in ((sol.dm, sol.half), (sol.dm + 0.05 * sol.half, 0.9 * sol.half)):
             try:
                 want = _central_differences(pair, dm, half)
@@ -97,13 +99,13 @@ def test_analytic_jacobian_matches_central_differences_abs_power(field):
     assert _check_jacobians(field) >= 2
 
 
-def _tensor_slope_residual(ansatz, field, lf, dm, half):
+def _tensor_slope_residual(mirror, field, lf, dm, half):
     """f1 + 1/sqrt(pi) in the slope form the band moment replaced: 2 half
     sqrt(dPsi0/du2) at xi = u1 for one band, and 2 half sqrt(2 (u1 + u2))
     sqrt(dPsi1/du2) at xi = u1 on (u1, u2, -u2, -u1) for the mirror pair,
     the slope read off the tensor rule's gradient."""
     d1, d2 = dm + half, dm - half
-    if not ansatz.mirror:
+    if not mirror:
         spec = EpdSpec(0, "psi", field)
         grad = epd._tensor_core(lf, 0, spec.order, [d1], [d1, d2], spec.nodes(),
                                 want_grad=True)[1][0]
@@ -126,7 +128,7 @@ def test_band_moment_is_the_tensor_slope(field):
     and sqrt(2 moment / pi) for the mirror pair, equals the tensor
     rule's slope form of the same condition to 1e-12, at each converged
     solution and at a point off it."""
-    for ansatz, solve in _ansaetze(field):
+    for mirror, solve in _ansaetze(field):
         try:
             sol = solve(field)
         except EqmError:
@@ -134,11 +136,46 @@ def test_band_moment_is_the_tensor_slope(field):
         if not sol.converged:
             continue
         lf, _ = anchored._prepare(field, sol.anchor, 0.0, sol.half)
-        pair, _ = ansatz.residual(field, lf)
+        pair, _ = anchored._residual(lf, mirror)
         for dm, half in ((sol.dm, sol.half), (sol.dm + 0.05 * sol.half, 0.9 * sol.half)):
             try:
                 got = pair(dm, half)[0] + anchored.INV_SQRT_PI
             except EqmError:
                 continue
-            want = _tensor_slope_residual(ansatz, field, lf, dm, half)
+            want = _tensor_slope_residual(mirror, field, lf, dm, half)
             assert got == pytest.approx(want, rel=1e-12), (field, dm, half)
+
+
+@pytest.mark.parametrize("mirror, field", [
+    (False, sextic_field(-10.0)),
+    (True, quartic_field(-1000.0)),
+], ids=["one-band", "mirror"])
+def test_residual_and_jacobian_take_one_band_rule_each(monkeypatch, mirror, field):
+    """The residual pair is one band rule over two integrands (V' and
+    the mass moment, (mu - mid) V' for one band and q V' for the mirror
+    pair, both over sqrt((u1+mu)(mu+u2)) there), and the 2x2 Jacobian
+    one more over six (the two integrands again and their four
+    partials).  V' and its derivatives are only ever taken at the
+    rule's nodes: no tensor rule runs."""
+    solve = twocut.solve_endpoints_symmetric if mirror else onecut.solve_endpoints
+    sol = solve(field)
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm, sol.half)
+    pair, jacobian = anchored._residual(lf, mirror)
+    counts, shapes = [], set()
+    band_integral, deriv = quadrature.band_integral, LocalField.deriv
+
+    def spy_rule(f, u1, u2, count=None):
+        counts.append(count)
+        return band_integral(f, u1, u2, count=count)
+
+    def spy_deriv(self, delta, order, dtype=np.float64):
+        shapes.add(np.ndim(delta))
+        return deriv(self, delta, order, dtype=dtype)
+
+    monkeypatch.setattr(quadrature, "band_integral", spy_rule)
+    monkeypatch.setattr(LocalField, "deriv", spy_deriv)
+    pair(dm, sol.half)
+    assert counts == [2]
+    jacobian(dm, sol.half)
+    assert counts == [2, 6]
+    assert shapes == {1}

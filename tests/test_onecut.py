@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from eqm import anchored, onecut, quadrature
+from eqm import anchored, onecut
 from eqm.density import chebyshev_angles
 from eqm.errors import NegativeDensity
-from eqm.field import FieldSpec, LocalField, PowerTerm
+from eqm.field import FieldSpec, PowerTerm
 from eqm.quadrature import field_pv_band_integral_delta
 
 from conftest import quartic_field, semicircle_field, semicircle_radius, sextic_field
@@ -112,7 +112,8 @@ def test_edge_samples_match_fine_principal_value():
                       p_coeffs=(0.0, 0.0, 1.0), t=30.0)
     sol = onecut.solve_endpoints(field)
     got = onecut.density(sol, field, 801).bands[0].psis_by_angle()[[0, -1]]
-    lf, dm, half = anchored._local(sol, field)
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm, sol.half)
+    half = sol.half
     d1, d2 = dm + half, dm - half
     dxi = dm + half * np.cos(chebyshev_angles(801)[[0, -1]])
     pv = field_pv_band_integral_delta(lf, d1, d2, dxi, m=2**16)
@@ -120,45 +121,15 @@ def test_edge_samples_match_fine_principal_value():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_residual_and_jacobian_take_one_band_rule_each(monkeypatch):
-    """The residual pair is one band rule over two integrands (V' and
-    the mass moment (mu - mid) V'), and the 2x2 Jacobian one more over
-    six (the two integrands again and their four partials).  V' and its
-    derivatives are only ever taken at the rule's nodes: no tensor rule
-    runs."""
-    field = sextic_field(-10.0)
-    lf, dm, half = anchored._local(onecut.solve_endpoints(field), field)
-    pair, jacobian = onecut._residual_fun(field, lf)
-    counts, shapes = [], set()
-    band_integral, deriv = quadrature.band_integral, LocalField.deriv
-
-    def spy_rule(f, u1, u2, count=None):
-        counts.append(count)
-        return band_integral(f, u1, u2, count=count)
-
-    def spy_deriv(self, delta, order, dtype=np.float64):
-        shapes.add(np.ndim(delta))
-        return deriv(self, delta, order, dtype=dtype)
-
-    monkeypatch.setattr(quadrature, "band_integral", spy_rule)
-    monkeypatch.setattr(LocalField, "deriv", spy_deriv)
-    pair(dm, half)
-    assert counts == [2]
-    jacobian(dm, half)
-    assert counts == [2, 6]
-    assert shapes == {1}
-
-
-def test_band_collapse_stops_short_of_the_guard():
+def test_band_collapse_stops_short_of_the_guard(monkeypatch):
     """A residual pair whose root, half = 1e-16, lies below the 1e-12
     relative collapse guard: the solve stops unconverged with its best
     iterate at or above the guard."""
-    def residual(field, lf):
+    def residual(lf, mirror):
         return (lambda dm, half: (dm, half - 1e-16),
                 lambda dm, half: [[1.0, 0.0], [0.0, 1.0]])
 
-    stub = anchored.Ansatz(residual, table=None, mirror=False,
-                           name="stub", mass_name="stub")
-    sol = anchored.solve(stub, semicircle_field(1.0), tol=1e-14, max_iter=100)
+    monkeypatch.setattr(anchored, "_residual", residual)
+    sol = anchored.solve(semicircle_field(1.0), tol=1e-14, max_iter=100, mirror=False)
     assert not sol.converged
     assert 2.0 * sol.half >= anchored._COLLAPSE

@@ -13,7 +13,6 @@ from eqm.quadrature import (
     chebyshev_rule,
     field_band_integral_delta,
     field_pv_band_integral_delta,
-    field_symmetric_band_integral_delta,
     pv_band_integral_delta,
     r_branch,
 )
@@ -45,7 +44,7 @@ def test_symmetric_band_integral_weight():
     u1, u2 = 2.1, 0.7
     lf = LocalField(polynomial_field([0.06, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]), u2, u1)
     d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
-    val, moment = field_symmetric_band_integral_delta(lf, d1, d2)
+    val, moment = field_band_integral_delta(lf, d1, d2, mirror=True)
     f = lambda mu: mu**2 + 0.3 * mu**4
     smooth = lambda mu: f(mu) / math.sqrt((u1 + mu) * (mu + u2))
     ref, _ = integrate.quad(smooth, u2, u1, weight="alg", wvar=(-0.5, -0.5))
@@ -114,7 +113,7 @@ def test_field_band_integrals_match_generic():
     "call",
     [
         lambda lf: field_band_integral_delta(lf, -0.1, 0.1),
-        lambda lf: field_symmetric_band_integral_delta(lf, -0.1, 0.1),
+        lambda lf: field_band_integral_delta(lf, -0.1, 0.1, mirror=True),
         lambda lf: field_pv_band_integral_delta(lf, -0.1, 0.1, 0.0),
         lambda lf: pv_band_integral_delta(lambda d, x: d, -0.1, 0.1, 0.0),
     ],

@@ -133,9 +133,9 @@ def test_band_factor_closed_form_matches_principal_values(field, mirror):
     solve = twocut.solve_endpoints_symmetric if mirror else onecut.solve_endpoints
     sol = solve(field)
     assert sol.converged
-    lf, dm, half = anchored._local(sol, field)
-    d1, d2 = dm + half, dm - half
-    dxi = dm + half * np.cos(chebyshev_angles(401))
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm, sol.half)
+    d1, d2 = dm + sol.half, dm - sol.half
+    dxi = dm + sol.half * np.cos(chebyshev_angles(401))
     if mirror:
         a2 = -2.0 * lf.center_long
         roots = (d1, d2, a2 - d2, a2 - d1)

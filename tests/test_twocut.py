@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from eqm import anchored, quadrature, twocut
+from eqm import anchored, twocut
 from eqm.density import chebyshev_angles
 from eqm.errors import NotEven
 from eqm.field import FieldSpec, LocalField, PowerTerm
@@ -83,8 +83,9 @@ def test_edge_samples_match_fine_principal_value():
                       p_coeffs=(0.0, 0.0, 1.0), t=-30.0)
     sol = twocut.solve_endpoints_symmetric(field)
     assert sol.converged
-    lf, dm, half = anchored._local(sol, field)
-    got = anchored._sample(twocut._ANSATZ, lf, dm, half, 801)[[0, -1]]
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm, sol.half)
+    half = sol.half
+    got = anchored._sample(lf, dm, half, 801, True)[[0, -1]]
     d1, d2 = dm + half, dm - half
     dxi = dm + half * np.cos(chebyshev_angles(801)[[0, -1]])
     twoc = float(2.0 * lf.center_long)
@@ -98,35 +99,6 @@ def test_edge_samples_match_fine_principal_value():
     phi = -(xi / math.pi) * pv_band_integral_delta(g, d1, d2, dxi, m=2**16)
     rad = (d1 - dxi) * (dxi - d2) * (twoc + dxi + d1) * (twoc + dxi + d2)
     np.testing.assert_allclose(got, 2.0 * np.sqrt(rad) * phi, rtol=1e-12, atol=0.0)
-
-
-def test_residual_and_jacobian_take_one_band_rule_each(monkeypatch):
-    """The residual pair is one band rule over two integrands (V' and
-    the mass moment q V', both over sqrt((u1+mu)(mu+u2))), and the 2x2
-    Jacobian one more over six (the two integrands again and their four
-    partials).  V' and its derivatives are only ever taken at the
-    rule's nodes: no tensor rule runs."""
-    field = quartic_field(-1000.0)
-    lf, dm, half = anchored._local(twocut.solve_endpoints_symmetric(field), field)
-    pair, jacobian = twocut._residual_fun(field, lf)
-    counts, shapes = [], set()
-    band_integral, deriv = quadrature.band_integral, LocalField.deriv
-
-    def spy_rule(f, u1, u2, count=None):
-        counts.append(count)
-        return band_integral(f, u1, u2, count=count)
-
-    def spy_deriv(self, delta, order, dtype=np.float64):
-        shapes.add(np.ndim(delta))
-        return deriv(self, delta, order, dtype=dtype)
-
-    monkeypatch.setattr(quadrature, "band_integral", spy_rule)
-    monkeypatch.setattr(LocalField, "deriv", spy_deriv)
-    pair(dm, half)
-    assert counts == [2]
-    jacobian(dm, half)
-    assert counts == [2, 6]
-    assert shapes == {1}
 
 
 @pytest.mark.parametrize("field, steps", [
