@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import EqmError, UnsupportedRegime
+from .errors import EqmError, NoConvergence, UnsupportedRegime
 from .onecut import density, solve_endpoints
 from .twocut import density_symmetric, solve_endpoints_symmetric
 from .verify import check_variational
@@ -47,7 +47,7 @@ class AsymptoticPrediction:
     ``limit_constant * |t|**scaling_exponent`` (mirrored to the negative
     axis for odd n with t > 0).  ``well_location`` is the argmin of V at
     the field's own tilt magnitude (the positive one in the symmetric
-    two-band regime).
+    two-band regime, unless V has no positive well there).
     """
 
     regime: str
@@ -154,7 +154,10 @@ def predict(field, sign_of_t):
 
     tmag = abs(field.t) if field.t != 0.0 else 1.0
     tilted = dataclasses.replace(field, t=sign * tmag)
-    well, _ = global_minimizer(tilted, positive=(regime == "even-n-neg-t"))
+    try:
+        well, _ = global_minimizer(tilted, positive=(regime == "even-n-neg-t"))
+    except NoConvergence:  # no positive well at this tilt
+        well, _ = global_minimizer(tilted)
     return AsymptoticPrediction(
         regime=regime,
         scaling_exponent=exponent,

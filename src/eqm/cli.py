@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import predict
-from .density import DensityTable
+from .density import DensityTable, csv_rows
 from .epd import _TENSOR_CAP, EpdSpec
 from .errors import (EqmError, NoConvergence, NotEven, ParseError,
                      UnsupportedRegime)
@@ -254,7 +254,7 @@ def cmd_solve(args):
     _emit_json(_report_obj(name, sol, tab, report), report_path)
     if density_path is not None:
         with open(density_path, "w") as fh:
-            fh.write(tab.to_csv(_fmt))
+            fh.write(tab.to_csv())
     if not accepted:
         return _fail(
             "VerificationFailure",
@@ -400,10 +400,8 @@ def cmd_oracle(args):
         obj["comparison"] = metrics
 
     density_path = problem.density_path or "oracle-density.csv"
-    rows = map(",".join, zip(map(_fmt, disc.grid.tolist()),
-                             map(_fmt, result.psi.tolist())))
     with open(density_path, "w") as fh:
-        fh.write("\n".join(["xi,psi", *rows]) + "\n")
+        fh.write("xi,psi\n" + csv_rows(disc.grid, result.psi))
     _emit_json(obj)
     return _EXIT_OK
 

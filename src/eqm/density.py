@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["Band", "DensityTable", "chebyshev_angles"]
+__all__ = ["Band", "DensityTable", "chebyshev_angles", "csv_rows"]
 
 # Entries of the largest point-by-term matrix one log-potential block
 # holds (128 KiB of float64), so memory stays flat in the number of points.
@@ -88,6 +88,11 @@ def _dct3(a):
     y[::2] = v[:(n + 1) // 2]
     y[1::2] = v[:(n - 1) // 2:-1]
     return y
+
+
+def csv_rows(xs, ys):
+    """Lines "x,y" of two columns, each value as f"{v:.12g}" writes it."""
+    return "".join(map("%.12g,%.12g\n".__mod__, zip(xs.tolist(), ys.tolist())))
 
 
 def chebyshev_angles(n):
@@ -307,17 +312,15 @@ class DensityTable:
                 out[mask] = b.interp(x[mask])
         return out
 
-    def to_csv(self, fmt):
+    def to_csv(self):
         """Render as CSV text with columns xi,psi plus support headers."""
-        supp = ";".join(f"{fmt(b.lo)},{fmt(b.hi)}" for b in self.bands)
+        supp = ";".join(f"{b.lo:.12g},{b.hi:.12g}" for b in self.bands)
         lines = [f"# support: {supp}"]
         if self.lagrange_l is not None:
-            lines.append(f"# lagrange-l: {fmt(self.lagrange_l)}")
+            lines.append(f"# lagrange-l: {self.lagrange_l:.12g}")
         lines.append("xi,psi")
-        for b in self.bands:
-            lines += map(",".join, zip(map(fmt, b.xs.tolist()),
-                                       map(fmt, b.psis.tolist())))
-        return "\n".join(lines) + "\n"
+        rows = (csv_rows(b.xs, b.psis) for b in self.bands)
+        return "\n".join(lines) + "\n" + "".join(rows)
 
     @classmethod
     def from_csv(cls, text):

@@ -92,8 +92,8 @@ def _reference_point(density):
 
 
 def _probe_grid(density, field, probe_n):
-    """Off-support probes: a window around the support, the potential
-    wells, and far points.  The wells are where a misplaced density
+    """Off-support probes: a window around the support, every well of
+    V, and far points.  The wells are where a misplaced density
     violates the inequality hardest, so they are probed explicitly even
     when they fall outside the window."""
     u = density.endpoints_desc

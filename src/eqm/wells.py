@@ -1,10 +1,14 @@
-"""Locate wells of an external field for solver anchors and seeds.
+"""Locate the wells of an external field for solver anchors and probes.
 
-A coarse grid scan over a radius where every pair of power terms is
-balanced finds the global minimizer basin; extended-precision Newton on
-V' then sharpens the point far below float resolution.  Solvers anchor
-their endpoint offsets at this point, so its accuracy bounds the
-achievable residual floor on very narrow supports.
+A well is a local minimizer of V, where V' changes sign from - to +.
+For a polynomial field the wells are real roots of V', from companion-
+matrix eigenvalues (``np.polynomial.polynomial.polyroots``) after the
+zero root is factored out, so a well at 0 is exactly 0.0.  A field with
+absolute-power terms takes the local minima of a grid over a radius
+where every pair of power terms is balanced.  Extended-precision Newton
+on V' then sharpens each well far below float resolution.  Solvers
+anchor their endpoint offsets at the global one, so its accuracy bounds
+the achievable residual floor on very narrow supports.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
+from .errors import NoConvergence
 from .field import LONG
 
 __all__ = ["search_radius", "refine_minimizer", "global_minimizer", "wells"]
@@ -40,7 +46,7 @@ def search_radius(field):
 
 
 def refine_minimizer(field, x0, keep_positive=False):
-    """Newton iteration on V' in extended precision from a grid argmin.
+    """Newton iteration on V' in extended precision from a seed x0.
 
     Stops once the update falls below 1e-18 relative, i.e. at the
     longdouble resolution of the well location; leaves x0 untouched when
@@ -72,17 +78,11 @@ def global_minimizer(field, positive=False):
     """Global minimizer of V, refined to extended precision.
 
     Memoised per (field, positive): the attempt order, the solver seed
-    and the verifier's well probes of one field share one scan.  An
-    even field is scanned on [0, L] only, so of two mirror minimizers
-    the right-hand one is returned, never the one that argmin rounding
-    happens to favour.
-
-    Parameters
-    ----------
-    field : FieldSpec
-    positive : bool
-        Restrict the scan to the open positive half line (for anchoring
-        the right band of a symmetric two-band support).
+    and the verifier's well probes of one field share one search.  Of
+    an even field's two mirror minimizers the right-hand one is
+    returned.  positive restricts the search to x > 0 (the anchor of the
+    right band of a symmetric two-band support), and NoConvergence is
+    raised when V has no well there.
 
     Returns
     -------
@@ -90,31 +90,59 @@ def global_minimizer(field, positive=False):
     curvature : float
         V''(x); callers fall back to cruder seed widths when <= 0.
     """
-    return _scan(field, bool(positive))
+    return _scan(field, bool(positive))[0]
 
 
 def wells(field):
-    """The global minimizers of V: both mirror points for an even field.
+    """Every local minimizer of V, by ascending V, the global one first.
 
-    For an even field with V''(0) < 0, 0 is a local maximum, so the
-    minimizers are exactly +-x+, x+ the half-line minimizer that the
-    two-band seed scans for anyway.  Any other field takes the
-    full-line scan.
-
-    Returns
-    -------
-    tuple of longdouble
-        (x, -x) for an even field, else (x,).
+    An even field's wells off 0 come in mirror pairs (x, -x), x > 0
+    first.  If V''(0) < 0 at an even field, all of them are mirror
+    images of the wells on x > 0, the search the two-band seed runs.
     """
-    if field.is_even and field.eval(0.0, 2) < 0.0:
-        x = global_minimizer(field, positive=True)[0]
-    else:
-        x = global_minimizer(field)[0]
-    return (x, -x) if field.is_even else (x,)
+    found = _scan(field, bool(field.is_even and field.eval(0.0, 2) < 0.0))
+    return tuple(w for x, _ in found for w in ((x, -x) if field.is_even and x else (x,)))
 
 
 @lru_cache(maxsize=64)
 def _scan(field, positive):
+    """The wells (x, V''(x)) of V on x > 0 if positive, else on x >= 0
+    for an even field, by ascending V in extended precision."""
+    found = (_polynomial_wells if field.is_polynomial else _grid_wells)(field, positive)
+    if not found:
+        raise NoConvergence(f"no {'positive ' * positive}well: V' has no sign change from - to +")
+    return tuple(sorted(found, key=lambda w: field.eval(w[0], 0, dtype=LONG)))
+
+
+def _polynomial_wells(field, positive):
+    """Wells among the roots of V' = x^m r(x^g), r(0) != 0: 0 when m is
+    odd and r(0) > 0, and the real g-th roots of r's real roots whose
+    refined curvature is positive."""
+    dv = np.zeros(max(int(field.max_degree), 1))
+    for _, k, c in field.terms():
+        if k >= 1.0:
+            dv[int(k) - 1] += k * c
+    powers = np.flatnonzero(dv)
+    if powers.size == 0:
+        return []
+    m = int(powers[0])
+    g = max(int(np.gcd.reduce(powers - m)), 1)
+    ys = P.polyroots(dv[m::g])  # a root within 1e-7 relative of the axis counts as real
+    ys = ys.real[np.abs(ys.imag) <= 1e-7 * np.maximum(1.0, np.abs(ys))]
+    xs = np.abs(ys) ** (1.0 / g)
+    seeds = np.concatenate([xs[ys > 0.0], -xs[ys < 0.0] if g % 2 else -xs[ys > 0.0]])
+    if positive or field.is_even:
+        seeds = seeds[seeds > 0.0]
+    found = [refine_minimizer(field, x, keep_positive=positive) for x in set(seeds.tolist())]
+    found = [w for w in found if w[1] > 0.0]
+    if m % 2 and dv[m] > 0.0 and not positive:
+        found.append(refine_minimizer(field, 0.0))
+    return found
+
+
+def _grid_wells(field, positive):
+    """Wells at the local minima of V on a grid of _GRID_N points.  On
+    x > 0 an argmin at the first point means V rises from 0: no well."""
     L = search_radius(field)
     if positive:
         xs = np.linspace(L / _GRID_N, L, _GRID_N)
@@ -123,5 +151,9 @@ def _scan(field, positive):
         if field.is_even:
             xs = xs[_GRID_N // 2:]  # the right half of the same grid, 0 included
     vals = field.eval(xs, 0)
-    x0 = float(xs[int(np.argmin(vals))])
-    return refine_minimizer(field, x0, keep_positive=positive)
+    if positive and int(np.argmin(vals)) == 0:
+        return []
+    idx = (np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1).tolist()
+    if field.is_even and not positive and vals[0] <= vals[1]:
+        idx.insert(0, 0)
+    return [refine_minimizer(field, float(xs[i]), keep_positive=positive) for i in idx]

@@ -637,7 +637,7 @@ def test_oracle_reports_no_convergence(tmp_path, capsys, monkeypatch):
     got = main(["oracle", "--problem", problem, "--grid-n", "101", "--iters", "50"])
     assert got == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["constructed"] == {"error": "NoConvergence: residual 3.142e+12"}
+    assert payload["constructed"] == {"error": "NoConvergence: residual 1.481e-10"}
     assert payload["oracle"]["interval"] == [-2.0, 2.0]
     assert payload["comparison"] is None
 

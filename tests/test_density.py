@@ -9,7 +9,7 @@ from scipy import fft, integrate
 
 from eqm import onecut, twocut
 from eqm.density import (Band, DensityTable, _dct3, _dst2, _twiddles,
-                         chebyshev_angles)
+                         chebyshev_angles, csv_rows)
 from eqm.field import FieldSpec, PowerTerm
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
@@ -121,9 +121,8 @@ def test_endpoints_desc():
 
 
 def test_csv_roundtrip():
-    fmt = lambda x: f"{x:.12g}"
     tab = _semicircle_table(1.0, 150)
-    text = tab.to_csv(fmt)
+    text = tab.to_csv()
     back = DensityTable.from_csv(text)
     assert len(back.bands) == 1
     np.testing.assert_allclose(back.bands[0].xs, tab.bands[0].xs, rtol=1e-11)
@@ -133,13 +132,28 @@ def test_csv_roundtrip():
 
 
 def test_csv_roundtrip_two_bands():
-    fmt = lambda x: f"{x:.12g}"
     field = quartic_field(-10.0)
     sol = twocut.solve_endpoints_symmetric(field)
     tab = twocut.density_symmetric(sol, field, 120)
-    back = DensityTable.from_csv(tab.to_csv(fmt))
+    back = DensityTable.from_csv(tab.to_csv())
     assert len(back.bands) == 2
     assert back.mass() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_csv_rows_match_per_value_formatting():
+    """The printf-style row writer formats every value as f"{v:.12g}"
+    does: signed zeros, subnormals, infinities, nan, values that round
+    at the twelfth digit and random magnitudes."""
+    rng = np.random.default_rng(7)
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, math.inf,
+            -math.inf, math.nan, 0.12345678901250, 1.00000000000050, 2.5e-13,
+            -999999999999.5, 1e16 + 2.0, np.nextafter(1.0, 2.0)]
+    xs = np.concatenate([edge, rng.standard_normal(2000)
+                         * 10.0 ** rng.integers(-300, 300, 2000)])
+    ys = rng.permutation(xs)
+    want = "".join(f"{x:.12g},{y:.12g}\n" for x, y in zip(xs.tolist(), ys.tolist()))
+    assert csv_rows(xs, ys) == want
+    assert csv_rows(xs[:0], ys[:0]) == ""
 
 
 def _log_potential_reference(band, xi):
@@ -257,10 +271,9 @@ def test_cut_series_within_stated_bound_of_full_sum(solved_tables):
 
 
 def test_rough_and_csv_series_keep_every_term():
-    fmt = lambda x: f"{x:.12g}"
     field = quartic_field(-10.0)
     sol = twocut.solve_endpoints_symmetric(field)
-    read = DensityTable.from_csv(twocut.density_symmetric(sol, field, 401).to_csv(fmt))
+    read = DensityTable.from_csv(twocut.density_symmetric(sol, field, 401).to_csv())
     for tab in (_rough_table(9), _rough_table(64), read):
         for band in tab.bands:
             assert np.array_equal(band._log_series(), _full_fold(band))

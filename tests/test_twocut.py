@@ -7,7 +7,7 @@ import pytest
 
 from eqm import anchored, twocut
 from eqm.density import chebyshev_angles
-from eqm.errors import NotEven
+from eqm.errors import NoConvergence, NotEven
 from eqm.field import FieldSpec, LocalField, PowerTerm
 from eqm.quadrature import pv_band_integral_delta
 
@@ -59,11 +59,22 @@ def test_scaled_endpoints_large_t():
         assert sol.u2 / s == pytest.approx(target, rel=2e-2)
 
 
-def test_stalled_solve_reports_steps_taken():
-    # xi^4 + 1000 xi^2 has no two-band solution: its seed band sits
-    # at 1e-10, and every damped step from there leaves the domain
-    # (u2 > 0) or raises the residual, so no Newton step is taken
-    sol = twocut.solve_endpoints_symmetric(quartic_field(1000.0))
+def test_no_positive_well_raises_at_once():
+    """xi^4 + 1000 xi^2 has no positive well to seed the right band at:
+    the two-band solve raises before any Newton step."""
+    with pytest.raises(NoConvergence, match="no positive well"):
+        twocut.solve_endpoints_symmetric(quartic_field(1000.0))
+
+
+def test_stalled_solve_reports_steps_taken(monkeypatch):
+    """A residual pair that every damped step raises: the solve stops
+    unconverged after no Newton step, and says why."""
+    def residual(lf, mirror):
+        return (lambda dm, half: (1.0 + dm * dm, 0.0),
+                lambda dm, half: [[1.0, 0.0], [0.0, 1.0]])
+
+    monkeypatch.setattr(anchored, "_residual", residual)
+    sol = twocut.solve_endpoints_symmetric(quartic_field(-10.0))
     assert not sol.converged
     assert sol.message == "line search stalled"
     assert sol.iterations == 0
