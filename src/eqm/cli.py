@@ -378,7 +378,8 @@ def cmd_oracle(args):
         obj["constructed"] = _report_obj(name, sol, tab, report)
         lo, hi = tab.bands[0].lo, tab.bands[-1].hi
         mid, width = 0.5 * (lo + hi), hi - lo
-        a, b = mid - width, mid + width
+        xs = [mid] + [float(w) for w in wells(problem.field) if not lo <= w <= hi]
+        a, b = min(xs) - width, max(xs) + width
     except EqmError as exc:
         obj["constructed"] = {"error": f"{type(exc).__name__}: {exc}"}
         a, b = -2.0, 2.0

@@ -1,14 +1,16 @@
-"""Locate the wells of an external field for solver anchors and probes.
+"""The well table of an external field: solver anchors and probes.
 
 A well is a local minimizer of V, where V' changes sign from - to +.
+``_scan`` lists every well once per field by ascending V (an even
+field's on x >= 0); ``wells`` and ``global_minimizer`` read that table.
 For a polynomial field the wells are real roots of V', from companion-
 matrix eigenvalues (``np.polynomial.polynomial.polyroots``) after the
 zero root is factored out, so a well at 0 is exactly 0.0.  A field with
 absolute-power terms takes the local minima of a grid over a radius
 where every pair of power terms is balanced.  Extended-precision Newton
 on V' then sharpens each well far below float resolution.  Solvers
-anchor their endpoint offsets at the global one, so its accuracy bounds
-the achievable residual floor on very narrow supports.
+anchor their endpoint offsets at a well, so its accuracy bounds the
+achievable residual floor on very narrow supports.
 """
 
 from __future__ import annotations
@@ -45,12 +47,13 @@ def search_radius(field):
     return 2.0 * radius
 
 
-def refine_minimizer(field, x0, keep_positive=False):
+def refine_minimizer(field, x0):
     """Newton iteration on V' in extended precision from a seed x0.
 
     Stops once the update falls below 1e-18 relative, i.e. at the
     longdouble resolution of the well location; leaves x0 untouched when
-    the local curvature is not positive.
+    the local curvature is not positive.  An even field's well is
+    folded to |x|.
 
     Returns
     -------
@@ -65,24 +68,21 @@ def refine_minimizer(field, x0, keep_positive=False):
             break
         d1 = LONG(field.eval(x, 1, dtype=LONG))
         xn = x - d1 / d2
-        if keep_positive and not xn > 0.0:
-            break
         done = abs(xn - x) <= LONG(1e-18) * max(LONG(1.0), abs(xn))
         x = xn
         if done:
             break
+    if field.is_even:
+        x = abs(x)
     return x, float(field.eval(x, 2, dtype=LONG))
 
 
 def global_minimizer(field, positive=False):
-    """Global minimizer of V, refined to extended precision.
-
-    Memoised per (field, positive): the attempt order, the solver seed
-    and the verifier's well probes of one field share one search.  Of
-    an even field's two mirror minimizers the right-hand one is
-    returned.  positive restricts the search to x > 0 (the anchor of the
-    right band of a symmetric two-band support), and NoConvergence is
-    raised when V has no well there.
+    """The global minimizer of V, the first entry of the well table, or
+    with positive its first entry on x > 0 (the anchor of the right band
+    of a symmetric two-band support, NoConvergence if there is none).
+    Of an even field's two mirror minimizers the right-hand one is
+    returned.
 
     Returns
     -------
@@ -90,31 +90,30 @@ def global_minimizer(field, positive=False):
     curvature : float
         V''(x); callers fall back to cruder seed widths when <= 0.
     """
-    return _scan(field, bool(positive))[0]
+    found = [w for w in _scan(field) if w[0] > 0.0 or not positive]
+    if not found:
+        raise NoConvergence("no positive well: V has no local minimizer on x > 0")
+    return found[0]
 
 
 def wells(field):
     """Every local minimizer of V, by ascending V, the global one first.
-
     An even field's wells off 0 come in mirror pairs (x, -x), x > 0
-    first.  If V''(0) < 0 at an even field, all of them are mirror
-    images of the wells on x > 0, the search the two-band seed runs.
-    """
-    found = _scan(field, bool(field.is_even and field.eval(0.0, 2) < 0.0))
-    return tuple(w for x, _ in found for w in ((x, -x) if field.is_even and x else (x,)))
+    first."""
+    return tuple(w for x, _ in _scan(field) for w in ((x, -x) if field.is_even and x else (x,)))
 
 
 @lru_cache(maxsize=64)
-def _scan(field, positive):
-    """The wells (x, V''(x)) of V on x > 0 if positive, else on x >= 0
-    for an even field, by ascending V in extended precision."""
-    found = (_polynomial_wells if field.is_polynomial else _grid_wells)(field, positive)
+def _scan(field):
+    """The wells (x, V''(x)) of V, on x >= 0 for an even field, by
+    ascending V in extended precision: the one search per field."""
+    found = (_polynomial_wells if field.is_polynomial else _grid_wells)(field)
     if not found:
-        raise NoConvergence(f"no {'positive ' * positive}well: V' has no sign change from - to +")
+        raise NoConvergence("no well: V' has no sign change from - to +")
     return tuple(sorted(found, key=lambda w: field.eval(w[0], 0, dtype=LONG)))
 
 
-def _polynomial_wells(field, positive):
+def _polynomial_wells(field):
     """Wells among the roots of V' = x^m r(x^g), r(0) != 0: 0 when m is
     odd and r(0) > 0, and the real g-th roots of r's real roots whose
     refined curvature is positive."""
@@ -131,29 +130,26 @@ def _polynomial_wells(field, positive):
     ys = ys.real[np.abs(ys.imag) <= 1e-7 * np.maximum(1.0, np.abs(ys))]
     xs = np.abs(ys) ** (1.0 / g)
     seeds = np.concatenate([xs[ys > 0.0], -xs[ys < 0.0] if g % 2 else -xs[ys > 0.0]])
-    if positive or field.is_even:
+    if field.is_even:
         seeds = seeds[seeds > 0.0]
-    found = [refine_minimizer(field, x, keep_positive=positive) for x in set(seeds.tolist())]
+    found = [refine_minimizer(field, x) for x in set(seeds.tolist())]
     found = [w for w in found if w[1] > 0.0]
-    if m % 2 and dv[m] > 0.0 and not positive:
+    if m % 2 and dv[m] > 0.0:
         found.append(refine_minimizer(field, 0.0))
     return found
 
 
-def _grid_wells(field, positive):
-    """Wells at the local minima of V on a grid of _GRID_N points.  On
-    x > 0 an argmin at the first point means V rises from 0: no well."""
+def _grid_wells(field):
+    """Wells at the local minima of V on _GRID_N points over [-L, L],
+    or for an even field on 0 and _GRID_N points over (0, L], where 0 is
+    a well when V does not fall from it."""
     L = search_radius(field)
-    if positive:
-        xs = np.linspace(L / _GRID_N, L, _GRID_N)
+    if field.is_even:
+        xs = np.concatenate([[0.0], np.linspace(L / _GRID_N, L, _GRID_N)])
     else:
         xs = np.linspace(-L, L, _GRID_N)
-        if field.is_even:
-            xs = xs[_GRID_N // 2:]  # the right half of the same grid, 0 included
     vals = field.eval(xs, 0)
-    if positive and int(np.argmin(vals)) == 0:
-        return []
     idx = (np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1).tolist()
-    if field.is_even and not positive and vals[0] <= vals[1]:
+    if field.is_even and vals[0] <= vals[1]:
         idx.insert(0, 0)
-    return [refine_minimizer(field, float(xs[i]), keep_positive=positive) for i in idx]
+    return [refine_minimizer(field, float(xs[i])) for i in idx]

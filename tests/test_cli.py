@@ -642,6 +642,24 @@ def test_oracle_reports_no_convergence(tmp_path, capsys, monkeypatch):
     assert payload["comparison"] is None
 
 
+def test_oracle_window_reaches_every_well(tmp_path, capsys, monkeypatch):
+    """xi^8 + 100 xi^2 (xi^2 - 1)^2 on one band: the support [-0.057,
+    0.057] misses the wells at +-0.990, so the window reaches each of
+    them padded by the support's width, and the oracle finds the two
+    side bands the one-band construction lacks."""
+    monkeypatch.chdir(tmp_path)
+    problem = dict(OCTIC, field=dict(OCTIC["field"], t=100.0), ansatz="onecut")
+    assert main(["oracle", "--problem", write_problem(tmp_path, problem),
+                 "--grid-n", "201", "--iters", "2000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    u = payload["constructed"]["endpoints"]
+    assert u[0] < 0.06 and payload["constructed"]["verification"]["passed"] is False
+    reach = 0.99024088583806 + u[0] - u[-1]
+    assert payload["oracle"]["interval"] == pytest.approx([-reach, reach], rel=1e-12)
+    assert payload["comparison"]["band_count"] == 3
+    assert payload["comparison"]["l1_distance"] > 0.3
+
+
 @pytest.mark.parametrize("later_fails, want", [(True, "two-band"), (False, "twocut-sym")])
 def test_construct_tie_goes_to_later_attempt(monkeypatch, later_fails, want):
     """Both ansaetze converge for xi^4 - 10 xi^2.  If both density builds
@@ -790,11 +808,11 @@ def _spy(monkeypatch, module, name, record, calls=None):
     return calls
 
 
-def test_two_band_sweep_row_scans_half_line_only(tmp_path, capsys, monkeypatch):
-    """A sweep row of xi^4 - 1e3 xi^2 finds its wells on the half line
-    the two-band seed scans, so no full-line scan runs, and samples
-    only sweep-grid densities."""
-    scans = _spy(monkeypatch, wells_module, "_scan", lambda field, positive: positive)
+def test_two_band_sweep_row_runs_one_well_search(tmp_path, capsys, monkeypatch):
+    """A sweep row of xi^4 - 1e3 xi^2 searches its field's wells once:
+    the try order, the two-band seed and the certificate's probes read
+    one table.  It samples only sweep-grid densities."""
+    wells_module._scan.cache_clear()
     grids = _spy(monkeypatch, anchored, "_sample", lambda lf, dm, half, n, mirror: n)
     problem = write_problem(tmp_path, QUARTIC)
     code = main(["sweep", "--problem", problem, "--t-from=-1e3", "--t-to=-1e3",
@@ -802,7 +820,8 @@ def test_two_band_sweep_row_scans_half_line_only(tmp_path, capsys, monkeypatch):
     row = capsys.readouterr().out.strip().splitlines()[1].split(",")
     assert code == 0
     assert (row[1], row[-1]) == ("twocut-sym", "pass")
-    assert scans and all(scans)
+    info = wells_module._scan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
     assert grids and set(grids) == {cli._SWEEP_GRID}
 
 
@@ -824,17 +843,17 @@ def test_solve_reads_lagrange_constant_once(tmp_path, capsys, monkeypatch, probl
 
 def test_side_wells_with_convex_origin_try_two_bands_first(monkeypatch):
     """xi^6 - 3 xi^4 + 0.5 xi^2 has V''(0) = 1 > 0 but its global
-    minimizers at +-1.383: the full-line scan finds them off 0, and the
+    minimizers at +-1.383: the one well search finds them off 0, and the
     two-band attempt, which passes, runs first."""
     field = FieldSpec((PowerTerm("monomial", 6, 1.0), PowerTerm("monomial", 2, 0.5)),
                       (0.0, 0.0, 0.0, 0.0, 1.0), -3.0)
-    scans = _spy(monkeypatch, wells_module, "_scan", lambda field, positive: positive)
+    wells_module._scan.cache_clear()
     order = []
     for name in ("solve_endpoints", "solve_endpoints_symmetric"):
         _spy(monkeypatch, cli, name, lambda *a, name=name, **k: name, order)
     assert _outcome(field, "auto") == ("twocut-sym", True)
     assert order == ["solve_endpoints_symmetric"]
-    assert False in scans
+    assert wells_module._scan.cache_info().misses == 1
     assert abs(float(cli.wells(field)[0])) == pytest.approx(1.3830657718, rel=1e-9)
 
 

@@ -25,8 +25,9 @@ its stdout); a solve adds the ``problem.json``, ``report.json`` and
 ``eqm predict --sign +`` and ``--sign -`` on its problem, and, when the
 solve wrote ``density.csv``, a ``verify`` directory with the output of
 ``eqm verify`` reading that file back.  The DUMP_ORACLES cases, the
-four problems of criterion 8, run ``eqm oracle --grid-n 2001 --iters
-40000`` in their directory, which also gets the ``oracle-density.csv``
+four problems of criterion 8 and a one-band octic whose window reaches
+wells off its support, run ``eqm oracle --grid-n 2001 --iters 40000``
+in their directory, which also gets the ``oracle-density.csv``
 it writes there.  No CLI output reads a solution's split-precision
 endpoint vector, so the dump also writes ``criterion-7/<config>`` for
 each ``conftest.solve_configs`` configuration: the ``endpoint_vector()``
@@ -122,10 +123,14 @@ DUMP_SOLVES["octic-x4-t10"] = ([MONO8], [0.0, 0.0, -3.0, 0.0, 1.0], 10.0)
 # +-1.383: xi^6 - 3 xi^4 + 0.5 xi^2, certified as twocut-sym
 DUMP_SOLVES["sextic-side-wells-x4-t-3"] = (
     [MONO6, {"kind": "monomial", "k": 2, "c": 0.5}], [0.0] * 4 + [1.0], -3.0)
-# name: (vstar, p, t); the oracle runs of criterion 8
+# name: (vstar, p, t, ansatz); the oracle runs of criterion 8, and
+# xi^8 + 100 xi^2 (xi^2 - 1)^2 forced onto one band, whose window
+# reaches the wells at +-0.99 that the band misses
 DUMP_ORACLES = {
-    **{f"oracle-semicircle-t{t:g}": ([], [0.0, 0.0, 1.0], t) for t in (0.5, 1.0, 2.0)},
-    "oracle-quartic-t-10": ([MONO4], [0.0, 0.0, 1.0], -10.0),
+    **{f"oracle-semicircle-t{t:g}": ([], [0.0, 0.0, 1.0], t, "auto") for t in (0.5, 1.0, 2.0)},
+    "oracle-quartic-t-10": ([MONO4], [0.0, 0.0, 1.0], -10.0, "auto"),
+    "oracle-octic-onecut-t100": ([MONO8], [0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 1.0], 100.0,
+                                 "onecut"),
 }
 # name: (vstar, t_from, t_to, steps, log) of V = vstar + t xi^2
 DUMP_SWEEPS = {
@@ -143,9 +148,9 @@ DUMP_SWEEPS = {
 }
 
 
-def _problem(tmp, name, vstar, p, t):
+def _problem(tmp, name, vstar, p, t, ansatz="auto"):
     path = os.path.join(tmp, f"{name}.json")
-    obj = {"ansatz": "auto", "field": {"vstar": vstar, "p": {"coeffs": p}, "t": t}}
+    obj = {"ansatz": ansatz, "field": {"vstar": vstar, "p": {"coeffs": p}, "t": t}}
     with open(path, "w") as fh:
         json.dump(obj, fh)
     return path
@@ -267,10 +272,10 @@ def dump(root):
         argv = ["sweep", "--problem", path, f"--t-from={t_from!r}",
                 f"--t-to={t_to!r}", "--steps", str(steps)]
         _run_captured(argv + (["--log"] if log else []), case)
-    for name, (vstar, p, t) in DUMP_ORACLES.items():
+    for name, (vstar, p, t, ansatz) in DUMP_ORACLES.items():
         case = os.path.abspath(os.path.join(root, name))
         os.makedirs(case)
-        path = _problem(case, "problem", vstar, p, t)
+        path = _problem(case, "problem", vstar, p, t, ansatz)
         cwd = os.getcwd()
         os.chdir(case)  # where the oracle writes oracle-density.csv
         try:

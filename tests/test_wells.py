@@ -2,7 +2,9 @@
 
 The reference is the grid search the root finder replaced: the argmin
 of V on 100001 points over ``search_radius``, the right half line only
-for an even field, polished by the same ``refine_minimizer``.
+for an even field, polished by the same ``refine_minimizer``.  Fields
+whose V' has a multiple or near-double root off 0 are checked against
+the steps of a dense long-double scan over which V' turns from - to +.
 """
 
 import json
@@ -11,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
+from eqm import cli
 from eqm import wells as wells_module
 from eqm.cli import main
-from eqm.errors import NoConvergence
-from eqm.field import LONG, FieldSpec, PowerTerm
+from eqm.errors import EqmError, NoConvergence
+from eqm.field import LONG, FieldSpec, PowerTerm, polynomial_field
 from eqm.wells import global_minimizer, refine_minimizer, search_radius, wells
 
 from conftest import quartic_field
@@ -32,9 +36,9 @@ def _dense_minimizer(field):
 
 
 @st.composite
-def _polynomial_fields(draw):
+def _polynomial_fields(draw, top=6):
     """xi^k + c xi^j + t p, k <= 8 even, j < k, p monic of degree n < k
-    with only even or only odd powers, t = +-10^(-1..6)."""
+    with only even or only odd powers, t = +-10^(-1..top)."""
     k = draw(st.sampled_from([2, 4, 6, 8]))
     vstar = [PowerTerm("monomial", k, 1.0)]
     if k > 2 and draw(st.booleans()):
@@ -45,7 +49,7 @@ def _polynomial_fields(draw):
     p[n] = 1.0
     for j in range(n - 2, 0, -2):
         p[j] = draw(st.sampled_from([0.0, -2.0, 1.0]))
-    t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.integers(-1, 6))
+    t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.integers(-1, top))
     return FieldSpec(tuple(vstar), tuple(p), t)
 
 
@@ -72,6 +76,24 @@ def test_roots_match_dense_scan(field):
     assert xp > 0.0
 
 
+@settings(max_examples=15, derandomize=True, database=None, deadline=2000)
+@given(_polynomial_fields(top=4))
+@example(quartic_field(-10.0))
+@example(FieldSpec((PowerTerm("monomial", 6, 1.0), PowerTerm("monomial", 2, 0.5)),
+                   (0.0, 0.0, 0.0, 0.0, 1.0), -3.0))
+def test_every_certified_band_holds_a_well(field):
+    """The paper's potential-well property: each component of a
+    certified support contains a local minimizer of V."""
+    try:
+        _, _, tab, _, accepted = cli._construct(field, "auto", 1e-10, 100, cli._SWEEP_GRID,
+                                                cli._SWEEP_PROBES)
+    except EqmError:
+        return
+    if accepted:
+        for band in tab.bands:
+            assert any(band.lo <= w <= band.hi for w in wells(field)), (field, band)
+
+
 @pytest.mark.parametrize("field, want", [
     (FieldSpec((PowerTerm("monomial", 6, 1.0),), (0.0, 0.0, 0.0, 1.0), 1e4),
      [-(5000.0) ** (1.0 / 3.0)]),
@@ -86,9 +108,11 @@ def test_wells_are_the_sign_changes_of_dv(field, want):
     np.testing.assert_allclose(np.array(wells(field), dtype=float), want, rtol=1e-13)
 
 
-def test_positive_grid_argmin_at_its_first_point_raises():
-    """|xi|^4.5 + 10 xi^2 rises from 0: no positive well."""
+def test_abs_power_field_rising_from_0_has_no_positive_well():
+    """|xi|^4.5 + 10 xi^2 rises from 0: its one well is 0, and the
+    two-band anchor asks in vain for one on x > 0."""
     field = FieldSpec((PowerTerm("abs_power", 4.5, 1.0),), (0.0, 0.0, 1.0), 10.0)
+    assert wells(field) == (0.0,)
     with pytest.raises(NoConvergence, match="no positive well"):
         global_minimizer(field, positive=True)
 
@@ -102,6 +126,58 @@ def test_abs_power_grid_keeps_every_local_minimum():
     assert len(got) == 2 and got[0] < 0.0 < got[1]
     for x in got:
         assert abs(float(field.eval(x, 1))) <= 1e-12
+
+
+def _turns(field, window=None):
+    """Reference wells from a dense long-double scan: the grid steps
+    (a, b] over which V' turns from - to +, on 100001 points of
+    [-L, L] and, if window = (c, h) is given, 20001 more on [c-h, c+h]."""
+    L = search_radius(field)
+    xs = np.linspace(-LONG(L), LONG(L), _DENSE_N)
+    if window is not None:
+        c, h = window
+        xs = np.sort(np.concatenate([xs, np.linspace(LONG(c - h), LONG(c + h), 20001)]))
+    dv = field.eval(xs, 1, dtype=LONG)
+    i = np.flatnonzero((dv[:-1] < 0.0) & (dv[1:] >= 0.0)) + 1
+    return list(zip(xs[i - 1], xs[i]))
+
+
+def _assert_wells_match_turns(field, mult, window=None):
+    """One well in each step of _turns, widened by (1e-18)^(1/mult):
+    long double resolves a root of V' of multiplicity mult no closer."""
+    got, ref = sorted(wells(field)), _turns(field, window)
+    slack = LONG(1e-18) ** (LONG(1) / mult)
+    assert len(got) == len(ref), ([float(x) for x in got], ref)
+    for x, (a, b) in zip(got, ref):
+        assert a - slack <= x <= b + slack, (float(x), float(a), float(b))
+
+
+@pytest.mark.parametrize("coeffs_desc", [
+    [1.0, -4.0, 6.0, -4.0, 1.0],
+    [1.0, 0.0, -4.0, 0.0, 6.0, 0.0, -4.0, 0.0, 1.0],
+], ids=["(xi-1)^4", "(xi^2-1)^4"])
+def test_triple_root_of_dv_off_0_is_a_well(coeffs_desc):
+    """V' has a triple root at 1 (and at -1 for the even field), where
+    V'' = 0 and Newton polishes only linearly: the table still lists
+    one well there, within long double's reach of the dense scan."""
+    _assert_wells_match_turns(polynomial_field(coeffs_desc), 3)
+
+
+_MISSED = pytest.mark.xfail(strict=True, reason="polyroots returns the pair as complex "
+                           "conjugates, and Newton from their real part finds no well")
+
+
+@pytest.mark.parametrize("c, eps", [
+    (3.0, 1e-4), (3.0, 1e-6), pytest.param(3.0, 1e-7, marks=_MISSED), (3.0, 3e-8),
+    (-2.0, 1e-4), (-2.0, 1e-6), pytest.param(-2.0, 1e-7, marks=_MISSED), (-2.0, 3e-8),
+])
+def test_near_double_root_pair_of_dv(c, eps):
+    """V' = (xi + 1)(xi - c)(xi - c - eps): a well and a maximum eps
+    apart, which the dense scan resolves on a window around c.  polyroots
+    may return the pair as complex conjugates with imaginary parts below
+    its 1e-7 cut (at c = 3, eps = 3e-8 too)."""
+    v = P.polyint(P.polyfromroots([-1.0, c, c + eps]))
+    _assert_wells_match_turns(polynomial_field(v[::-1].tolist()), 2, (c, 1e-6))
 
 
 def _problem(tmp_path, vstar, coeffs, t):
