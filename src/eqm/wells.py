@@ -5,9 +5,11 @@ A well is a local minimizer of V, where V' changes sign from - to +.
 field's on x >= 0); ``wells`` and ``global_minimizer`` read that table.
 For a polynomial field the wells are real roots of V', from companion-
 matrix eigenvalues (``np.polynomial.polynomial.polyroots``) after the
-zero root is factored out, so a well at 0 is exactly 0.0.  A field with
-absolute-power terms takes the local minima of a grid over a radius
-where every pair of power terms is balanced.  Extended-precision Newton
+zero root is factored out, so a well at 0 is exactly 0.0; a near-double
+root that comes back as a complex pair is bisected from a sign change
+of V' in long double.  A field with absolute-power terms takes the
+local minima of a grid over a radius where every pair of power terms is
+balanced.  Extended-precision Newton
 on V' then sharpens each well far below float resolution.  Solvers
 anchor their endpoint offsets at a well, so its accuracy bounds the
 achievable residual floor on very narrow supports.
@@ -116,7 +118,10 @@ def _scan(field):
 def _polynomial_wells(field):
     """Wells among the roots of V' = x^m r(x^g), r(0) != 0: 0 when m is
     odd and r(0) > 0, and the real g-th roots of r's real roots whose
-    refined curvature is positive."""
+    refined curvature is positive.  A near-double root of r can come
+    back as a complex pair within the cut; its well is bisected from
+    the - to + sign change of V' between the pair's real part and that
+    part moved by the cut either way."""
     dv = np.zeros(max(int(field.max_degree), 1))
     for _, k, c in field.terms():
         if k >= 1.0:
@@ -126,17 +131,42 @@ def _polynomial_wells(field):
         return []
     m = int(powers[0])
     g = max(int(np.gcd.reduce(powers - m)), 1)
-    ys = P.polyroots(dv[m::g])  # a root within 1e-7 relative of the axis counts as real
-    ys = ys.real[np.abs(ys.imag) <= 1e-7 * np.maximum(1.0, np.abs(ys))]
-    xs = np.abs(ys) ** (1.0 / g)
-    seeds = np.concatenate([xs[ys > 0.0], -xs[ys < 0.0] if g % 2 else -xs[ys > 0.0]])
-    if field.is_even:
-        seeds = seeds[seeds > 0.0]
+    ys = P.polyroots(dv[m::g])
+    # a complex pair this close to the axis may be a near-double real root
+    cut = 1e-7 * np.maximum(1.0, np.abs(ys))
+    seeds = np.concatenate(_branches(ys.real[ys.imag == 0.0], g, field.is_even))
     found = [refine_minimizer(field, x) for x in set(seeds.tolist())]
     found = [w for w in found if w[1] > 0.0]
+    pair = (ys.imag > 0.0) & (ys.imag <= cut)
+    for y, spread in zip(ys.real[pair], cut[pair]):
+        for xs in _branches(np.array([y - spread, y, y + spread]), g, field.is_even):
+            xs = np.sort(xs).astype(LONG)
+            d1 = field.eval(xs, 1, dtype=LONG)
+            turns = np.flatnonzero((d1[:-1] < 0.0) & (d1[1:] >= 0.0))
+            found += [_bisect_well(field, xs[i], xs[i + 1]) for i in turns]
     if m % 2 and dv[m] > 0.0:
         found.append(refine_minimizer(field, 0.0))
     return found
+
+
+def _branches(ys, g, even):
+    """The real x with x^g = y for each real y: the positive roots and
+    the negative ones, or for an even field the positive roots only."""
+    xs = np.abs(ys) ** (1.0 / g)
+    positive, negative = xs[ys > 0.0], -xs[ys < 0.0] if g % 2 else -xs[ys > 0.0]
+    return [positive] if even else [positive, negative]
+
+
+def _bisect_well(field, a, b):
+    """The root of V' in (a, b], V'(a) < 0 <= V'(b), bisected to long
+    double resolution, with V'' there."""
+    while a < (a + b) / 2 < b:
+        mid = (a + b) / 2
+        if field.eval(mid, 1, dtype=LONG) < 0.0:
+            a = mid
+        else:
+            b = mid
+    return b, float(field.eval(b, 2, dtype=LONG))
 
 
 def _grid_wells(field):

@@ -1,16 +1,22 @@
 """Discretized direct minimizer: projection, energy, comparisons."""
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from eqm import onecut, oracle, twocut
+from eqm import cli, onecut, oracle, twocut
+from eqm.field import FieldSpec, PowerTerm
+from eqm.wells import wells
 
 from conftest import quartic_field, semicircle_field, semicircle_radius
+from test_golden import DUMP_ORACLES, _problem
+from test_wells import _polynomial_fields
 
 
 def test_fast_len_matches_scipy():
@@ -161,6 +167,26 @@ def test_matches_fixed_step_pgd(case):
         assert len(oracle._detect_bands(prob.grid, res.psi, 1e-4)) == 2
 
 
+@settings(max_examples=20, derandomize=True, database=None, deadline=1000)
+@given(field=_polynomial_fields(top=1), n=st.integers(31, 301))
+@example(field=FieldSpec((PowerTerm("monomial", 4, 1.0),), (0.0, 0.0, 0.0, 1.0), -10.0), n=32)
+def test_matches_fixed_step_pgd_on_generated_fields(field, n):
+    """Confining polynomial fields of degree <= 8 with even or odd tilts
+    t = +-0.1, 1 or 10, on a window one unit beyond their outer wells.
+    The energies are compared at equal mass: masses that differ by
+    rounding (about 1e-14) move the energy by the multiplier mu times
+    that, 3e-11 for xi^4 - 10 xi^3 (mu = -1053)."""
+    xs = [float(x) for x in wells(field)]
+    prob = oracle.discretize(field, min(xs) - 1.0, max(xs) + 1.0, n)
+    res = oracle.direct_minimize(prob)
+    ref = fixed_step_pgd(prob)
+    assert res.converged
+    assert prob.h * float(np.sum(np.abs(res.psi - ref))) <= 1e-8
+    mu = float(np.mean(prob.gradient(res.psi)[res.psi > 0.0]))
+    mass = prob.h * (float(np.sum(res.psi)) - float(np.sum(ref)))
+    assert abs(prob.energy(res.psi) - prob.energy(ref) - mu * mass) <= 1e-12
+
+
 @pytest.mark.parametrize("case", sorted(N301_CASES))
 def test_returned_iterate_is_certified(case):
     prob = N301_CASES[case]()
@@ -201,47 +227,103 @@ def test_iterations_never_exceed_budget():
     np.testing.assert_array_equal(res.psi, full.psi)
 
 
+def _spy_solves(monkeypatch, prob, negative):
+    """Record (gradients taken on prob so far, set) at each active-set
+    solve, and put -1e-3 on the first node of solve k's set when
+    negative(k)."""
+    real = oracle._active_set_solve
+    steps, calls = [], []
+    gradient = prob.gradient
+
+    def counting_gradient(psi):
+        steps.append(1)
+        return gradient(psi)
+
+    def spy(problem, active):
+        psi = real(problem, active)
+        calls.append((len(steps), active.copy()))
+        if negative(len(calls)):
+            psi[np.flatnonzero(active)[0]] = -1e-3
+        return psi
+
+    monkeypatch.setattr(prob, "gradient", counting_gradient)
+    monkeypatch.setattr(oracle, "_active_set_solve", spy)
+    return calls
+
+
 def test_negative_active_set_solve_is_rejected(monkeypatch):
     prob = oracle.discretize(semicircle_field(1.0), -1.0, 1.0, 301)
     # on the whole grid the equality-constrained minimizer goes negative
     whole = oracle._active_set_solve(prob, np.ones(prob.n, dtype=bool))
     assert whole.min() < 0.0
-
     clean = oracle.direct_minimize(prob)
-    real = oracle._active_set_solve
-    steps = []
-    calls = []
 
-    def counting_gradient(psi, gradient=prob.gradient):
-        steps.append(1)
-        return gradient(psi)
-
-    def first_one_negative(problem, active):
-        psi = real(problem, active)
-        calls.append(len(steps))
-        if len(calls) == 1:
-            psi[np.flatnonzero(active)[0]] = -1e-3
-        return psi
-
-    monkeypatch.setattr(prob, "gradient", counting_gradient)
-    monkeypatch.setattr(oracle, "_active_set_solve", first_one_negative)
+    # a rejected solve is re-solved at once, one gradient of it later, on
+    # the set its KKT signs give: the negative node leaves the set
+    prob = oracle.discretize(semicircle_field(1.0), -1.0, 1.0, 301)
+    calls = _spy_solves(monkeypatch, prob, lambda k: k == 1)
     res = oracle.direct_minimize(prob)
-    # a rejected set is not solved again; a new one must hold first
-    assert calls[0] >= oracle._ACTIVE_HOLD
-    assert np.all(np.diff(calls) > oracle._ACTIVE_HOLD)
+    (step0, set0), (step1, set1) = calls[:2]
+    assert step1 == step0 + 1
+    assert step0 >= oracle._ACTIVE_HOLD
+    assert set0[np.flatnonzero(set0)[0]] and not set1[np.flatnonzero(set0)[0]]
     assert res.converged
-    assert res.iterations > clean.iterations
     assert np.all(res.psi >= 0.0)
     assert prob.h * float(np.sum(np.abs(res.psi - clean.psi))) <= 1e-8
 
-    # stop right after the rejected solve: the iterate is still FISTA's
-    first = calls[0]
+    # every solve rejected: each pass stops at a repeated or empty set,
+    # no set twice in a row, and FISTA converges alone
+    prob = oracle.discretize(semicircle_field(1.0), -1.0, 1.0, 301)
+    calls = _spy_solves(monkeypatch, prob, lambda k: True)
+    alone = oracle.direct_minimize(prob)
+    assert 2 <= len(calls) < 20
+    assert all(not np.array_equal(a, b) for (_, a), (_, b) in zip(calls, calls[1:]))
+    assert alone.converged
+    assert alone.iterations < 1000
+    assert np.all(alone.psi >= 0.0)
+    assert pgd_step_residual(prob, alone.psi) == alone.residual < 1e-10
+    assert prob.h * float(np.sum(np.abs(alone.psi - clean.psi))) <= 1e-8
+
+    # stop right after the first rejected pass: the iterate is FISTA's,
+    # as if no solve had been tried
+    first = calls[0][0]
     calls.clear()
-    steps.clear()
     cut = oracle.direct_minimize(prob, iters=first)
-    assert calls == [first]
+    assert len(calls) >= 2
     assert not cut.converged
     assert np.all(cut.psi >= 0.0)
+    monkeypatch.setattr(oracle, "_primal_dual_active_set", lambda p, a: None)
+    plain = oracle.direct_minimize(prob, iters=first)
+    np.testing.assert_array_equal(cut.psi, plain.psi)
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_ORACLES))
+def test_dump_oracles_take_few_steps_and_solves(tmp_path, monkeypatch, name):
+    """The N = 2001 runs of `eqm oracle` in the golden dump: 40-59 FISTA
+    steps with at most 3 active-set solves each (at a hold of 30 with one
+    solve per set they took 104-207), returning an exact solve on the
+    final set, bit for bit."""
+    vstar, p, t, ansatz = DUMP_ORACLES[name]
+    path = _problem(str(tmp_path), name, vstar, p, t, ansatz)
+    runs, solves = [], []
+    minimize, solve = oracle.direct_minimize, oracle._active_set_solve
+
+    def spy_minimize(problem, iters):
+        runs.append((problem, minimize(problem, iters=iters)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "direct_minimize", spy_minimize)
+    monkeypatch.setattr(oracle, "_active_set_solve",
+                        lambda problem, active: solves.append(1) or solve(problem, active))
+    monkeypatch.chdir(tmp_path)  # where the oracle writes oracle-density.csv
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["oracle", "--problem", path, "--grid-n", "2001",
+                         "--iters", "40000"]) == 0
+    (prob, res), = runs
+    assert res.converged
+    assert res.iterations <= 64
+    assert len(solves) <= 3
+    np.testing.assert_array_equal(res.psi, solve(prob, res.psi > 0.0))
 
 
 def _two_band_active_set(prob):

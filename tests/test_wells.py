@@ -163,13 +163,9 @@ def test_triple_root_of_dv_off_0_is_a_well(coeffs_desc):
     _assert_wells_match_turns(polynomial_field(coeffs_desc), 3)
 
 
-_MISSED = pytest.mark.xfail(strict=True, reason="polyroots returns the pair as complex "
-                           "conjugates, and Newton from their real part finds no well")
-
-
 @pytest.mark.parametrize("c, eps", [
-    (3.0, 1e-4), (3.0, 1e-6), pytest.param(3.0, 1e-7, marks=_MISSED), (3.0, 3e-8),
-    (-2.0, 1e-4), (-2.0, 1e-6), pytest.param(-2.0, 1e-7, marks=_MISSED), (-2.0, 3e-8),
+    (3.0, 1e-4), (3.0, 1e-6), (3.0, 1e-7), (3.0, 3e-8),
+    (-2.0, 1e-4), (-2.0, 1e-6), (-2.0, 1e-7), (-2.0, 3e-8),
 ])
 def test_near_double_root_pair_of_dv(c, eps):
     """V' = (xi + 1)(xi - c)(xi - c - eps): a well and a maximum eps
