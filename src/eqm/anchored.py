@@ -121,17 +121,17 @@ def _residual(lf, mirror):
     return pair, jacobian
 
 
-def _prepare(field, center, dm, half):
-    """Local expansion around center covering the working band.
+def _prepare(field, center, dm):
+    """The LocalField at center, and dm on center's longdouble grid.
 
-    Returns the LocalField and dm re-expressed against its center (the
-    two differ only when absolute-power terms force direct evaluation).
+    dm comes back as float(center + dm - center), summed in longdouble.
+    The sum rounds to the longdouble spacing at center + dm, so the bits
+    of dm finer than that spacing are dropped, for polynomial fields as
+    for |xi|^a ones.  ``density`` forms every edge and sample from the
+    rounded dm, so its outputs depend on this rounding bit for bit.
     """
-    cf = float(center)
-    r = max(8.0 * (abs(dm) + half), 1e-3 * max(1.0, abs(cf)))
-    lf = LocalField(field, cf - r, cf + r, center=center)
-    dm2 = float(LONG(center) + LONG(dm) - lf.center_long)
-    return lf, dm2
+    lf = LocalField(field, center)
+    return lf, float(lf.center_long + LONG(dm) - lf.center_long)
 
 
 def _seed(field, mirror):
@@ -157,7 +157,7 @@ def solve(field, tol, max_iter, mirror):
     relative width.
     """
     well, half0 = _seed(field, mirror)
-    lf, dm0 = _prepare(field, well, 0.0, half0)
+    lf = LocalField(field, well)
     anchor = lf.center_long
     af = abs(float(anchor))
     pair, jacobian = _residual(lf, mirror)
@@ -171,7 +171,7 @@ def solve(field, tol, max_iter, mirror):
     def jac(x):
         return np.array(jacobian(float(x[0]), float(x[1])), dtype=float)
 
-    res = damped_newton(fun, np.array([dm0, half0]), tol, max_iter, jac)
+    res = damped_newton(fun, np.array([0.0, half0]), tol, max_iter, jac)
     return AnchoredSolution(res.converged, res.residual_norm, anchor=anchor,
                             dm=float(res.x[0]), half=float(res.x[1]), mirror=mirror,
                             iterations=res.iterations, message=res.message)
@@ -211,7 +211,7 @@ def density(sol, field, grid_n):
     """
     if not sol.converged:
         raise ValueError("density requires a converged solution")
-    lf, dm = _prepare(field, sol.anchor, sol.dm, sol.half)
+    lf, dm = _prepare(field, sol.anchor, sol.dm)
     half = sol.half
     psis = _sample(lf, dm, half, int(grid_n), sol.mirror)
     low = float(np.min(psis))

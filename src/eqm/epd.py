@@ -215,14 +215,16 @@ def _validate_u(g, u):
 def _tensor_eval(field, g, order, xi, u, m, want_grad=False, dtype=np.float64):
     """Nested-affine tensor quadrature at absolute coordinates.
 
-    Builds one local expansion over the hull of the points and the
-    endpoints and hands the exact local offsets to the core.  Longdouble
-    inputs keep their precision through the offset computation.
+    Centers one LocalField at the midpoint of the hull of the points and
+    the endpoints and hands the exact local offsets to the core.
+    Longdouble inputs keep their precision through the offset
+    computation.
     """
     xs = np.atleast_1d(np.asarray(xi, dtype=LONG))
     ul = np.asarray(u, dtype=LONG)
     pts = np.concatenate([xs, ul])
-    lf = LocalField(field, float(pts.min()), float(pts.max()))
+    lo, hi = float(pts.min()), float(pts.max())
+    lf = LocalField(field, LONG(0.5) * (LONG(lo) + LONG(hi)))
     return _tensor_core(lf, g, order, xs - lf.center_long, ul - lf.center_long,
                         m, want_grad=want_grad, dtype=dtype)
 
@@ -317,7 +319,7 @@ def phi_eval(spec, xi, u, m=None, dtype=np.float64):
     spec : EpdSpec
     xi : float or 1-D array of float
         Evaluation point(s); an array is evaluated in one contraction
-        over a single local expansion and returns an array.
+        against one LocalField center and returns an array.
     u : sequence of float
         Endpoint vector, descending, length 2g+2 (ties allowed).
     m : int, optional
@@ -352,7 +354,7 @@ def phi_eval_anchored(spec, lf, dxi, du, m=None, dtype=np.float64):
     ----------
     spec : EpdSpec
     lf : LocalField
-        Prebuilt expansion whose center is the caller's anchor.
+        Field centered at the caller's anchor.
     dxi : float or 1-D array of float
         Offset(s) of the evaluation point(s) from the anchor; an array
         returns an array of values.

@@ -8,9 +8,11 @@ Derivatives up to order 4 are evaluated termwise.
 Large-|t| configurations place the support on a band whose width is many
 orders of magnitude below its center, where direct evaluation of V and
 its derivatives loses most significant digits to cancellation between
-terms.  ``LocalField`` therefore re-expands the field around a center in
-extended precision once, after which evaluations at center+delta are
-ordinary Horner sums in the small local coordinate delta.
+terms.  ``LocalField`` therefore takes its points as offsets delta from
+one center held in extended precision.  Monomials are re-expanded about
+that center exactly, once, so they evaluate as Horner sums in delta;
+|xi|^a terms, which have no finite expansion, are evaluated at
+center+delta in extended precision and summed with the monomials there.
 """
 
 from __future__ import annotations
@@ -252,108 +254,61 @@ def potential_difference(field, xi, ref):
 
 
 class LocalField:
-    """Field derivatives evaluated at center+delta via a recentered series.
+    """Field derivatives at center + delta for one extended-precision center.
 
     Parameters
     ----------
     field : FieldSpec
-    lo, hi : float
-        Hull of the evaluation points.
-    center : float or longdouble, optional
-        Expansion point; defaults to the hull midpoint.  Callers that
-        track endpoints as anchor-plus-offset pass their anchor here so
-        local coordinates never round through a single float.
+    center : float or longdouble
+        The point the local coordinate delta is measured from.  Callers
+        that track endpoints as anchor-plus-offset pass their anchor
+        here so local coordinates never round through a single float.
 
     Notes
     -----
-    For polynomial fields the recentred expansion is exact.  For fields
-    with absolute-power terms the expansion is used only when the hull
-    stays safely on one side of zero; otherwise evaluation falls back to
-    direct termwise arithmetic at absolute coordinates.
+    Monomials are re-expanded about the center once, exactly, so their
+    derivatives at center+delta are Horner sums in delta.  An |xi|^a
+    term has no finite expansion: it is evaluated as ``PowerTerm.deriv``
+    at center+delta in extended precision, and a field with such terms
+    sums its monomial part in extended precision too, rounding once to
+    the requested dtype.
     """
 
-    _SERIES_RATIO = 0.5
-
-    def __init__(self, field, lo, hi, center=None):
-        if not hi >= lo:
-            raise ValueError("hull must satisfy hi >= lo")
+    def __init__(self, field, center):
         self.field = field
-        abs_terms = [t for t in field.terms() if t[0] == "abs_power"]
-        if center is None:
-            center = LONG(0.5) * (LONG(lo) + LONG(hi))
-        else:
-            center = LONG(center)
-        use_series = True
-        if abs_terms:
-            if lo > 0.0 or hi < 0.0:
-                edge = min(abs(lo), abs(hi))
-                radius = max(hi - float(center), float(center) - lo)
-                if radius > self._SERIES_RATIO * edge:
-                    use_series = False
-            else:
-                use_series = False
-        self.mode = "series" if use_series else "direct"
-        if self.mode == "series":
-            self.center_long = center
-            self.center = float(center)
-            self._radius = max(hi - self.center, self.center - lo, 0.0)
-            self._taylor = self._build_taylor()
-            self._horner = {}
-        else:
-            self.center_long = LONG(0.0)
-            self.center = 0.0
+        self.center_long = LONG(center)
+        self._abs_terms = [PowerTerm(kind, a, c) for kind, a, c in field.terms()
+                           if kind == "abs_power"]
+        self._taylor = self._build_taylor()
+        self._horner = {}
 
     def _build_taylor(self):
-        """Coefficients T[j] = V^(j)(center)/j! in extended precision."""
+        """Coefficients T[j] of the monomials' Taylor series at the
+        center, V^(j)(center)/j!, in extended precision."""
         c0 = self.center_long
         coeffs = {}
-
-        def add(j, val):
-            coeffs[j] = coeffs.get(j, LONG(0.0)) + val
-
         for kind, a, c in self.field.terms():
+            if kind != "monomial":
+                continue
+            k = int(a)
             cl = LONG(c)
-            if kind == "monomial":
-                k = int(a)
-                pw = LONG(1.0)
-                binom = LONG(1.0)
-                # descending powers of center: c0^(k-j)
-                pows = [LONG(1.0)]
-                for _ in range(k):
-                    pows.append(pows[-1] * c0)
-                for j in range(k + 1):
-                    # binom(k, j)
-                    add(j, cl * binom * pows[k - j])
-                    binom = binom * (k - j) / (j + 1)
-            else:
-                al = LONG(a)
-                mag = abs(c0)
-                if mag == 0.0:
-                    raise DomainError("abs_power series needs center != 0")
-                sgn = LONG(1.0) if c0 > 0 else LONG(-1.0)
-                rad = LONG(self._radius)
-                term = cl * mag**al
-                j = 0
-                lead = abs(term)
-                radpow = LONG(1.0)
-                while True:
-                    add(j, term)
-                    bound = abs(term) * radpow
-                    if j > 4 and bound < LONG(1e-25) * max(lead, LONG(1.0)):
-                        break
-                    if j > 400:
-                        break
-                    term = term * (al - j) / (j + 1) * sgn / mag
-                    radpow = radpow * rad
-                    j += 1
-        jmax = max(coeffs) if coeffs else 0
-        out = np.zeros(jmax + 1, dtype=LONG)
+            binom = LONG(1.0)
+            # descending powers of center: c0^(k-j)
+            pows = [LONG(1.0)]
+            for _ in range(k):
+                pows.append(pows[-1] * c0)
+            for j in range(k + 1):
+                # binom(k, j)
+                coeffs[j] = coeffs.get(j, LONG(0.0)) + cl * binom * pows[k - j]
+                binom = binom * (k - j) / (j + 1)
+        out = np.zeros(max(coeffs, default=0) + 1, dtype=LONG)
         for j, v in coeffs.items():
             out[j] = v
         return out
 
     def _coeffs_for(self, order, dtype=np.float64):
-        """Horner coefficients of V^(order)(center+delta) in delta."""
+        """Horner coefficients in delta of the monomials' order-th
+        derivative at center+delta."""
         key = (order, dtype)
         co = self._horner.get(key)
         if co is None:
@@ -375,27 +330,18 @@ class LocalField:
 
     def deriv(self, delta, order, dtype=np.float64):
         """V^(order)(center + delta), vectorized over delta."""
-        if self.mode == "direct":
-            return self.field.eval(delta, order, dtype=dtype)
-        delta = np.asarray(delta, dtype=dtype)
-        co = self._coeffs_for(order, dtype)
-        acc = np.full(delta.shape, co[-1], dtype=dtype)
+        work = LONG if self._abs_terms else dtype
+        delta = np.asarray(delta, dtype=work)
+        co = self._coeffs_for(order, work)
+        acc = np.full(delta.shape, co[-1], dtype=work)
         for a in co[-2::-1]:
             acc = acc * delta + a
-        return acc
-
-    def value_drop(self, delta):
-        """V(center+delta) - V(center), exact at delta = 0."""
-        if self.mode == "direct":
-            return potential_difference(self.field, np.asarray(delta), 0.0)
-        delta = np.asarray(delta, dtype=np.float64)
-        co = self._coeffs_for(0)
-        if len(co) == 1:
-            return np.zeros(delta.shape)
-        acc = np.full(delta.shape, co[-1])
-        for a in co[-2:0:-1]:
-            acc = acc * delta + a
-        return acc * delta
+        if not self._abs_terms:
+            return acc
+        xi = self.center_long + delta
+        for term in self._abs_terms:
+            acc += term.deriv(xi, order, dtype=LONG)
+        return acc.astype(dtype)
 
 
 def field_to_json(field):

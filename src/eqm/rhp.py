@@ -195,7 +195,7 @@ def _band_integral_factor(lf, roots, dx):
     band and pi F_j(x)/R_j(x) off it, which is the V'(x)/(2 R(x)) term
     exactly, so no term grows near an edge.  Each band's term
     (``quadrature.field_pv_band_integral_delta``) takes the edges and
-    points as offsets from an expansion at the band's midpoint.
+    points as offsets from a LocalField centered at the band's midpoint.
     """
     roots = np.asarray(roots, dtype=LONG)
     flat = np.asarray(dx, dtype=float).ravel()
@@ -205,11 +205,9 @@ def _band_integral_factor(lf, roots, dx):
     points = flat.astype(LONG)
     total = np.zeros(flat.size)
     for j in range(len(hi)):
-        # one expansion at the band over the points too, which F_j(x) reads
-        band = LocalField(
-            lf.field, float(lf.center_long + min(roots[2 * j + 1], points.min())),
-            float(lf.center_long + max(roots[2 * j], points.max())),
-            center=lf.center_long + 0.5 * (roots[2 * j] + roots[2 * j + 1]))
+        # one field centred on the band, which F_j(x) at the points reads too
+        band = LocalField(lf.field,
+                          lf.center_long + 0.5 * (roots[2 * j] + roots[2 * j + 1]))
         shift = band.center_long - lf.center_long
         d = roots - shift
         x = (points - shift).astype(float)
@@ -306,13 +304,9 @@ def _qgk_band_quadrature(u: EndpointVector, k, term):
     g = u.g
     total = 0.0
     for j, (lo, hi) in enumerate(u.bands):
-        lf = LocalField(
-            FieldSpec(vstar=(term,), p_coeffs=(0.0, 1.0), t=0.0), lo, hi
-        )
-
         def f(mu):
             rest = _outside_product(mu, u, lo, hi)
-            return lf.deriv(lf.to_delta(mu), 0) * mu ** (g - k) / np.sqrt(rest)
+            return term.deriv(mu, 0) * mu ** (g - k) / np.sqrt(rest)
 
         total += (-1.0) ** j * band_integral(f, hi, lo)
     return total / math.pi
@@ -351,10 +345,7 @@ def _psi_values(u: EndpointVector, field: FieldSpec):
     anchor = u.shared_anchor
     if anchor is not None:
         off = np.asarray(u.offsets, dtype=float)
-        lo = float(anchor + LONG(min(off)))
-        hi = float(anchor + LONG(max(off)))
-        lf = LocalField(field, lo, hi, center=anchor)
-        return phi_eval_anchored(spec, lf, off, off, dtype=LONG)
+        return phi_eval_anchored(spec, LocalField(field, anchor), off, off, dtype=LONG)
     pts = u.precise
     return phi_eval(spec, pts, pts, dtype=LONG)
 

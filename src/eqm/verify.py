@@ -209,8 +209,7 @@ def _phi_interpolant(u: EndpointVector, field):
     if not field.is_polynomial:
         return None
     scale = 2.0 * max(1.0, abs(u.u[0]), abs(u.u[-1]), u.u[0] - u.u[-1])
-    lf = LocalField(field, -scale, scale, center=0.0)
-    coef = band_factor_coeffs(lf, u.precise)
+    coef = band_factor_coeffs(LocalField(field, 0.0), u.precise)
     coef = coef * scale ** np.arange(len(coef))
 
     def poly(x):
@@ -325,8 +324,8 @@ def check_sign_and_gaps(u: EndpointVector, field):
     """
     interpolated = _phi_interpolant(u, field)
     if interpolated is None:
-        lf = LocalField(field, u.u[-1], u.u[0], center=0.0)
-        phi, roots = functools.partial(band_factor, lf, u.precise), None
+        phi = functools.partial(band_factor, LocalField(field, 0.0), u.precise)
+        roots = None
     else:
         phi, roots = interpolated
     sign_ok = _band_signs_ok(u, phi)

@@ -27,6 +27,21 @@ def quartic_field(t):
     )
 
 
+def abs_power_field(a, degree, t):
+    """V = |xi|^a + t*xi^degree."""
+    return FieldSpec(vstar=(PowerTerm("abs_power", a, 1.0),),
+                     p_coeffs=(0.0,) * degree + (1.0,), t=float(t))
+
+
+def mp_exact(x):
+    """A float or longdouble as an exact mpmath number: the longdouble
+    mantissa is the sum of two doubles."""
+    import mpmath
+
+    hi = float(x)
+    return mpmath.mpf(hi) + mpmath.mpf(float(x - type(x)(hi)))
+
+
 def sextic_field(t):
     """V = t*xi^3 + xi^6."""
     return FieldSpec(

@@ -31,7 +31,7 @@ def phi0_at(field, xi, u1, u2):
     included)."""
     if not u2 < xi < u1:
         return phi_eval(EpdSpec(0, "phi", field), xi, (u1, u2))
-    lf = LocalField(field, u2, u1)
+    lf = LocalField(field, 0.5 * (u1 + u2))
     roots = np.array([u1, u2], dtype=LONG) - lf.center_long
     return float(_band_integral_factor(lf, roots, lf.to_delta(xi)))
 
@@ -43,7 +43,7 @@ def phi1_symmetric_at(field, xi, u1, u2):
     ax = abs(xi)
     if not u2 < ax < u1:
         return phi_eval(EpdSpec(1, "phi", field), xi, (u1, u2, -u2, -u1))
-    lf = LocalField(field, u2, u1)
+    lf = LocalField(field, 0.5 * (u1 + u2))
     roots = np.array([u1, u2, -u2, -u1], dtype=LONG) - lf.center_long
     return math.copysign(1.0, xi) * float(
         _band_integral_factor(lf, roots, lf.to_delta(ax)))
@@ -126,7 +126,7 @@ def test_psi1_endpoint_sum_is_band_integral():
     spec = EpdSpec(1, "psi", f)
 
     def band_sum(u1, u2):
-        lf = LocalField(f, u2, u1)
+        lf = LocalField(f, 0.5 * (u1 + u2))
         d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
         return field_band_integral_delta(lf, d1, d2, mirror=True)[0] / math.pi
 

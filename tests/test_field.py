@@ -3,12 +3,14 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from eqm.errors import DomainError, ParseError
 from eqm.field import (
     FieldSpec,
+    LocalField,
     PowerTerm,
     field_from_json,
     field_to_json,
@@ -17,7 +19,8 @@ from eqm.field import (
     validate_growth,
 )
 
-from conftest import quartic_field, semicircle_field, sextic_field
+from conftest import (abs_power_field, mp_exact, quartic_field, semicircle_field,
+                      sextic_field)
 
 
 def test_monomial_derivatives():
@@ -105,3 +108,58 @@ def test_max_degree():
     assert quartic_field(-10.0).max_degree == 4.0
     assert semicircle_field(1.0).max_degree == 2.0
     assert sextic_field(0.0).max_degree == 6.0
+
+
+def _mp_deriv(term, x, order):
+    """order-th derivative of one (kind, exponent, coefficient) term at
+    the mpmath point x."""
+    kind, a, c = term
+    falling = mpmath.ff(mpmath.mpf(a), order) * mpmath.mpf(c)
+    if kind == "monomial" and order > a:
+        return mpmath.mpf(0)
+    if kind == "monomial":
+        return falling * x ** int(a - order)
+    val = falling * abs(x) ** (mpmath.mpf(a) - order)
+    return val * mpmath.sign(x) if order % 2 else val
+
+
+def _scale(field, reach, order):
+    """sum |term^(order)| with every |xi| replaced by reach: the size of
+    the numbers the evaluation at |xi| <= reach adds up."""
+    return sum(abs(_mp_deriv(term, reach, order)) for term in field.terms())
+
+
+@pytest.mark.parametrize("field", [
+    abs_power_field(3.5, 2, -10.0),
+    abs_power_field(3.5, 1, 10.0),
+    abs_power_field(4.5, 2, 3.0),
+    abs_power_field(4.5, 1, -30.0),
+], ids=["abs3.5-x2", "abs3.5-x1", "abs4.5-x2", "abs4.5-x1"])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float", "long"])
+def test_local_field_abs_power_against_mpmath(field, dtype):
+    """LocalField.deriv of |xi|^a fields against mpmath at 30 digits, on
+    centers from 0 to 1e4, offsets from 1e-12 to ones that cross 0, and
+    every order at which |xi|^a is differentiable on the whole line.
+    The error stays within a few longdouble ulps of the summed term
+    magnitudes, plus one ulp of the result when rounded to float."""
+    a = field.vstar[0].exponent
+    eps = mpmath.mpf(float(np.finfo(np.longdouble).eps))
+    with mpmath.workdps(30):
+        for center in (0.0, 1e-3, -1e-3, 1.0, -1.0, 1e4, -1e4):
+            lf = LocalField(field, center)
+            size = max(1.0, abs(center))
+            steps = np.array([1e-12, 1e-6, 1e-3, 0.1, 0.7]) * size
+            across = np.array([-4.0, -5.0, -7.0]) * center  # to -c/3, -2c/3, -4c/3
+            offsets = np.concatenate([steps, -steps, across])
+            offsets = offsets.astype(dtype) / dtype(3.0)  # not exactly representable
+            for order in range(int(math.ceil(a))):
+                got = lf.deriv(offsets, order, dtype=dtype)
+                assert got.dtype == dtype
+                for delta, value in zip(offsets, got):
+                    x = mp_exact(lf.center_long) + mp_exact(delta)
+                    exact = sum(_mp_deriv(term, x, order) for term in field.terms())
+                    reach = abs(mp_exact(lf.center_long)) + abs(mp_exact(delta))
+                    bound = 8 * eps * _scale(field, reach, order)
+                    if dtype is np.float64:
+                        bound += float(np.spacing(abs(float(exact))))
+                    assert abs(mp_exact(value) - exact) <= bound, (center, delta, order)

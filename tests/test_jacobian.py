@@ -51,7 +51,7 @@ def _check_jacobians(field):
             continue
         if not sol.converged:
             continue
-        lf, dm0 = anchored._prepare(field, sol.anchor, 0.0, sol.half)
+        lf, dm0 = anchored._prepare(field, sol.anchor, 0.0)
         pair, jacobian = anchored._residual(lf, mirror)
         for dm, half in ((sol.dm, sol.half), (sol.dm + 0.05 * sol.half, 0.9 * sol.half)):
             try:
@@ -135,7 +135,7 @@ def test_band_moment_is_the_tensor_slope(field):
             continue
         if not sol.converged:
             continue
-        lf, _ = anchored._prepare(field, sol.anchor, 0.0, sol.half)
+        lf, _ = anchored._prepare(field, sol.anchor, 0.0)
         pair, _ = anchored._residual(lf, mirror)
         for dm, half in ((sol.dm, sol.half), (sol.dm + 0.05 * sol.half, 0.9 * sol.half)):
             try:
@@ -159,7 +159,7 @@ def test_residual_and_jacobian_take_one_band_rule_each(monkeypatch, mirror, fiel
     rule's nodes: no tensor rule runs."""
     solve = twocut.solve_endpoints_symmetric if mirror else onecut.solve_endpoints
     sol = solve(field)
-    lf, dm = anchored._prepare(field, sol.anchor, sol.dm, sol.half)
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm)
     pair, jacobian = anchored._residual(lf, mirror)
     counts, shapes = [], set()
     band_integral, deriv = quadrature.band_integral, LocalField.deriv

@@ -112,7 +112,7 @@ def test_edge_samples_match_fine_principal_value():
                       p_coeffs=(0.0, 0.0, 1.0), t=30.0)
     sol = onecut.solve_endpoints(field)
     got = onecut.density(sol, field, 801).bands[0].psis_by_angle()[[0, -1]]
-    lf, dm = anchored._prepare(field, sol.anchor, sol.dm, sol.half)
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm)
     half = sol.half
     d1, d2 = dm + half, dm - half
     dxi = dm + half * np.cos(chebyshev_angles(801)[[0, -1]])

@@ -42,7 +42,8 @@ def test_symmetric_band_integral_weight():
     # V' = mu^2 + 0.3 mu^4, and its mass moment with q = mu^2 -
     # (u1^2 + u2^2)/2
     u1, u2 = 2.1, 0.7
-    lf = LocalField(polynomial_field([0.06, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]), u2, u1)
+    lf = LocalField(polynomial_field([0.06, 0.0, 1.0 / 3.0, 0.0, 0.0, 0.0]),
+                    0.5 * (u1 + u2))
     d1, d2 = float(lf.to_delta(u1)), float(lf.to_delta(u2))
     val, moment = field_band_integral_delta(lf, d1, d2, mirror=True)
     f = lambda mu: mu**2 + 0.3 * mu**4
@@ -96,7 +97,7 @@ def test_pv_singular_point_validation():
 def test_field_band_integrals_match_generic():
     f = quartic_field(-10.0)
     u1, u2, xi = 2.3, 2.1, 2.2
-    lf = LocalField(f, u2, u1)
+    lf = LocalField(f, 0.5 * (u1 + u2))
     d1, d2, dxi = (float(lf.to_delta(x)) for x in (u1, u2, xi))
     direct = band_integral(lambda mu: f.eval(mu, 1), u1, u2)
     via_field, moment = field_band_integral_delta(lf, d1, d2)
@@ -120,7 +121,7 @@ def test_field_band_integrals_match_generic():
     ids=["band", "symmetric", "field_pv", "pv"],
 )
 def test_delta_forms_reject_reversed_offsets(call):
-    lf = LocalField(quartic_field(-10.0), 2.1, 2.3)
+    lf = LocalField(quartic_field(-10.0), 2.2)
     with pytest.raises(InvalidInterval):
         call(lf)
 
@@ -212,7 +213,7 @@ def test_array_pv_poles_stop_at_their_own_node_count():
 
 def test_field_pv_array_matches_scalar():
     f = quartic_field(-10.0)
-    lf = LocalField(f, 2.0, 2.4)
+    lf = LocalField(f, 2.2)
     d1, d2 = float(lf.to_delta(2.3)), float(lf.to_delta(2.1))
     poles = np.linspace(d2 - 0.05, d1 + 0.05, 23)
     batched = field_pv_band_integral_delta(lf, d1, d2, poles)

@@ -133,7 +133,7 @@ def test_band_factor_closed_form_matches_principal_values(field, mirror):
     solve = twocut.solve_endpoints_symmetric if mirror else onecut.solve_endpoints
     sol = solve(field)
     assert sol.converged
-    lf, dm = anchored._prepare(field, sol.anchor, sol.dm, sol.half)
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm)
     d1, d2 = dm + sol.half, dm - sol.half
     dxi = dm + sol.half * np.cos(chebyshev_angles(401))
     if mirror:
@@ -149,8 +149,8 @@ def test_band_factor_closed_form_matches_principal_values(field, mirror):
 def test_band_factor_of_the_semicircle_and_the_quartic_is_exact():
     """V = t xi^2 has Phi_0 = t; V = xi^4 + t xi^2 has Phi_1 = 2 xi for
     any mirror endpoints, and Phi_0 = 2 xi^2 + u1^2 + t on [-u1, u1]."""
-    lf = LocalField(semicircle_field(3.0), -1.0, 1.0, center=0.0)
+    lf = LocalField(semicircle_field(3.0), 0.0)
     assert band_factor_coeffs(lf, (0.4, -0.4)).tolist() == [3.0]
-    lf = LocalField(quartic_field(-7.0), -1.0, 1.0, center=0.0)
+    lf = LocalField(quartic_field(-7.0), 0.0)
     assert band_factor_coeffs(lf, (2.5, 1.5, -1.5, -2.5)).tolist() == [0.0, 2.0]
     assert band_factor_coeffs(lf, (0.5, -0.5)).tolist() == [0.25 - 7.0, 0.0, 2.0]

@@ -94,7 +94,7 @@ def test_edge_samples_match_fine_principal_value():
                       p_coeffs=(0.0, 0.0, 1.0), t=-30.0)
     sol = twocut.solve_endpoints_symmetric(field)
     assert sol.converged
-    lf, dm = anchored._prepare(field, sol.anchor, sol.dm, sol.half)
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm)
     half = sol.half
     got = anchored._sample(lf, dm, half, 801, True)[[0, -1]]
     d1, d2 = dm + half, dm - half
@@ -120,14 +120,14 @@ def test_edge_samples_match_fine_principal_value():
 ], ids=["quartic-1e4", "abs4.5-30", "quartic-0.8"])
 def test_solve_builds_one_local_field(monkeypatch, field, steps):
     """A two-band solve builds one LocalField, whatever its Newton step
-    count: the expansion anchored at the band, from which every
+    count: the one centered at the band's anchor, from which every
     residual and Jacobian of the solve is read."""
     centers = []
     init = LocalField.__init__
 
     def spy(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        centers.append(self.center)
+        centers.append(float(self.center_long))
 
     monkeypatch.setattr(LocalField, "__init__", spy)
     sol = twocut.solve_endpoints_symmetric(field)

@@ -269,9 +269,9 @@ def test_interpolated_band_factor_matches_tensor_rule(field):
 
 
 def _at_zero(u, field):
-    """The expansion at 0 that the certificate's band factor reads its
-    points and edges against."""
-    return LocalField(field, u.u[-1], u.u[0], center=0.0)
+    """The LocalField centered at 0 that the certificate's band factor
+    reads its points and edges against."""
+    return LocalField(field, 0.0)
 
 
 def _regions(u):
