@@ -162,18 +162,21 @@ def _construct(field, ansatz, tol, max_iter, grid_n, probe_n=120):
 
     Returns (name, solution, table, report, accepted).  ``auto`` tries
     the single band and, for even fields, the symmetric two-band ansatz.
-    The outcome depends only on what each attempt yields, ranked in the
-    canonical order onecut, then twocut-sym: an attempt whose report
-    passes wins (a passing certificate pins the unique minimizer, so at
-    most one ansatz passes); otherwise the canonically later attempt
-    that got as far as verification is returned with accepted=False;
-    otherwise the error of the attempt that got furthest propagates, the
-    canonically later one on a tie.
+    Each support component holds a well of V, so at an even double well
+    (the global minimizer of V off 0) the two-band attempt runs first;
+    elsewhere the single band does.  The first attempt whose report
+    passes wins, and the rest never run.  If none passes, the attempts
+    rank in the canonical order onecut, then twocut-sym: the
+    canonically later one that got as far as verification is returned
+    with accepted=False; otherwise the error of the attempt that got
+    furthest propagates, the canonically later one on a tie.
 
-    The try order only saves work.  Each support component holds a well
-    of V, so at an even double well (the global minimizer of V off 0)
-    the two-band attempt runs first and a pass ends the search before
-    any one-band solve; elsewhere the single band runs first.
+    Both ansaetze can pass.  The certificate holds each condition to a
+    tolerance, and next to a critical tilt, where the support changes
+    topology, the other ansatz meets them too: for xi^4 + t xi^2 at
+    t = -sqrt(2/pi) - 1e-6 and - 1e-8, ``onecut`` and ``twocut-sym``
+    each certify on their own.  There the try order picks the answer,
+    and ``auto`` returns ``twocut-sym``.
     """
     attempts = []
     if ansatz in ("auto", "onecut"):

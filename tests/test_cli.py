@@ -719,6 +719,25 @@ def test_auto_outcome_independent_of_try_order(k, t_from, t_to):
     assert kinds == {"onecut", "twocut-sym"}
 
 
+@pytest.mark.parametrize("below", [1e-6, 1e-8])
+def test_both_ansatze_certify_next_to_the_critical_tilt(tmp_path, capsys, below):
+    """xi^4 + t xi^2 just below t_c = -sqrt(2/pi), where the one band
+    splits in two: each forced ansatz exits 0 with a passing
+    certificate, and auto returns the two bands, which it tries first
+    at a double well."""
+    problem = write_problem(tmp_path, _field_problem([M4], [0.0, 0.0, 1.0],
+                                                     -math.sqrt(2.0 / math.pi) - below))
+    for ansatz, want in [("onecut", "onecut"), ("twocut-sym", "twocut-sym"),
+                         ("auto", "twocut-sym")]:
+        out = tmp_path / ansatz
+        assert main(["solve", "--problem", problem, "--ansatz", ansatz,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["ansatz"] == want
+        assert report["verification"]["passed"] is True
+    assert capsys.readouterr().err == ""
+
+
 def test_failed_reports_rank_in_canonical_order(monkeypatch):
     """xi^4 - 5e6 xi^2 fails both certificates.  The one-band table is
     built and certified after the two-band one, yet the canonically

@@ -369,7 +369,7 @@ def test_toeplitz_inverse_matches_dense_solve(m):
     shift = math.log(4.0) / (2.0 * math.pi)
     rhs = np.random.default_rng(7).standard_normal((m, 2))
     want = np.linalg.solve(prob.kernel[:m, :m] + shift, rhs)
-    got = oracle._toeplitz_inverse(prob.kernel_row[:m] + shift)(rhs)
+    got = oracle._toeplitz_inverse(1000, m)(rhs)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
 
 
@@ -393,12 +393,23 @@ def test_lipschitz_is_sum_zero_curvature(monkeypatch, family, t, half_width):
     field = semicircle_field(t) if family == "semicircle" else quartic_field(t)
     prob = oracle.discretize(field, -half_width, half_width, 2001)
     products = []
-    matvec = prob.matvec
-    monkeypatch.setattr(prob, "matvec", lambda v: products.append(1) or matvec(v))
+    toeplitz_product = oracle._toeplitz_product
+
+    def counting(col):
+        product = toeplitz_product(col)
+        return lambda v: products.append(1) or product(v)
+
+    monkeypatch.setattr(oracle, "_toeplitz_product", counting)
+    oracle._sum_zero_curvature.cache_clear()
     got = oracle._lipschitz(prob)
-    assert len(products) <= 30
+    assert 0 < len(products) <= 30
     want = _dense_sum_zero_spectrum(prob)[-1]
     assert abs(got - want) <= 1e-13 * want
+    # the curvature per unit h depends on n alone: another width reuses it
+    products.clear()
+    wider = oracle.discretize(field, -3.0 * half_width, 2.0 * half_width, 2001)
+    assert oracle._lipschitz(wider) / wider.h == pytest.approx(got / prob.h, rel=1e-15)
+    assert products == []
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=1000)
@@ -436,3 +447,104 @@ def test_detect_bands_matches_loop():
     for mask in masks:
         psi = mask * rng.uniform(0.5, 2.0, 40)
         assert oracle._detect_bands(grid, psi, 0.1) == _detect_bands_loop(grid, psi, 0.1)
+
+
+def _rescaled(field, s):
+    """The field V(s xi) of a polynomial field V, with a monic tilt."""
+    vstar = tuple(PowerTerm("monomial", term.exponent, term.coefficient * s**term.exponent)
+                  for term in field.vstar)
+    p = tuple(c * s ** (j - field.n) for j, c in enumerate(field.p_coeffs))
+    return FieldSpec(vstar, p[:-1] + (1.0,), field.t * s**field.n)
+
+
+def _mass_bands(prob, psi):
+    """Runs of cells holding more than 1e-6 of the largest cell mass:
+    band detection that does not depend on the grid's scale."""
+    mass = prob.h * psi
+    return oracle._detect_bands(prob.grid, mass, 1e-6 * np.max(mass))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=2000)
+@given(field=_polynomial_fields(top=1), n=st.integers(31, 201),
+       log_s=st.floats(-1.0, 1.0))
+@example(field=FieldSpec((PowerTerm("monomial", 4, 1.0),), (0.0, 0.0, 1.0), -10.0), n=201,
+         log_s=0.5)
+def test_minimizer_obeys_the_discrete_scale_law(field, n, log_s):
+    """Minimizing V on [a, b] and V(s xi) on [a/s, b/s] with the same n
+    gives the same cell masses h psi: the grids are the same up to
+    scale, and the kernels differ by the constant log(s) / 2pi, which
+    changes the energy on the simplex by a constant only.  This is why
+    the step size and the preconditioner depend on n alone."""
+    s = 10.0**log_s
+    xs = [float(x) for x in wells(field)]
+    a, b = min(xs) - 1.0, max(xs) + 1.0
+    prob = oracle.discretize(field, a, b, n)
+    scaled = oracle.discretize(_rescaled(field, s), a / s, b / s, n)
+    np.testing.assert_allclose(scaled.potential, prob.potential, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(prob.potential)))
+    res, res_s = oracle.direct_minimize(prob), oracle.direct_minimize(scaled)
+    assert res.converged and res_s.converged
+    mass, mass_s = prob.h * res.psi, scaled.h * res_s.psi
+    assert np.max(np.abs(mass - mass_s)) <= 1e-9 * np.max(mass)
+    assert len(_mass_bands(prob, res.psi)) == len(_mass_bands(scaled, res_s.psi))
+
+
+def _clear_oracle_memos():
+    for memo in (oracle._shifted_column, oracle._sum_zero_curvature, oracle._levinson):
+        memo.cache_clear()
+
+
+def _dump_oracle_run(tmp_path, monkeypatch, name, case):
+    """Exit code, stdout and oracle-density.csv of one DUMP_ORACLES run."""
+    vstar, p, t, ansatz = DUMP_ORACLES[name]
+    where = tmp_path / case
+    where.mkdir()
+    path = _problem(str(where), "problem", vstar, p, t, ansatz)
+    monkeypatch.chdir(where)  # where the oracle writes oracle-density.csv
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["oracle", "--problem", path, "--grid-n", "2001", "--iters", "40000"])
+    return code, out.getvalue(), (where / "oracle-density.csv").read_text()
+
+
+@pytest.mark.parametrize("name", ["oracle-semicircle-t1", "oracle-quartic-t-10"])
+def test_oracle_output_does_not_depend_on_earlier_runs(tmp_path, monkeypatch, name):
+    """One dumped oracle run, first with empty memos, then with the memos
+    the other dumped runs filled: the same bytes both times.  The
+    semicircles share every block length, so the second semicircle run
+    factors nothing itself."""
+    _clear_oracle_memos()
+    first = _dump_oracle_run(tmp_path, monkeypatch, name, "first")
+    _clear_oracle_memos()
+    for other in sorted(set(DUMP_ORACLES) - {name}):
+        _dump_oracle_run(tmp_path, monkeypatch, other, other)
+    misses = oracle._levinson.cache_info().misses
+    assert _dump_oracle_run(tmp_path, monkeypatch, name, "again") == first
+    assert oracle._sum_zero_curvature.cache_info().misses == 1
+    if "semicircle" in name:
+        assert oracle._levinson.cache_info().misses == misses
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=1000)
+@given(a=st.floats(-1e4, 1e4), log_width=st.floats(-4.0, 4.0), n=st.integers(2, 4001))
+def test_shifted_column_is_the_shifted_kernel_row(a, log_width, n):
+    """_shifted_column(n) is kernel_row + log(b - a) / 2pi for any grid
+    of n nodes on [a, b], to 8 ulps of the largest of the two terms and
+    1/2pi: rounding a log's argument by one ulp moves the column by
+    about one ulp of 1/2pi.  The right side rounds h, h j, both logs
+    and their sum; 300 random grids showed at most 4 ulps."""
+    b = a + 10.0**log_width
+    prob = oracle.discretize(semicircle_field(1.0), a, b, n)
+    shift = math.log(b - a) / (2.0 * math.pi)
+    got = oracle._shifted_column(n)
+    scale = np.maximum(np.abs(prob.kernel_row), max(abs(shift), 1.0 / (2.0 * math.pi)))
+    assert np.all(np.abs(got - (prob.kernel_row + shift)) <= 8.0 * np.spacing(scale))
+
+
+def test_memoised_arrays_are_read_only():
+    col = oracle._shifted_column(17)
+    x = oracle._levinson(17, 5)
+    for cached in (col, x):
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    assert oracle._shifted_column(17) is col and oracle._levinson(17, 5) is x
