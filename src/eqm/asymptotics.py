@@ -210,7 +210,7 @@ def _study_row(field, prediction, sign, decade):
         if not sol.converged:
             row["error"] = "no convergence"
             return row
-        tab = build(sol, tilted, 401)
+        tab = build(sol, tilted, 405)
         report = check_variational(tab, tilted, probe_n=80)
         scale = abs(t) ** prediction.scaling_exponent
         su1, su2 = sol.u1 / scale, sol.u2 / scale
@@ -237,8 +237,9 @@ def _study_row(field, prediction, sign, decade):
 def scaling_study(field, sign_of_t, decades):
     """Solve at |t| = 10^1 .. 10^decades and compare with the prediction.
 
-    Each decade is solved on a 401-node density and certified with 80
-    probes.  Failures are recorded per row, never raised.
+    Each decade is solved on a 405-node density and certified with 80
+    probes, as an ``eqm sweep`` row is.  Failures are recorded per row,
+    never raised.
     """
     if decades < 3:
         raise ValueError("a scaling study needs at least 3 decades")

@@ -47,7 +47,7 @@ _EXIT_VERIFY = 3
 _EXIT_PARSE = 4
 _EXIT_REGIME = 5
 _SOLVE_GRID = 801
-_SWEEP_GRID = 401
+_SWEEP_GRID = 405
 _SWEEP_PROBES = 80
 # glibc mallopt parameters, and the block size below which freed memory
 # stays in the heap

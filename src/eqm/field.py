@@ -13,6 +13,9 @@ one center held in extended precision.  Monomials are re-expanded about
 that center exactly, once, so they evaluate as Horner sums in delta;
 |xi|^a terms, which have no finite expansion, are evaluated at
 center+delta in extended precision and summed with the monomials there.
+``potential_difference`` stays termwise instead: each monomial's integer
+powers are formed by repeated squaring in extended precision, so V of an
+even field takes bit-identical values at xi and -xi.
 """
 
 from __future__ import annotations
@@ -231,11 +234,27 @@ def validate_growth(field):
     return ok, diag
 
 
+def _int_power(x, k):
+    """x**k for an integer k >= 0 by repeated squaring in long double."""
+    out = LONG(1.0)
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
 def potential_difference(field, xi, ref):
     """V(xi) - V(ref), accumulated termwise in extended precision.
 
     Stable against the catastrophic cancellation that direct float64
     evaluation suffers when |V| is many orders above the difference.
+    Each monomial adds c*(xi^k - ref^k), its powers formed by repeated
+    squaring, not powl; at even k, xi is squared before any product, so
+    an even field's difference at -xi equals the one at xi bit for bit.
+    |xi|^a terms take powl's |xi|^a - |ref|^a.
     """
     xi = np.asarray(xi)
     scalar = xi.ndim == 0
@@ -246,7 +265,7 @@ def potential_difference(field, xi, ref):
         cl = LONG(c)
         if kind == "monomial":
             k = int(a)
-            acc += cl * (xs**k - r**k)
+            acc += cl * (_int_power(xs, k) - _int_power(r, k))
         else:
             acc += cl * (np.abs(xs) ** LONG(a) - np.abs(r) ** LONG(a))
     out = acc.astype(np.float64)

@@ -601,12 +601,13 @@ def _field_problem(vstar, coeffs, t):
     (_field_problem([A35], [0.0, 0.0, 1.0], -5.0), 0, None, "twocut-sym"),
     (_field_problem([A45], [0.0, 0.0, 1.0], 0.3), 0, None, "onecut"),
     (_field_problem([M4], [0.0, 0.0, 1.0], 1e12), 2, "NoConvergence", None),
-    (_field_problem([M4], [0.0, 0.0, 1.0], -5e6), 3, "VerificationFailure", "twocut-sym"),
+    (_field_problem([M4], [0.0, 0.0, 1.0], -1e8), 3, "VerificationFailure", "twocut-sym"),
+    (_field_problem([M4], [0.0, 0.0, 1.0], -5e6), 0, None, "twocut-sym"),
     (_field_problem([A35], [0.0, 0.0, 1.0], -1.0), 0, None, "twocut-sym"),
     (_field_problem([A45], [0.0, 0.0, 1.0], -1.6), 0, None, "twocut-sym"),
     (_field_problem([A45], [0.0, 0.0, 1.0], -1.0), 0, None, "twocut-sym"),
 ], ids=["abs3.5+3x2", "abs3.5-5x2", "abs4.5+0.3x2", "quartic+1e12",
-        "quartic-5e6", "abs3.5-x2", "abs4.5-1.6x2", "abs4.5-x2"])
+        "quartic-1e8", "quartic-5e6", "abs3.5-x2", "abs4.5-1.6x2", "abs4.5-x2"])
 def test_auto_fallback_outcomes(tmp_path, capsys, problem, code, error, ansatz):
     """The outcome is the one that building every table at once gives:
     exit code, error kind and ansatz.  When both attempts fail, a report
@@ -739,11 +740,11 @@ def test_both_ansatze_certify_next_to_the_critical_tilt(tmp_path, capsys, below)
 
 
 def test_failed_reports_rank_in_canonical_order(monkeypatch):
-    """xi^4 - 5e6 xi^2 fails both certificates.  The one-band table is
+    """xi^4 - 1e8 xi^2 fails both certificates.  The one-band table is
     built and certified after the two-band one, yet the canonically
     later two-band report is returned."""
     built = _spy(monkeypatch, cli, "density", lambda sol, field, grid_n: grid_n)
-    field = _even_field(X4, -5e6)
+    field = _even_field(X4, -1e8)
     assert _outcome(field, "auto") == ("twocut-sym", False)
     assert built == [101]
 
@@ -844,14 +845,29 @@ def test_two_band_sweep_row_runs_one_well_search(tmp_path, capsys, monkeypatch):
     assert grids and set(grids) == {cli._SWEEP_GRID}
 
 
+def test_sweep_grid_is_5_smooth():
+    """Each band of a sweep row is transformed by a real FFT of the
+    sweep grid's length; with no prime factor above 5 it stays on
+    pocketfft's mixed-radix path (a prime length such as 401 takes
+    Bluestein's, about 3x slower).  It is odd, so the band midpoint is
+    a node."""
+    n = cli._SWEEP_GRID
+    assert n % 2 == 1
+    for p in (3, 5):
+        while n % p == 0:
+            n //= p
+    assert n == 1
+
+
 @pytest.mark.parametrize("problem, code", [
     (SEMI, 0),
-    (_field_problem([M4], [0.0, 0.0, 1.0], -5e6), 3),
-], ids=["semicircle", "quartic-5e6"])
+    (_field_problem([M4], [0.0, 0.0, 1.0], -5e6), 0),
+    (_field_problem([M4], [0.0, 0.0, 1.0], -1e8), 3),
+], ids=["semicircle", "quartic-5e6", "quartic-1e8"])
 def test_solve_reads_lagrange_constant_once(tmp_path, capsys, monkeypatch, problem, code):
     """eqm solve reads the Lagrange constant off the density table it
     writes: it samples one solve-grid density per attempt that reaches
-    verification and no other (at xi^4 - 5e6 xi^2 both ansaetze
+    verification and no other (at xi^4 - 1e8 xi^2 both ansaetze
     converge and fail)."""
     grids = _spy(monkeypatch, anchored, "_sample", lambda lf, dm, half, n, mirror: n)
     checks = _spy(monkeypatch, cli, "check_variational", lambda *a, **k: None)

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eqm.errors import DomainError, ParseError
 from eqm.field import (
@@ -21,6 +23,7 @@ from eqm.field import (
 
 from conftest import (abs_power_field, mp_exact, quartic_field, semicircle_field,
                       sextic_field)
+from test_wells import _polynomial_fields
 
 
 def test_monomial_derivatives():
@@ -93,6 +96,79 @@ def test_potential_difference_cancellation():
     )
     assert careful == pytest.approx(exact, rel=1e-10)
     assert abs(careful - exact) <= abs(direct - exact)
+
+
+@st.composite
+def _points(draw):
+    """A reference point and points at relative distances 1 down to
+    1e-12 from it, where V(xi) - V(ref) cancels most digits."""
+    ref = draw(st.floats(-1e3, 1e3))
+    steps = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.integers(0, 12)),
+                          min_size=1, max_size=8))
+    return ref, np.array([ref * (1.0 + f * 10.0 ** -e) for f, e in steps])
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=2000)
+@given(field=_polynomial_fields(top=8), points=_points())
+@example(field=quartic_field(-1e6), points=(707.106782, np.array([707.106781])))
+def test_potential_difference_against_mpmath(field, points):
+    """V(xi) - V(ref) on polynomial fields of degree <= 8 with t up to
+    1e8, against mpmath at 50 digits.  A term c*(xi^k - ref^k) rounds at
+    most k - 1 times in each power, once in the difference and once in
+    the product, each by half a long-double ulp (eps/2) of a number of
+    size at most 2|c| M^k, M = max(|xi|, |ref|): k + 1 eps of |c| M^k.
+    Summing m terms rounds m - 1 more times, each by eps/2 of a partial
+    sum of size at most 2S, S = sum |c| M^k: m - 1 eps of S.  So the
+    long-double sum is within (k_max + m) eps * S, and the result also
+    rounds once to float."""
+    ref, xs = points
+    terms = field.terms()
+    k_max = max(int(a) for _, a, _ in terms)
+    eps = mpmath.mpf(float(np.finfo(np.longdouble).eps))
+    got = potential_difference(field, xs, ref)
+    with mpmath.workdps(50):
+        r = mpmath.mpf(ref)
+        for x, value in zip(xs, got):
+            x = mpmath.mpf(x)
+            exact = sum(mpmath.mpf(c) * (x ** int(a) - r ** int(a)) for _, a, c in terms)
+            reach = max(abs(x), abs(r))
+            size = sum(abs(mpmath.mpf(c)) * reach ** int(a) for _, a, c in terms)
+            bound = (k_max + len(terms)) * eps * size
+            bound += float(np.spacing(abs(float(exact))))
+            assert abs(mpmath.mpf(value) - exact) <= bound, (float(x), ref)
+
+
+@st.composite
+def _even_fields(draw):
+    """xi^k or |xi|^a plus an optional even monomial, with an even monic
+    tilt p and t = +-10^(-1..8)."""
+    if draw(st.booleans()):
+        top = PowerTerm("monomial", draw(st.sampled_from([2, 4, 6, 8])), 1.0)
+    else:
+        top = PowerTerm("abs_power", draw(st.sampled_from([3.5, 4.5, 6.25])), 1.0)
+    vstar = [top]
+    if draw(st.booleans()):
+        vstar.append(PowerTerm("monomial", draw(st.sampled_from([0, 2, 4])),
+                               draw(st.sampled_from([-3.0, 0.5]))))
+    n = draw(st.sampled_from([2, 4, 6]))
+    p = [0.0] * (n + 1)
+    p[n] = 1.0
+    for j in range(n - 2, 0, -2):
+        p[j] = draw(st.sampled_from([0.0, -2.0, 1.0]))
+    t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.integers(-1, 8))
+    return FieldSpec(tuple(vstar), tuple(p), t)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=2000)
+@given(field=_even_fields(), points=_points())
+def test_potential_difference_is_exactly_even(field, points):
+    """For an even field, V(-xi) - V(ref) equals V(xi) - V(ref) bit for
+    bit, so a mirror band's differences are the right band's."""
+    assert field.is_even
+    ref, xs = points
+    got = potential_difference(field, xs, ref)
+    assert np.array_equal(potential_difference(field, -xs, ref), got)
+    assert potential_difference(field, -xs[0], ref) == got[0]
 
 
 def test_validate_growth():
