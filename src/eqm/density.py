@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import ParseError
 
-__all__ = ["Band", "DensityTable", "chebyshev_angles", "csv_rows"]
+__all__ = ["Band", "DensityTable", "chebyshev_angles", "chebyshev_coeffs", "chop",
+           "csv_rows"]
 
 # Entries of the largest point-by-term matrix one log-potential block
 # holds (128 KiB of float64), so memory stays flat in the number of points.
@@ -51,23 +52,51 @@ def _twiddles(n, inverse):
     return w
 
 
-def _dst2(x):
-    """Type-II DST, y_k = 2 sum_j x_j sin(pi (k+1)(2j+1) / 2n), by one
-    real FFT.
+def _dct2(x):
+    """Type-II DCT, y_k = 2 sum_j x_j cos(pi k (2j+1) / 2n), by one real
+    FFT.
 
-    It is the type-II DCT of (-1)^j x_j, reversed.  That DCT takes the
-    FFT of the even-indexed entries followed by the odd-indexed ones
-    reversed, and y_k = 2 Re z_k, y_(n-k) = -2 Im z_k with
+    The FFT of the even-indexed entries followed by the odd-indexed ones
+    reversed gives y_k = 2 Re z_k, y_(n-k) = -2 Im z_k with
     z_k = exp(-i pi k / 2n) times the k-th FFT coefficient (Makhoul
     1980, IEEE Trans. ASSP 28).
     """
     n = len(x)
-    v = np.concatenate([x[::2], -x[1::2][::-1]])
+    v = np.concatenate([x[::2], x[1::2][::-1]])
     z = _twiddles(n, False) * np.fft.rfft(v)
     c = np.empty(n)
     c[:n // 2 + 1] = 2.0 * z.real
     c[:n // 2:-1] = -2.0 * z.imag[1:(n + 1) // 2]
-    return c[::-1]
+    return c
+
+
+def _dst2(x):
+    """Type-II DST, y_k = 2 sum_j x_j sin(pi (k+1)(2j+1) / 2n): the
+    type-II DCT of (-1)^j x_j, reversed."""
+    flip = np.array(x, dtype=float)
+    flip[1::2] = -flip[1::2]
+    return _dct2(flip)[::-1]
+
+
+def chebyshev_coeffs(values):
+    """Coefficients c_k of the Chebyshev series sum c_k T_k(s) through
+    values at the first-kind nodes s = cos(theta), theta ascending as
+    ``chebyshev_angles`` gives them: one type-II DCT, over n (c_0 over
+    2n)."""
+    c = _dct2(values) / len(values)
+    c[0] *= 0.5
+    return c
+
+
+def chop(a):
+    """a cut after its last entry with |a_k| > eps * max|a| (Aurentz &
+    Trefethen 2017); kept whole when an entry is not finite, so a nan or
+    inf reaches every sum."""
+    mag = np.abs(a)
+    top = mag.max()
+    if np.isfinite(top):
+        a = a[:np.flatnonzero(mag > _EPS * top).max(initial=0) + 1]
+    return a
 
 
 def _dct3(a):
@@ -172,11 +201,7 @@ class Band:
             a[2] = 0.25 * b[0]
             a[1:n] -= b[1:] / (2.0 * m)
             a[3:] += b[1:] / (2.0 * (m + 2.0))
-            mag = np.abs(a)
-            top = mag.max()
-            if np.isfinite(top):
-                a = a[:np.flatnonzero(mag > _EPS * top).max(initial=0) + 1]
-            self._series = a
+            self._series = chop(a)
         return self._series
 
     def mass(self):

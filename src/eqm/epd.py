@@ -36,7 +36,7 @@ The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  The density
 sampler and the certificate take Phi_g from ``rhp.band_factor``: a
 closed form for a polynomial field, principal values of V' over the
-bands otherwise.
+bands otherwise, summed from each band's Chebyshev series.
 """
 
 from __future__ import annotations

@@ -41,7 +41,8 @@ def density(sol, field, grid_n):
 
     psi = 2 sqrt((u1-xi)(xi-u2)) Phi_0(xi), with Phi_0 from
     ``rhp.band_factor``: a closed-form polynomial for a polynomial
-    field, else a principal value of V' over the band at every node.
+    field, else a principal value of V' over the band at every node,
+    summed from one Chebyshev series of V' on the band.
     The result carries the Lagrange constant L(psi) - V at the band
     midpoint.
 

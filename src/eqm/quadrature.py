@@ -13,10 +13,12 @@ once per node count for every pole.
 ``band_integral`` is the one band rule and ``pv_band_integral_delta``
 the one principal-value rule, in offsets; every other entry point hands
 them an integrand.  ``field_pv_band_integral_delta`` is one band's term
-of the band factor (``rhp.band_factor``): the principal value of V'
-over the other edges' square root, for any band count.  Only
-non-polynomial fields reach it, as a polynomial field's band factor
-has a closed form (``rhp.band_factor_coeffs``).  The field forms
+of the band factor (``rhp.band_factor``), the principal value of V'
+over the other edges' square root (``band_field``), for any band
+count, where no Chebyshev series of that factor resolves the band (an
+|xi|^a kink inside it); a resolved band sums its series instead, and a
+polynomial field's band factor has a closed form
+(``rhp.band_factor_coeffs``).  The field forms
 (``field_band_integral_delta`` and friends) integrate V' of a prebuilt
 ``LocalField`` with the band and poles as offsets from its center, so
 they never round through one absolute float: bands many orders of
@@ -40,6 +42,7 @@ from .errors import InvalidInterval, SingularPoint
 from .field import LONG
 
 __all__ = [
+    "band_field",
     "band_integral",
     "field_band_integral_delta",
     "field_band_integral_partials_delta",
@@ -238,6 +241,17 @@ def field_band_integral_partials_delta(lf, d1, d2, mirror=False):
     return out[:2], out[2:].reshape(2, 2)
 
 
+def band_field(lf, d, others):
+    """F = V'/sqrt|prod (d - r)| in longdouble at the offsets d, r over
+    the longdouble offsets others of the other band edges: the smooth
+    factor of one band's term of the band factor."""
+    d = np.asarray(d, dtype=LONG)
+    f = lf.deriv(d, 1, dtype=LONG)
+    if others.size:
+        f = f / np.sqrt(np.abs(np.prod(d[..., None] - others, axis=-1)))
+    return f
+
+
 def field_pv_band_integral_delta(lf, d1, d2, dxi, m=None, others=(),
                                  subtract=False):
     """PV of F(mu)/((xi-mu) sqrt((d1-mu)(mu-d2))), F = V'/sqrt|prod (mu-r)|
@@ -258,10 +272,7 @@ def field_pv_band_integral_delta(lf, d1, d2, dxi, m=None, others=(),
     others = np.asarray(others, dtype=LONG)
 
     def pair(d):
-        d = np.asarray(d, dtype=LONG)
-        f = lf.deriv(d, 1, dtype=LONG)
-        if others.size:
-            f = f / np.sqrt(np.abs(np.prod(d[..., None] - others, axis=-1)))
+        f = band_field(lf, d, others)
         hi = f.astype(float)
         return hi, (f - hi).astype(float)
 

@@ -52,7 +52,8 @@ def density_symmetric(sol, field, grid_n):
     2 sqrt((u1^2-xi^2)(xi^2-u2^2)) Phi_1(xi), with Phi_1 from
     ``rhp.band_factor`` on all four edges: a closed-form polynomial for a
     polynomial field, else principal values of V' over both bands at
-    every node.  The left band is the right one's exact mirror image, so
+    every node, from the right band's Chebyshev series and its mirror
+    image.  The left band is the right one's exact mirror image, so
     psi(-xi) = psi(xi) holds identically.
 
     Raises

@@ -12,7 +12,8 @@ Checks, on finite probe grids plus a structural tail argument:
 For a polynomial field the band factor Phi is a polynomial with a
 closed form (``rhp.band_factor_coeffs``), so the sign and integral
 checks read it, and its real roots, from its coefficients; other fields
-take it from ``rhp.band_factor``, band integrals of V' at every probe.
+take it from ``rhp.band_factor_function``, built once per certificate:
+each band's Chebyshev series of V' is summed at every probe.
 Both hold for any number of bands.
 
 Large external fields make ``L(psi) - V - l`` a difference of huge,
@@ -23,7 +24,6 @@ termwise in extended precision.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +33,7 @@ from .density import chebyshev_angles
 from .errors import EqmError
 from .field import LocalField, potential_difference
 from .quadrature import r_branch
-from .rhp import EndpointVector, band_factor, band_factor_coeffs
+from .rhp import EndpointVector, band_factor_coeffs, band_factor_function
 from .wells import wells
 
 __all__ = [
@@ -318,13 +318,14 @@ def check_sign_and_gaps(u: EndpointVector, field):
     fields every check reads the band factor from its closed-form
     polynomial, and the gap and ray checks probe every turning point
     of the running integrals and certify the tails root-free;
-    non-polynomial fields take it from ``rhp.band_factor``, band
-    integrals of V' at every probe with the points as offsets from 0,
-    and fall back to a monotone doubling scan for the tail.
+    non-polynomial fields take it from ``rhp.band_factor_function``,
+    built once here, whose bands' series (or, for a band no series
+    resolves, quadratures) every probe reads as an offset from 0, and
+    fall back to a monotone doubling scan for the tail.
     """
     interpolated = _phi_interpolant(u, field)
     if interpolated is None:
-        phi = functools.partial(band_factor, LocalField(field, 0.0), u.precise)
+        phi = band_factor_function(LocalField(field, 0.0), u.precise)
         roots = None
     else:
         phi, roots = interpolated

@@ -1,18 +1,23 @@
-"""Endpoint vectors and the Q polynomial."""
+"""Endpoint vectors, the Q polynomial and the band factor."""
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from eqm import anchored, onecut, twocut
-from eqm.density import chebyshev_angles
-from eqm.errors import InvalidInterval
+from eqm import anchored, onecut, rhp, twocut
+from eqm.density import chebyshev_angles, chebyshev_coeffs
+from eqm.errors import EqmError, InvalidInterval
 from eqm.field import LONG, FieldSpec, LocalField, PowerTerm
+from eqm.quadrature import band_field, field_pv_band_integral_delta, r_branch
 from eqm.rhp import (EndpointVector, QPolynomial, _band_integral_factor, band_factor,
                      band_factor_coeffs, q_polynomial)
 
-from conftest import quartic_field, semicircle_field, sextic_field
+from conftest import abs_power_field, quartic_field, semicircle_field, sextic_field
 
 
 def test_endpoint_vector_validation():
@@ -154,3 +159,155 @@ def test_band_factor_of_the_semicircle_and_the_quartic_is_exact():
     lf = LocalField(quartic_field(-7.0), 0.0)
     assert band_factor_coeffs(lf, (2.5, 1.5, -1.5, -2.5)).tolist() == [0.0, 2.0]
     assert band_factor_coeffs(lf, (0.5, -0.5)).tolist() == [0.25 - 7.0, 0.0, 2.0]
+
+
+def _solved_edges(field, mirror):
+    """lf, the band's offset midpoint and half width, and the edge
+    offsets of an anchored solve, mirror edges laid out as the sampler
+    lays them out: -2c - d2 and -2c - d1 for the center c of lf."""
+    sol = anchored.solve(field, 1e-10, 100, mirror)
+    if not sol.converged:
+        return None
+    lf, dm = anchored._prepare(field, sol.anchor, sol.dm)
+    d1, d2 = dm + sol.half, dm - sol.half
+    roots = [LONG(d1), LONG(d2)]
+    if mirror:
+        a2 = -2.0 * lf.center_long
+        roots += [a2 - d2, a2 - d1]
+    return lf, dm, sol.half, np.array(roots, dtype=LONG)
+
+
+def _fine_band_factor(lf, roots, dx):
+    """``_band_integral_factor`` with every principal value on a fixed
+    2^16-node rule: the reference of the series route."""
+    fine = functools.partial(field_pv_band_integral_delta, m=2**16)
+    with mock.patch.object(rhp, "field_pv_band_integral_delta", fine):
+        return _band_integral_factor(lf, roots, dx)
+
+
+def _series_bound(lf, roots, dx):
+    """A bound on |Phi - Phi_ref| at the offsets dx, derived from each
+    band's series c of K terms, half width h, and 256-node transform
+    c256 of its F_j.
+
+    Band j adds 1/(2h) times (a) 16 K^2 eps max|c|: K terms of U_(k-1),
+    each at most k (times e just off the band), with coefficients off
+    by the rounding of F_j's samples and of the DCT, and Clenshaw's
+    doubling; the 16 covers those constants and the reference's own
+    sum over 2^16 nodes; (b) the chop: sum over k >= K of k |c256_k|;
+    (c) off the band, where the sum is Horner's over sqrt(y^2 - 1) >=
+    1/K, 16 K eps |F_j(x)| for the F_j(x) that a point nearest band j
+    subtracts.
+    """
+    eps = np.finfo(float).eps
+    total = np.zeros(np.size(dx))
+    flat = np.ravel(dx)
+    hi, lo = roots[0::2].astype(float), roots[1::2].astype(float)
+    nearest = np.argmin(np.abs(flat - 0.5 * (hi + lo)[:, None])
+                        - 0.5 * (hi - lo)[:, None], axis=0)
+    bands = list(rhp._bands(lf, roots))
+    for j, (band, d) in enumerate(bands):
+        c = rhp._band_series(bands, j)
+        d1, d2 = float(d[2 * j]), float(d[2 * j + 1])
+        others = np.delete(d, [2 * j, 2 * j + 1])
+        nodes = 0.5 * (d1 + d2) + 0.5 * (d1 - d2) * np.cos(chebyshev_angles(256))
+        c256 = chebyshev_coeffs(band_field(band, nodes, others).astype(float))
+        k = len(c)
+        chopped = np.sum(np.arange(k, 256) * np.abs(c256[k:]))
+        x = flat.astype(LONG) - (band.center_long - lf.center_long)
+        fx = np.where(nearest == j, np.abs(band_field(band, x, others).astype(float)), 0.0)
+        total += (16 * eps * (k * k * np.max(np.abs(c)) + k * fx) + chopped) / (d1 - d2)
+    return total
+
+
+def _abs_fields():
+    """|xi|^a + t xi^n, a in (3, 8], n = 1 or 2, t = +-10^(0..3), with
+    the mirror flag: a mirror pair for every t < 0 at n = 2."""
+    @st.composite
+    def draw(draw):
+        a = draw(st.floats(3.0, 8.0, exclude_min=True))
+        n = draw(st.sampled_from([1, 2]))
+        t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(0.0, 3.0))
+        return abs_power_field(a, n, t), n == 2 and t < 0.0
+    return draw()
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=10000)
+@given(_abs_fields())
+@example((abs_power_field(4.5, 1, -30.0), False))
+@example((abs_power_field(4.5, 2, -3.0), True))
+@example((abs_power_field(4.5, 2, -300.0), True))
+def test_band_factor_series_matches_fine_principal_values(case):
+    """Where every band's F_j has a series, the band factor from it
+    matches a 2^16-node principal value within the series' own bound
+    (``_series_bound``): Phi at Chebyshev points of each band, and R Phi
+    on each gap and exterior ray from 1e-7 to 10 support widths out.  A
+    band without a series takes the quadrature, so the band factor is
+    ``_band_integral_factor`` exactly."""
+    field, mirror = case
+    try:
+        solved = _solved_edges(field, mirror)
+    except EqmError:
+        solved = None
+    assume(solved is not None)
+    lf, dm, half, roots = solved
+    u = [float(r) for r in roots]
+    cos = np.cos(chebyshev_angles(41))
+    on = np.concatenate([0.5 * (u[2 * j] + u[2 * j + 1]) + 0.5 * (u[2 * j] - u[2 * j + 1])
+                         * cos for j in range(len(u) // 2)])
+    reach = (u[0] - u[-1]) * np.geomspace(1e-7, 10.0, 15)
+    off = np.concatenate([u[0] + reach, u[-1] - reach]
+                         + [0.5 * (u[2 * j + 1] + u[2 * j + 2])
+                            + 0.5 * (u[2 * j + 1] - u[2 * j + 2]) * cos
+                            for j in range(len(u) // 2 - 1)])
+    bands = list(rhp._bands(lf, roots))
+    if any(rhp._band_series(bands, j) is None for j in range(len(bands))):
+        for x in (on, off):
+            assert np.array_equal(band_factor(lf, roots, x),
+                                  _band_integral_factor(lf, roots, x))
+        return
+    phi = rhp.band_factor_function(lf, roots)
+    got, want = phi(on), _fine_band_factor(lf, roots, on)
+    assert np.all(np.abs(got - want) <= _series_bound(lf, roots, on))
+    r = np.abs(r_branch(off + float(lf.center_long), [float(lf.center_long) + x for x in u]))
+    got, want = r * phi(off), r * _fine_band_factor(lf, roots, off)
+    assert np.all(np.abs(got - want) <= r * _series_bound(lf, roots, off))
+
+
+def test_band_with_a_kink_inside_keeps_the_quadrature():
+    """|xi|^4.5 + 30 xi^2 has one band across its kink at 0: no series
+    within the node cap resolves F there, and the band factor is
+    ``_band_integral_factor``'s, bit for bit, on and off the band."""
+    lf, dm, half, roots = _solved_edges(abs_power_field(4.5, 2, 30.0), False)
+    assert rhp._band_series(list(rhp._bands(lf, roots)), 0) is None
+    x = np.concatenate([dm + half * np.cos(chebyshev_angles(101)),
+                        dm + half * (1.0 + np.geomspace(1e-6, 10.0, 8)),
+                        dm - half * (1.0 + np.geomspace(1e-6, 10.0, 8))])
+    assert np.array_equal(band_factor(lf, roots, x), _band_integral_factor(lf, roots, x))
+
+
+@pytest.mark.parametrize("t", [-3.0, -30.0, -300.0])
+def test_mirror_band_series_is_the_folded_right_band(monkeypatch, t):
+    """For the even |xi|^4.5 + t xi^2 the left band's F is -F(-mu) of
+    the right one, so its coefficients are -(-1)^k c_k: its own
+    transform agrees with the fold to the rounding of the samples, and
+    the band factor of the pair, laid out as the sampler lays it out,
+    runs one transform, as it does with a left edge one longdouble
+    ulp further out."""
+    lf, dm, half, roots = _solved_edges(abs_power_field(4.5, 2, t), True)
+    bands = list(rhp._bands(lf, roots))
+    right, left = rhp._band_series(bands, 0), rhp._band_series(bands, 1)
+    folded = rhp._mirror_series(bands, [right], 1)
+    assert folded is not None
+    size = max(len(left), len(folded))
+    gap = np.pad(left, (0, size - len(left))) - np.pad(folded, (0, size - len(folded)))
+    assert np.max(np.abs(gap)) <= 16 * np.finfo(float).eps * np.sum(np.abs(right))
+    calls = []
+    monkeypatch.setattr(rhp, "_band_series",
+                        lambda bands, j: calls.append(j) or right)
+    nudged = roots.copy()
+    nudged[3] = np.nextafter(roots[3], LONG(-np.inf))
+    for edges in (roots, nudged):
+        calls.clear()
+        rhp.band_factor_function(lf, edges)
+        assert calls == [0]

@@ -48,10 +48,12 @@ def _problem(tmp_path, name, vstar, t, output=None):
 def test_every_span_name_records_a_span(tmp_path):
     """solve, sweep, predict and oracle, run in process, pass through
     every traced layer but the tensor rule at least once.  The
-    principal-value kernels run only for non-polynomial fields: one
-    sweep row of |xi|^4.5 - 3 xi^2 (two bands) reaches the caller's-
-    integrand form, one solve of |xi|^4.5 + 30 xi^2 (one band) the field
-    form.  No CLI command runs the tensor rule, so ``rhp.q_polynomial``
+    principal-value kernels run only for a band of a non-polynomial
+    field that no Chebyshev series resolves: the one solve of |xi|^4.5
+    + 30 xi^2 (one band across the kink at 0) reaches both the field
+    form and the caller's-integrand form it calls; the sweep row of
+    |xi|^4.5 - 3 xi^2 (two bands clear of 0) takes the series and
+    reaches neither.  No CLI command runs the tensor rule, so ``rhp.q_polynomial``
     at a one-band solution (shared anchor: ``phi_eval_anchored``) and a
     two-band one (mirrored anchors: ``phi_eval``) does, in the same
     traced block."""
