@@ -191,7 +191,7 @@ def _sample(lf, dm, half, n, mirror):
     dxi = dm + half * np.cos(chebyshev_angles(n))
     base, off = _edges(lf.center_long, d1, d2, mirror)
     base = [b - lf.center_long for b in base]  # 0 on the band, -2c on its mirror
-    phi = band_factor(lf, [b + LONG(o) for b, o in zip(base, off)], dxi)
+    phi = band_factor(lf, [b + LONG(o) for b, o in zip(base, off)])(dxi)
     rad = (d1 - dxi) * (dxi - d2)
     rest = 1.0
     for b, o in zip(base[2:], off[2:]):

@@ -36,6 +36,10 @@ _REGIMES = (
     "even-n-neg-t",
     "even-n-pos-t-convex",
 )
+# Density nodes and off-support probes of one scaling-study row; an
+# ``eqm sweep`` row uses the same
+_SWEEP_GRID = 405
+_SWEEP_PROBES = 80
 
 
 @dataclass(frozen=True)
@@ -210,8 +214,8 @@ def _study_row(field, prediction, sign, decade):
         if not sol.converged:
             row["error"] = "no convergence"
             return row
-        tab = build(sol, tilted, 405)
-        report = check_variational(tab, tilted, probe_n=80)
+        tab = build(sol, tilted, _SWEEP_GRID)
+        report = check_variational(tab, tilted, probe_n=_SWEEP_PROBES)
         scale = abs(t) ** prediction.scaling_exponent
         su1, su2 = sol.u1 / scale, sol.u2 / scale
         t1, t2 = _endpoint_targets(prediction)
@@ -237,9 +241,9 @@ def _study_row(field, prediction, sign, decade):
 def scaling_study(field, sign_of_t, decades):
     """Solve at |t| = 10^1 .. 10^decades and compare with the prediction.
 
-    Each decade is solved on a 405-node density and certified with 80
-    probes, as an ``eqm sweep`` row is.  Failures are recorded per row,
-    never raised.
+    Each decade is solved on a _SWEEP_GRID-node density and certified
+    with _SWEEP_PROBES probes, as an ``eqm sweep`` row is.  Failures are
+    recorded per row, never raised.
     """
     if decades < 3:
         raise ValueError("a scaling study needs at least 3 decades")

@@ -14,7 +14,6 @@ machine-readable JSON object on stderr.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import functools
 import json
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import predict
+from .asymptotics import _SWEEP_GRID, _SWEEP_PROBES, predict
 from .density import DensityTable, csv_rows
 from .errors import (EqmError, NoConvergence, NotEven, ParseError,
                      UnsupportedRegime)
@@ -47,13 +46,6 @@ _EXIT_VERIFY = 3
 _EXIT_PARSE = 4
 _EXIT_REGIME = 5
 _SOLVE_GRID = 801
-_SWEEP_GRID = 405
-_SWEEP_PROBES = 80
-# glibc mallopt parameters, and the block size below which freed memory
-# stays in the heap
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_HEAP_KEEP = 16 * 2**20
 
 
 def _fmt(x):
@@ -494,32 +486,7 @@ def _build_parser():
     return parser
 
 
-@functools.cache
-def _keep_freed_memory():
-    """Fix glibc's malloc thresholds at _HEAP_KEEP bytes, once per process.
-
-    By default glibc maps each block above an adaptive threshold on its
-    own and hands the heap's free top back to the system beyond twice
-    that threshold.  The threshold starts at 128 KiB and rises only to
-    the largest mapped block freed so far.  A call frees hundreds of
-    arrays of 64-160 KiB, so each later call in the process faulted
-    their pages in again: about 4,700 minor faults per six-row sweep.
-    Other platforms are left as they are.
-    """
-    if sys.platform != "linux":
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _HEAP_KEEP)
-    mallopt(_M_TRIM_THRESHOLD, _HEAP_KEEP)
-
-
 def main(argv=None):
-    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

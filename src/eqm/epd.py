@@ -34,9 +34,10 @@ xi = u_1, for either ansatz, as a band moment of V' from one kernel
 
 The density on band j (counting from the right) of a valid solution is
 psi(xi) = 2 (-1)^(j-1) sqrt(-prod(xi - u_i)) Phi_g(xi).  The density
-sampler and the certificate take Phi_g from ``rhp.band_factor``: a
-closed form for a polynomial field, principal values of V' over the
-bands otherwise, summed from each band's Chebyshev series.
+sampler and the certificate take Phi_g from ``rhp.band_factor``, which
+alone chooses its form: a closed form for a polynomial field, principal
+values of V' over the bands otherwise, summed from each band's
+Chebyshev series.
 """
 
 from __future__ import annotations

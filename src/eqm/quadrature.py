@@ -16,14 +16,13 @@ them an integrand.  ``field_pv_band_integral_delta`` is one band's term
 of the band factor (``rhp.band_factor``), the principal value of V'
 over the other edges' square root (``band_field``), for any band
 count, where no Chebyshev series of that factor resolves the band (an
-|xi|^a kink inside it); a resolved band sums its series instead, and a
-polynomial field's band factor has a closed form
-(``rhp.band_factor_coeffs``).  The field forms
-(``field_band_integral_delta`` and friends) integrate V' of a prebuilt
-``LocalField`` with the band and poles as offsets from its center, so
-they never round through one absolute float: bands many orders of
-magnitude narrower than their distance from the origin keep full
-accuracy.  ``field_band_integral_delta`` gives either ansatz's two
+|xi|^a kink inside it); a resolved band sums its series instead, and
+``rhp.band_factor`` gives a polynomial field's band factor in closed
+form.  The field forms (``field_band_integral_delta`` and friends)
+integrate V' of a prebuilt ``LocalField`` with the band and poles as
+offsets from its center, so they never round through one absolute
+float: bands many orders of magnitude narrower than their distance from
+the origin keep full accuracy.  ``field_band_integral_delta`` gives either ansatz's two
 endpoint conditions, a band mean and a band moment of V', from one
 rule; a mirror pair divides V' by its weight's smooth factors, which
 are 1 for one band.  ``field_band_integral_partials_delta`` adds the

@@ -7,8 +7,11 @@ whose ratio with R has prescribed growth and zero gap integrals
 (``pgn_poly``), extracts the moments q_{g,k} of the field against 1/R
 (``qgk``), and assembles the degree-(2g+1) polynomial Q(xi, u) whose
 coefficients all vanish exactly at equilibrium endpoint configurations
-(``q_polynomial``).  For a polynomial field the same 1/R series gives
-the band factor Phi_g in closed form (``band_factor_coeffs``).
+(``q_polynomial``).  ``band_factor`` is the one entry that gives the
+band factor Phi_g, to the density samplers and to the certificate alike:
+for a polynomial field in closed form from the same 1/R series
+(``band_factor_coeffs``), for any other from its bands' Chebyshev series
+of V'.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ __all__ = [
     "EndpointVector",
     "QPolynomial",
     "band_factor",
-    "band_factor_coeffs",
-    "band_factor_function",
     "gamma_coeffs",
     "pgn_poly",
     "qgk",
@@ -187,29 +188,23 @@ def band_factor_coeffs(lf, roots):
                      for n in range(vp.size)], dtype=float)
 
 
-def band_factor(lf, roots, dx):
-    """Phi_g at the points center + dx for the band edges center + roots,
-    center = lf.center_long, g = len(roots)/2 - 1: one call of
-    ``band_factor_function``."""
-    return band_factor_function(lf, roots)(dx)
-
-
-def band_factor_function(lf, roots):
+def band_factor(lf, roots):
     """Phi_g as a function of float offsets dx from the center of lf, of
     any shape, for the band edges center + roots.
 
     The one band factor of the density samplers and the certificate.
     roots are the 2g+2 edge offsets, descending, in longdouble so that
     an edge far from the center stays exact.  A polynomial field takes
-    the closed form (``band_factor_coeffs``).  Any other field sums the
+    the closed form (``band_factor_coeffs``) and returns it as a
+    ``numpy.polynomial.Polynomial`` in dx, whose ``coef`` the
+    certificate reads Phi's real roots from.  Any other field sums the
     bands' principal values of V' (``_band_integral_factor``), each from
     its band's Chebyshev series (``_band_series``) where one resolves
     it, else by quadrature.  The series are built here, once for every
     call of the returned function.
     """
     if lf.field.is_polynomial:
-        coef = band_factor_coeffs(lf, roots)
-        return lambda dx: np.polynomial.polynomial.polyval(dx, coef)
+        return np.polynomial.Polynomial(band_factor_coeffs(lf, roots))
     roots = np.asarray(roots, dtype=LONG)
     bands = list(_bands(lf, roots))
     series = []

@@ -9,12 +9,11 @@ Checks, on finite probe grids plus a structural tail argument:
 * the pointwise sign condition on the band factor and the strict signs
   of the running integrals of ``R * Phi`` over gaps and exterior rays.
 
-For a polynomial field the band factor Phi is a polynomial with a
-closed form (``rhp.band_factor_coeffs``), so the sign and integral
-checks read it, and its real roots, from its coefficients; other fields
-take it from ``rhp.band_factor_function``, built once per certificate:
-each band's Chebyshev series of V' is summed at every probe.
-Both hold for any number of bands.
+The band factor Phi comes from ``rhp.band_factor``, built once per
+certificate, as the density samplers take it.  Where rhp hands back
+Phi's coefficients (a polynomial field's closed form), the gap and ray
+checks also read its real roots from them.  Both hold for any number of
+bands.
 
 Large external fields make ``L(psi) - V - l`` a difference of huge,
 nearly equal numbers, so all potential differences are taken relative
@@ -33,7 +32,7 @@ from .density import chebyshev_angles
 from .errors import EqmError
 from .field import LocalField, potential_difference
 from .quadrature import r_branch
-from .rhp import EndpointVector, band_factor_coeffs, band_factor_function
+from .rhp import EndpointVector, band_factor
 from .wells import wells
 
 __all__ = [
@@ -185,44 +184,33 @@ def _segment_integrals(f, a, b):
     return half * (f(x.ravel()).reshape(x.shape) @ _SEGMENT_W)
 
 
-def _phi_interpolant(u: EndpointVector, field):
-    """The band factor as a polynomial, with its real roots.
+def _phi_roots(u: EndpointVector, phi):
+    """The sorted real roots of the band factor phi, or None when it
+    has no coefficients.
 
-    For a polynomial field of degree M the band factor is a polynomial
-    of degree M - g - 2, which ``rhp.band_factor_coeffs`` gives in
-    closed form; here it is expanded at 0 with the endpoints as the
-    roots of R, so the coefficients are those of Phi in xi.  The running
-    integrals of R*Phi are monotone between consecutive real roots,
-    which turns the strict-sign checks on probe grids into
-    certificates: every interior extremum is probed, and past the
-    largest root the integrand cannot change sign again.  The
-    polynomial is evaluated, and its roots found, in x/scale, with
-    scale twice the larger of 1, the endpoints' magnitude and the
-    support's width.
-
-    Returns
-    -------
-    (callable, ndarray) or None
-        The polynomial and the sorted real roots; None for a
-        non-polynomial field.
+    For a polynomial field of degree M, ``rhp.band_factor`` gives Phi as
+    a polynomial of degree M - g - 2 in x, its coefficients in
+    ``phi.coef``.  The running integrals of R*Phi are monotone between
+    consecutive real roots, which turns the strict-sign checks on probe
+    grids into certificates: every interior extremum is probed, and past
+    the largest root the integrand cannot change sign again.  The roots
+    are found in x/scale, with scale twice the larger of 1, the
+    endpoints' magnitude and the support's width, after trailing
+    coefficients below 1e-13 of the largest are dropped.
     """
-    if not field.is_polynomial:
+    coef = getattr(phi, "coef", None)
+    if coef is None:
         return None
     scale = 2.0 * max(1.0, abs(u.u[0]), abs(u.u[-1]), u.u[0] - u.u[-1])
-    coef = band_factor_coeffs(LocalField(field, 0.0), u.precise)
     coef = coef * scale ** np.arange(len(coef))
-
-    def poly(x):
-        return np.polynomial.polynomial.polyval(np.asarray(x) / scale, coef)
-
     floor = 1e-13 * float(np.max(np.abs(coef)))
     while len(coef) > 1 and abs(coef[-1]) < floor:
         coef = coef[:-1]
     if len(coef) <= 1:
-        return poly, np.empty(0)
+        return np.empty(0)
     roots = np.polynomial.polynomial.polyroots(coef)
     real = roots[np.abs(roots.imag) < 1e-7 * np.maximum(1.0, np.abs(roots.real))]
-    return poly, np.sort(real.real) * scale
+    return np.sort(real.real) * scale
 
 
 def _gap_running_ok(u: EndpointVector, phi, lo, hi, roots):
@@ -314,21 +302,16 @@ def _ray_running_ok(u: EndpointVector, phi, edge, diam, direction, roots):
 def check_sign_and_gaps(u: EndpointVector, field):
     """Sign condition on bands and strict gap/exterior integral signs.
 
-    Returns ``(constraint_sign_ok, gap_integral_ok)``.  For polynomial
-    fields every check reads the band factor from its closed-form
-    polynomial, and the gap and ray checks probe every turning point
-    of the running integrals and certify the tails root-free;
-    non-polynomial fields take it from ``rhp.band_factor_function``,
-    built once here, whose bands' series (or, for a band no series
-    resolves, quadratures) every probe reads as an offset from 0, and
-    fall back to a monotone doubling scan for the tail.
+    Returns ``(constraint_sign_ok, gap_integral_ok)``.  Every check
+    reads the band factor from ``rhp.band_factor``, built once here,
+    at probes given as offsets from 0.  Where it carries coefficients
+    (polynomial fields), the gap and ray checks probe every turning
+    point of the running integrals and certify the tails root-free;
+    otherwise the rays fall back to a monotone doubling scan for the
+    tail.
     """
-    interpolated = _phi_interpolant(u, field)
-    if interpolated is None:
-        phi = band_factor_function(LocalField(field, 0.0), u.precise)
-        roots = None
-    else:
-        phi, roots = interpolated
+    phi = band_factor(LocalField(field, 0.0), u.precise)
+    roots = _phi_roots(u, phi)
     sign_ok = _band_signs_ok(u, phi)
 
     diam = u.u[0] - u.u[-1]

@@ -147,7 +147,7 @@ def test_band_factor_closed_form_matches_principal_values(field, mirror):
     else:
         roots = (d1, d2)
     ref = _band_integral_factor(lf, roots, dxi)
-    got = band_factor(lf, roots, dxi)
+    got = band_factor(lf, roots)(dxi)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -263,10 +263,10 @@ def test_band_factor_series_matches_fine_principal_values(case):
     bands = list(rhp._bands(lf, roots))
     if any(rhp._band_series(bands, j) is None for j in range(len(bands))):
         for x in (on, off):
-            assert np.array_equal(band_factor(lf, roots, x),
+            assert np.array_equal(band_factor(lf, roots)(x),
                                   _band_integral_factor(lf, roots, x))
         return
-    phi = rhp.band_factor_function(lf, roots)
+    phi = band_factor(lf, roots)
     got, want = phi(on), _fine_band_factor(lf, roots, on)
     assert np.all(np.abs(got - want) <= _series_bound(lf, roots, on))
     r = np.abs(r_branch(off + float(lf.center_long), [float(lf.center_long) + x for x in u]))
@@ -283,7 +283,7 @@ def test_band_with_a_kink_inside_keeps_the_quadrature():
     x = np.concatenate([dm + half * np.cos(chebyshev_angles(101)),
                         dm + half * (1.0 + np.geomspace(1e-6, 10.0, 8)),
                         dm - half * (1.0 + np.geomspace(1e-6, 10.0, 8))])
-    assert np.array_equal(band_factor(lf, roots, x), _band_integral_factor(lf, roots, x))
+    assert np.array_equal(band_factor(lf, roots)(x), _band_integral_factor(lf, roots, x))
 
 
 @pytest.mark.parametrize("t", [-3.0, -30.0, -300.0])
@@ -309,5 +309,5 @@ def test_mirror_band_series_is_the_folded_right_band(monkeypatch, t):
     nudged[3] = np.nextafter(roots[3], LONG(-np.inf))
     for edges in (roots, nudged):
         calls.clear()
-        rhp.band_factor_function(lf, edges)
+        band_factor(lf, edges)
         assert calls == [0]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eqm import onecut, twocut, verify
+from eqm import onecut, rhp, twocut, verify
 from eqm.density import Band, DensityTable, chebyshev_angles
 from eqm.epd import EpdSpec, phi_eval
 from eqm.errors import EqmError
@@ -204,7 +204,7 @@ def _tensor_sign_and_gaps(u, field):
         calls.append((np.atleast_1d(x), np.atleast_1d(vals)))
         return vals
 
-    roots = verify._phi_interpolant(u, field)[1]
+    roots = verify._phi_roots(u, band_factor(_at_zero(u, field), u.precise))
     sign_ok = verify._band_signs_ok(u, phi)
     diam = u.u[0] - u.u[-1]
     runs = [verify._gap_running_ok(u, phi, lo, hi, roots) for lo, hi in u.gaps]
@@ -262,7 +262,7 @@ def test_interpolated_band_factor_matches_tensor_rule(field):
                 verify.check_sign_and_gaps(u, field)
             continue
         assert verify.check_sign_and_gaps(u, field) == want, u
-        interpolant = verify._phi_interpolant(u, field)[0]
+        interpolant = band_factor(_at_zero(u, field), u.precise)
         bound = 1e-9 * np.max(np.abs(nodes))
         for x, vals in calls:
             assert np.max(np.abs(interpolant(x) - vals)) <= bound, u
@@ -320,7 +320,20 @@ def test_three_band_factor_routes_agree_and_certify_signs():
     u = EndpointVector(2, (1.06, 0.94, 0.05, -0.05, -0.94, -1.06))
     lf = _at_zero(u, field)
     for x in _regions(u):
-        want = band_factor(lf, u.precise, x)
+        want = band_factor(lf, u.precise)(x)
         got = _band_integral_factor(lf, u.precise, x)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), x
     assert verify.check_sign_and_gaps(u, field) == (True, False)
+
+
+def test_certificate_reads_the_band_factor_from_rhp(monkeypatch):
+    """The certificate takes Phi from ``rhp.band_factor``, as the
+    samplers do, for a polynomial field too: with rhp's Phi negated, a
+    certified two-band solution of xi^4 - 10 xi^2 fails its sign check."""
+    field = quartic_field(-10.0)
+    sol = twocut.solve_endpoints_symmetric(field)
+    tab = twocut.density_symmetric(sol, field, 401)
+    assert verify.check_variational(tab, field).passed()
+    monkeypatch.setattr(verify, "band_factor",
+                        lambda lf, roots: -rhp.band_factor(lf, roots))
+    assert not verify.check_variational(tab, field).constraint_sign_ok
