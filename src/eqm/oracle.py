@@ -8,8 +8,12 @@ integral on the diagonal) and minimized over the scaled simplex
 (FISTA with gradient-mapping restart) plus exact solves of the
 equality-constrained problem on a stable active set, re-solved on the
 set the KKT signs give while a solution has a negative entry (primal-
-dual active set).  The step size is 1/L, with L the energy's curvature
-on zero-sum moves, found by Lanczos in about 13 kernel products.  The
+dual active set).  The run starts from the uniform density, or from a
+given density (``direct_minimize``'s ``start``): `eqm oracle` passes
+the constructed density when it passed its certificate.  The energy is
+strictly convex on the simplex, so the start moves the step count, not
+the minimizer.  The step size is 1/L, with L the energy's curvature on
+zero-sum moves, found by Lanczos in about 13 kernel products.  The
 kernel matrix is symmetric Toeplitz, so matrix-vector products run
 through a circulant FFT embedding, and the active-set solve is
 preconditioned by the exact inverse of each active run's Toeplitz
@@ -362,10 +366,12 @@ def _primal_dual_active_set(problem, active):
     return None
 
 
-def direct_minimize(problem, iters=50000):
+def direct_minimize(problem, iters=50000, start=None):
     """Minimize the discretized energy over the scaled simplex.
 
-    Each iteration is one projected-gradient step of size 1/L, taken
+    The first iterate is the uniform density, or, given ``start`` (a
+    density on the grid), its projection onto the scaled simplex.  Each
+    iteration is one projected-gradient step of size 1/L, taken
     from FISTA's extrapolated point (Beck & Teboulle 2009).  Every move
     has zero sum, since the projection keeps the mass, so L is the
     energy's curvature on such moves, 2h * the largest eigenvalue of the
@@ -385,14 +391,22 @@ def direct_minimize(problem, iters=50000):
     Exits once one plain projected-gradient step from the current
     iterate moves it by less than 1e-10, and returns that iterate: the
     energy is convex, so it is the unique minimizer, and a wrong set
-    costs only time.  ``iterations`` counts gradient steps, not the
-    active-set solves or the gradients of their updates, and never
-    exceeds ``iters``; a budget exhausted before the fixed point is
-    flagged, not raised.
+    costs only time.  So the start changes the steps taken, not the
+    minimizer the run exits at: the exit is a fixed-point test wherever
+    the run began, and a run that exits on an exact solve returns the
+    solve on the minimizer's support, the same bits from any start.  A
+    start near the minimizer saves the steps that shrink the uniform
+    density's support; a poor one can cost more steps than the uniform
+    start.  ``iterations`` counts gradient steps, not the active-set solves or
+    the gradients of their updates, and never exceeds ``iters``; a
+    budget exhausted before the fixed point is flagged, not raised.
     """
     step = 1.0 / _lipschitz(problem)
     total = 1.0 / problem.h
-    x = np.full(problem.n, total / problem.n)
+    if start is None:
+        x = np.full(problem.n, total / problem.n)
+    else:
+        x = _project_scaled_simplex(np.asarray(start, dtype=float), total)
     y, t, plain = x, 1.0, True
     active, held = x > 0.0, 0
     residual = math.inf

@@ -48,7 +48,7 @@ __all__ = [
 _MIN_NODES = 64
 _MAX_NODES = 256
 # Longdouble ulps, of the midpoint, within which two bands of an even
-# field count as mirror images (``_mirror_series``).  The sampler's
+# field count as mirror images (``_mirror_band``).  The sampler's
 # mirror edges, -2c - d2 and -2c - d1 around an anchor c, land within 2
 # of the right band's mirror image (90 solved |xi|^a pairs).
 _MIRROR_ULPS = 4
@@ -209,8 +209,12 @@ def band_factor(lf, roots):
     bands = list(_bands(lf, roots))
     series = []
     for j in range(len(bands)):
-        c = _mirror_series(bands, series, j)
-        series.append(_band_series(bands, j) if c is None else c)
+        k = _mirror_band(bands, j)
+        if k is None:
+            series.append(_band_series(bands, j))
+        else:
+            # a mirror of a band no series resolves takes quadrature too
+            series.append(None if series[k] is None else _folded(series[k]))
     return lambda dx: _band_factor_sum(lf, roots, bands, series, dx)
 
 
@@ -296,15 +300,16 @@ def _band_series(bands, j):
     return None
 
 
-def _mirror_series(bands, series, j):
-    """Band j's coefficients folded from an earlier band's, or None.
+def _mirror_band(bands, j):
+    """The earlier band k whose mirror image band j is, or None.
 
     For an even field V' is odd, so on the mirror image of band k,
-    F_j(s) = -F_k(-s) in band coordinates and c_j = -(-1)^n c_k.  Band k
-    is j's mirror when the sum of their midpoints and the difference of
-    their half widths each lie within _MIRROR_ULPS longdouble ulps of
-    the midpoint: the rounding of a mirror pair's edges formed from one
-    anchor.  None too when band k has no series.
+    F_j(s) = -F_k(-s) in band coordinates: band j takes k's series
+    folded (``_folded``), or k's quadrature where no series resolves
+    k.  Band k is j's mirror when the sum of their midpoints and the
+    difference of their half widths each lie within _MIRROR_ULPS
+    longdouble ulps of the midpoint: the rounding of a mirror pair's
+    edges formed from one anchor.
     """
     band, d = bands[j]
     if not band.field.is_even:
@@ -313,11 +318,15 @@ def _mirror_series(bands, series, j):
     tol = _MIRROR_ULPS * np.finfo(LONG).eps * abs(band.center_long)
     for k in range(j):
         other, dk = bands[k]
-        c = series[k]
-        if (c is not None and abs(other.center_long + band.center_long) <= tol
+        if (abs(other.center_long + band.center_long) <= tol
                 and abs(0.5 * (dk[2 * k] - dk[2 * k + 1]) - half) <= tol):
-            return np.where(np.arange(len(c)) % 2 == 1, c, -c)
+            return k
     return None
+
+
+def _folded(c):
+    """The Chebyshev coefficients -(-1)^n c_n of -F(-s) for those c of F."""
+    return np.where(np.arange(len(c)) % 2 == 1, c, -c)
 
 
 def _series_term(c, band, d1, d2, others, x, near):

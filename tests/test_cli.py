@@ -632,11 +632,16 @@ def test_auto_fallback_outcomes(tmp_path, capsys, problem, code, error, ansatz):
 
 def test_oracle_reports_no_convergence(tmp_path, capsys, monkeypatch):
     """A construction that does not converge is named by its public
-    error type in the oracle's JSON, and the oracle still runs."""
+    error type in the oracle's JSON, and the oracle still runs, from
+    the uniform density."""
     monkeypatch.chdir(tmp_path)
+    starts, minimize = [], cli.direct_minimize
+    monkeypatch.setattr(cli, "direct_minimize", lambda problem, iters, start:
+                        starts.append(start) or minimize(problem, iters, start))
     problem = write_problem(tmp_path, _field_problem([M4], [0.0, 0.0, 1.0], 1e12))
     got = main(["oracle", "--problem", problem, "--grid-n", "101", "--iters", "50"])
     assert got == 0
+    assert starts == [None]
     payload = json.loads(capsys.readouterr().out)
     assert payload["constructed"] == {"error": "NoConvergence: residual 1.481e-10"}
     assert payload["oracle"]["interval"] == [-2.0, 2.0]

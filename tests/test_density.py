@@ -141,19 +141,24 @@ def test_csv_roundtrip_two_bands():
 
 
 def test_csv_rows_match_per_value_formatting():
-    """The printf-style row writer formats every value as f"{v:.12g}"
-    does: signed zeros, subnormals, infinities, nan, values that round
+    """The blockwise row writer formats every value as f"{v:.12g}"
+    does, and as the per-row writer it replaced: signed zeros, subnormals,
+    +-1e300, integer-valued floats, infinities, nan, values that round
     at the twelfth digit and random magnitudes."""
     rng = np.random.default_rng(7)
-    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, math.inf,
-            -math.inf, math.nan, 0.12345678901250, 1.00000000000050, 2.5e-13,
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300,
+            -1e300, 3.0, -42.0, 1e15, 123456789012.0, math.inf, -math.inf,
+            math.nan, 0.12345678901250, 1.00000000000050, 2.5e-13,
             -999999999999.5, 1e16 + 2.0, np.nextafter(1.0, 2.0)]
     xs = np.concatenate([edge, rng.standard_normal(2000)
                          * 10.0 ** rng.integers(-300, 300, 2000)])
     ys = rng.permutation(xs)
     want = "".join(f"{x:.12g},{y:.12g}\n" for x, y in zip(xs.tolist(), ys.tolist()))
-    assert csv_rows(xs, ys) == want
-    assert csv_rows(xs[:0], ys[:0]) == ""
+    per_row = "".join(map("%.12g,%.12g\n".__mod__, zip(xs.tolist(), ys.tolist())))
+    assert csv_rows(xs, ys) == want == per_row
+    # row counts on both sides of the 64-row blocks
+    for n in (0, 1, 63, 64, 65, 128, 129):
+        assert csv_rows(xs[:n], ys[:n]) == "".join(want.splitlines(keepends=True)[:n])
 
 
 def _log_potential_reference(band, xi):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import math
 
 import numpy as np
@@ -297,33 +298,71 @@ def test_negative_active_set_solve_is_rejected(monkeypatch):
     np.testing.assert_array_equal(cut.psi, plain.psi)
 
 
-@pytest.mark.parametrize("name", sorted(DUMP_ORACLES))
-def test_dump_oracles_take_few_steps_and_solves(tmp_path, monkeypatch, name):
-    """The N = 2001 runs of `eqm oracle` in the golden dump: 40-59 FISTA
-    steps with at most 3 active-set solves each (at a hold of 30 with one
-    solve per set they took 104-207), returning an exact solve on the
-    final set, bit for bit."""
+def _spied_dump_run(tmp_path, monkeypatch, name):
+    """One DUMP_ORACLES run of `eqm oracle` at N = 2001: its printed
+    JSON, the problem, start and result of its one minimizer call, and
+    the constructed table the comparison read."""
     vstar, p, t, ansatz = DUMP_ORACLES[name]
     path = _problem(str(tmp_path), name, vstar, p, t, ansatz)
-    runs, solves = [], []
-    minimize, solve = oracle.direct_minimize, oracle._active_set_solve
+    runs, tables = [], []
+    minimize, compare = oracle.direct_minimize, oracle.compare
 
-    def spy_minimize(problem, iters):
-        runs.append((problem, minimize(problem, iters=iters)))
-        return runs[-1][1]
+    def spy_minimize(problem, iters, start=None):
+        runs.append((problem, start, minimize(problem, iters=iters, start=start)))
+        return runs[-1][2]
 
     monkeypatch.setattr(cli, "direct_minimize", spy_minimize)
-    monkeypatch.setattr(oracle, "_active_set_solve",
-                        lambda problem, active: solves.append(1) or solve(problem, active))
+    monkeypatch.setattr(cli, "compare",
+                        lambda table, result: tables.append(table) or compare(table, result))
     monkeypatch.chdir(tmp_path)  # where the oracle writes oracle-density.csv
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert cli.main(["oracle", "--problem", path, "--grid-n", "2001",
                          "--iters", "40000"]) == 0
-    (prob, res), = runs
+    (prob, start, res), = runs
+    table, = tables
+    return json.loads(out.getvalue()), prob, start, res, table
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_ORACLES))
+def test_dump_oracles_take_few_steps_and_solves(tmp_path, monkeypatch, name):
+    """The N = 2001 runs of `eqm oracle` in the golden dump: 12-14 FISTA
+    steps from a certified construction (40-46 from the uniform density),
+    59 from the uniform density after the octic's one-band construction
+    failed its certificate, with at most 3 active-set solves each (at a
+    hold of 30 with one solve per set they took 104-207 from the uniform
+    density), returning an exact solve on the final set, bit for bit."""
+    solves = []
+    solve = oracle._active_set_solve
+    monkeypatch.setattr(oracle, "_active_set_solve",
+                        lambda problem, active: solves.append(1) or solve(problem, active))
+    printed, prob, start, res, _ = _spied_dump_run(tmp_path, monkeypatch, name)
+    certified = printed["constructed"]["verification"]["passed"]
+    assert certified is (name != "oracle-octic-onecut-t100")
+    assert (start is not None) is certified
     assert res.converged
-    assert res.iterations <= 64
+    assert res.iterations <= (16 if certified else 64)
     assert len(solves) <= 3
     np.testing.assert_array_equal(res.psi, solve(prob, res.psi > 0.0))
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_ORACLES))
+def test_oracle_answer_does_not_depend_on_its_start(tmp_path, monkeypatch, name):
+    """The energy has one minimizer on the simplex and the exit is a
+    fixed-point test, so each dumped problem gives the same density, bit
+    for bit, from the uniform density, from the constructed one (failed
+    for the octic), from it shifted by half its support's width, and
+    from all the mass on the node where V is least, in one well."""
+    _, prob, _, res, table = _spied_dump_run(tmp_path, monkeypatch, name)
+    lo, hi = table.bands[0].lo, table.bands[-1].hi
+    spike = np.zeros(prob.n)
+    spike[np.argmin(prob.potential)] = 1.0
+    starts = [None, table.interp(prob.grid), table.interp(prob.grid - 0.5 * (hi - lo)),
+              spike]
+    for start in starts:
+        got = oracle.direct_minimize(prob, iters=40000, start=start)
+        assert got.converged
+        np.testing.assert_array_equal(got.psi, res.psi)
 
 
 def _two_band_active_set(prob):

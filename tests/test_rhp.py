@@ -286,6 +286,25 @@ def test_band_with_a_kink_inside_keeps_the_quadrature():
     assert np.array_equal(band_factor(lf, roots)(x), _band_integral_factor(lf, roots, x))
 
 
+def test_mirror_of_an_unresolved_band_takes_quadrature(monkeypatch):
+    """|xi|^4.5 - 1e6 xi^2: V' sums terms near 3.6e8 to values near 1
+    on the bands, so long-double noise keeps every series above eps and
+    the right band takes quadrature.  Its mirror band then takes
+    quadrature without a transform of its own, one ``_band_series``
+    call per band factor, and the pair's band factor is
+    ``_band_integral_factor``'s, bit for bit."""
+    lf, dm, half, roots = _solved_edges(abs_power_field(4.5, 2, -1e6), True)
+    calls, series = [], rhp._band_series
+    monkeypatch.setattr(rhp, "_band_series",
+                        lambda bands, j: calls.append(j) or series(bands, j))
+    phi = band_factor(lf, roots)
+    assert calls == [0]
+    x = np.concatenate([dm + half * np.cos(chebyshev_angles(21)),
+                        -2.0 * float(lf.center_long) - dm + half * np.cos(chebyshev_angles(21)),
+                        dm + half * (1.0 + np.geomspace(1e-6, 10.0, 4))])
+    assert np.array_equal(phi(x), _band_integral_factor(lf, roots, x))
+
+
 @pytest.mark.parametrize("t", [-3.0, -30.0, -300.0])
 def test_mirror_band_series_is_the_folded_right_band(monkeypatch, t):
     """For the even |xi|^4.5 + t xi^2 the left band's F is -F(-mu) of
@@ -297,8 +316,8 @@ def test_mirror_band_series_is_the_folded_right_band(monkeypatch, t):
     lf, dm, half, roots = _solved_edges(abs_power_field(4.5, 2, t), True)
     bands = list(rhp._bands(lf, roots))
     right, left = rhp._band_series(bands, 0), rhp._band_series(bands, 1)
-    folded = rhp._mirror_series(bands, [right], 1)
-    assert folded is not None
+    assert rhp._mirror_band(bands, 1) == 0
+    folded = rhp._folded(right)
     size = max(len(left), len(folded))
     gap = np.pad(left, (0, size - len(left))) - np.pad(folded, (0, size - len(folded)))
     assert np.max(np.abs(gap)) <= 16 * np.finfo(float).eps * np.sum(np.abs(right))
